@@ -390,43 +390,76 @@ def embed_honeycomb(host: Graph, coll: LabeledCollection, k: int, ell: int,
 # ---------------------------------------------------------------------------
 # ladder in an asymmetric bipartite graph
 
+def _short_edges(b: np.ndarray, q: np.ndarray, tau2: float) -> np.ndarray:
+    """Edges (x, y) of the float32 biadjacency block ``b`` (rows X, columns
+    Y) where fewer than tau2 neighbors z != x of y have ``q[x, z]``.
+
+    ``q`` is an X-by-X boolean matrix; its diagonal is cleared in place.
+    The counts ``(q b)[x, y]`` are at most |X| < 2**24, so float32 is exact.
+    """
+    np.fill_diagonal(q, False)
+    counts = q.astype(np.float32) @ b
+    return (b > 0) & (counts < math.ceil(tau2))  # integer c < tau iff c < ceil(tau)
+
+
 def _prism_path_residue(h: Graph, xs: Sequence[int], ys: Sequence[int],
                         t: int) -> tuple[Graph, float, float]:
     """Run the two-type deletion process; thresholds are fixed from the
-    input graph."""
+    input graph.  Every edge of h joins xs and ys.
+
+    Below the dense cap the process runs on the live |X|-by-|Y| biadjacency
+    block: each pass kills the y of degree in [1, tau1], then deletes the
+    edges xy whose y has fewer than tau2 neighbors z with codeg(x, z) >= 2t;
+    the residue graph is built once at the fixpoint.
+    """
     tau1 = h.edge_count / (4 * len(ys))
     tau2 = h.edge_count / (8 * len(ys))
-    two_t = 2 * t
+    if not h.dense_ok:
+        return _prism_path_residue_pairs(h, ys, t, tau1, tau2), tau1, tau2
+    b0 = h.adjacency_matrix()[np.ix_(xs, ys)]
+    b = b0.astype(np.float32)
+    killed = np.zeros(len(ys), dtype=bool)
+    while True:
+        deg = b.sum(axis=0)
+        kill = (deg >= 1) & (deg <= math.floor(tau1))
+        b[:, kill] = 0
+        killed |= kill
+        # codegrees within X: every common neighbor of two x lies in Y
+        bad = _short_edges(b, (b @ b.T) >= 2 * t, tau2)
+        if not kill.any() and not bad.any():
+            break
+        b[bad] = 0
+    gone = np.argwhere(b0 & (b == 0) & ~killed)
+    if not killed.any() and not len(gone):
+        return h, tau1, tau2
+    residue = h.remove(vertices=[ys[j] for j in np.flatnonzero(killed)],
+                       edges=[(xs[i], ys[j]) for i, j in gone])
+    return residue, tau1, tau2
+
+
+def _prism_path_residue_pairs(h: Graph, ys: Sequence[int], t: int,
+                              tau1: float, tau2: float) -> Graph:
+    """The same deletion process by per-pair codegrees, for hosts above the
+    dense cap."""
     cur = h
     while True:
         kill = [y for y in ys
                 if cur.is_alive(y) and 1 <= cur.degree(y) <= tau1]
         if kill:
             cur = cur.remove(vertices=kill)
-        codeg = cur.codegree_matrix()
-        bad: list[tuple[int, int]] = []
-        for y in ys:
-            if not cur.is_alive(y):
-                continue
-            nb = cur.neighbors(y)
-            if not nb:
-                continue
-            if codeg is not None:
-                block = codeg[np.ix_(nb, nb)] >= two_t
-                counts = block.sum(axis=1) - block.diagonal()
-                for i, x in enumerate(nb):
-                    if counts[i] < tau2:
-                        bad.append((x, y))
-            else:
-                for x in nb:
-                    cnt = sum(1 for z in nb
-                              if z != x and cur.codegree(x, z) >= two_t)
-                    if cnt < tau2:
-                        bad.append((x, y))
+        bad = [(x, y) for y in ys if cur.is_alive(y)
+               for x in _short_neighbors(cur, cur.neighbors(y), t, tau2)]
         if not kill and not bad:
-            return cur, tau1, tau2
+            return cur
         if bad:
             cur = cur.remove(edges=bad)
+
+
+def _short_neighbors(g: Graph, nb: Sequence[int], t: int,
+                     tau2: float) -> list[int]:
+    """The x in nb with fewer than tau2 z in nb - x of codeg(x, z) >= 2t."""
+    return [x for x in nb
+            if sum(1 for z in nb if z != x and g.codegree(x, z) >= 2 * t) < tau2]
 
 
 def find_prism_path(h: Graph, t: int,
@@ -437,7 +470,8 @@ def find_prism_path(h: Graph, t: int,
 
     The hypotheses e >= 20t|Y| and min deg(x) >= 20t*sqrt(|Y|) are evaluated
     and reported, not required; when they hold an empty residue is an
-    integrity error.
+    integrity error.  ``parts`` = (X, Y) must be disjoint lists of distinct
+    vertices with every edge of h joining X and Y.
     """
     if t < 1:
         raise InputError("need t >= 1")
@@ -449,8 +483,16 @@ def find_prism_path(h: Graph, t: int,
         b = [v for v in h.vertices() if side[v] == 1]
         orientations = [(a, b), (b, a)]
     else:
-        xs0, ys0 = parts
-        orientations = [(list(xs0), list(ys0))]
+        xs0, ys0 = list(parts[0]), list(parts[1])
+        xset0, yset0 = set(xs0), set(ys0)
+        if (len(xset0) < len(xs0) or len(yset0) < len(ys0) or xset0 & yset0
+                or any(not 0 <= v < h.n for v in xset0 | yset0)):
+            raise InputError("parts must be disjoint lists of distinct "
+                             "vertex ids")
+        if any((u in xset0) == (v in xset0) or (u in yset0) == (v in yset0)
+               for (u, v) in h.edges()):
+            raise InputError("every edge of the host must join the two parts")
+        orientations = [(xs0, ys0)]
 
     def hyps(xs, ys):
         if not xs or not ys or h.edge_count == 0:
@@ -481,18 +523,16 @@ def find_prism_path(h: Graph, t: int,
         return None
     xset = {x for x in xs if residue.is_alive(x)}
 
-    # residue property, asserted directly
+    # residue property, asserted directly from the residue's own codegrees
     codeg = residue.codegree_matrix()
-    for y in ys:
-        if not residue.is_alive(y):
-            continue
-        nb = residue.neighbors(y)
-        for x in nb:
-            cnt = sum(1 for z in nb
-                      if z != x and int(codeg[x, z]) >= 2 * t)
-            if cnt < tau2:
-                raise IntegrityError("residue lost its qualifying-neighbor "
-                                     "property")
+    if codeg is not None:
+        b = residue.adjacency_matrix()[np.ix_(xs, ys)].astype(np.float32)
+        short = _short_edges(b, codeg[np.ix_(xs, xs)] >= 2 * t, tau2).any()
+    else:
+        short = any(_short_neighbors(residue, residue.neighbors(y), t, tau2)
+                    for y in ys if residue.is_alive(y))
+    if short:
+        raise IntegrityError("residue lost its qualifying-neighbor property")
 
     start = None
     for y in sorted(ys):
@@ -633,11 +673,41 @@ def _thin_branch(h: Graph, ell: int, tau: float, budget: int, seed: int,
     return _portfolio(attempt, n_attempts, threads)
 
 
-def _thick_branch(h: Graph, ell: int, tau: float, seed: int,
+def _thick_extension_counts(h: Graph, codeg: np.ndarray, tau: float,
+                            side: list[int],
+                            pairs: list[tuple[int, int]]) -> np.ndarray:
+    """For each oriented edge (u, v), the sum of codeg(u, w) - 1 over the
+    w in N(v) - u with codeg(u, w) > tau: ``(W A)[u, v] - W[u, u]`` with
+    ``W = (codeg - 1) [codeg > tau]``.
+
+    h is bipartite, so W only joins same-side vertices and the product
+    splits into two side blocks; they run in float64 because these sums can
+    exceed 2**24.
+    """
+    a = h.adjacency_matrix()
+    sides = np.asarray(side)
+    pos = np.empty(h.n, dtype=np.intp)
+    us = np.array([u for u, _ in pairs], dtype=np.intp)
+    vs = np.array([v for _, v in pairs], dtype=np.intp)
+    out = np.zeros(len(pairs))
+    for s in (0, 1):
+        own, other = np.flatnonzero(sides == s), np.flatnonzero(sides != s)
+        pos[own] = np.arange(len(own))
+        pos[other] = np.arange(len(other))
+        c = codeg[np.ix_(own, own)]
+        w = np.where(c > math.floor(tau), c - 1, 0).astype(np.float64)
+        wa = w @ a[np.ix_(own, other)].astype(np.float64)
+        mine = sides[us] == s
+        pu, pv = pos[us[mine]], pos[vs[mine]]
+        out[mine] = wa[pu, pv] - w[pu, pu]
+    return out
+
+
+def _thick_branch(h: Graph, ell: int, tau: float, seed: int, side: list[int],
                   ) -> tuple[Optional[EmbeddingCertificate], dict]:
     """Pick the oriented edge with the most thick extensions, build the
     asymmetric bipartite graph of its high-codegree link, and look for a
-    (2*ell-1)-rung ladder to close into a prism."""
+    (2*ell-1)-rung ladder to close into a prism.  ``side`` 2-colors h."""
     diag: dict = {}
     edges = list(h.edges())
     if not edges:
@@ -647,25 +717,17 @@ def _thick_branch(h: Graph, ell: int, tau: float, seed: int,
         edges = [edges[i] for i in
                  sorted(rng.sample(range(len(edges)), 4000))]
         diag["sampled_edges"] = len(edges)
+    pairs = [(u, v) for (p, q) in edges for (u, v) in ((p, q), (q, p))]
     codeg = h.codegree_matrix()
-
-    def extension_count(u: int, v: int) -> int:
-        ws = [w for w in h.neighbors(v) if w != u]
-        if not ws:
-            return 0
-        if codeg is not None:
-            row = codeg[u, ws].astype(np.int64)
-            high = row > tau
-            return int(((row - 1) * high).sum())
-        return sum(h.codegree(u, w) - 1 for w in ws if h.codegree(u, w) > tau)
-
-    best = None
-    for (p, q) in edges:
-        for (u, v) in ((p, q), (q, p)):
-            cnt = extension_count(u, v)
-            if best is None or cnt > best[0]:
-                best = (cnt, u, v)
-    cnt, u, v = best
+    if codeg is not None:
+        counts = _thick_extension_counts(h, codeg, tau, side, pairs)
+    else:
+        counts = [sum(h.codegree(u, w) - 1 for w in h.neighbors(v)
+                      if w != u and h.codegree(u, w) > tau)
+                  for (u, v) in pairs]
+    best = int(np.argmax(counts))  # the first maximum, in edge order
+    cnt = int(counts[best])
+    u, v = pairs[best]
     diag["pivot_edge"] = [u, v]
     diag["thick_extensions"] = cnt
     if cnt == 0:
@@ -754,7 +816,7 @@ def find_prism(g: Graph, ell: int, t_factor: float = 8.0,
              "seed": seed, "nodes": nodes})
 
     def run_thick():
-        cert, diag = _thick_branch(h, ell, tau, seed)
+        cert, diag = _thick_branch(h, ell, tau, seed, side)
         diagnostics["thick"] = diag
         return cert
 

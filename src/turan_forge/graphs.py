@@ -101,6 +101,9 @@ class Graph:
             raise InputError("common_neighbors needs two distinct vertices")
         self._check(u)
         self._check(v)
+        return self._merge(u, v)
+
+    def _merge(self, u: int, v: int) -> list[int]:
         a, b = self._adj[u], self._adj[v]
         if len(a) > len(b):
             a, b = b, a
@@ -113,13 +116,24 @@ class Graph:
         return out
 
     def codegree(self, u: int, v: int) -> int:
+        """Number of common neighbors, deg(v) on the diagonal u == v as in
+        ``codegree_matrix``; the same answer with or without the cached
+        matrix."""
+        self._check(u)
+        self._check(v)
         if self._codeg_matrix is not None:
             return int(self._codeg_matrix[u, v])
-        return len(self.common_neighbors(u, v))
+        return len(self._merge(u, v))
+
+    @property
+    def dense_ok(self) -> bool:
+        """Whether dense matrices are built for this graph (n <= DENSE_CACHE_CAP);
+        above the cap every codegree comes from the per-pair merge."""
+        return self.n <= DENSE_CACHE_CAP
 
     def adjacency_matrix(self) -> np.ndarray:
         """Boolean adjacency matrix; only available for n <= DENSE_CACHE_CAP."""
-        if self.n > DENSE_CACHE_CAP:
+        if not self.dense_ok:
             raise ResourceError(f"adjacency matrix disabled for n={self.n}")
         if self._adj_matrix is None:
             m = np.zeros((self.n, self.n), dtype=bool)
@@ -131,29 +145,33 @@ class Graph:
         return self._adj_matrix
 
     def codegree_matrix(self) -> Optional[np.ndarray]:
-        """Dense codegree matrix (diagonal holds degrees), or None above the cap.
+        """Dense int32 codegree matrix (diagonal holds degrees), or None above
+        the cap.
 
-        If TURAN_FORGE_CACHE_DIR is set and the matrix is large, it is backed
-        by a memmap file in that directory instead of RAM.
+        ``A @ A`` runs as a float32 BLAS product in 512-row slabs; float32 is
+        exact because every entry is at most n <= DENSE_CACHE_CAP < 2**24.  If
+        TURAN_FORGE_CACHE_DIR is set and n > 2000, the matrix is backed by a
+        memmap of a temporary file in that directory instead of RAM; the file
+        is unlinked as soon as it is mapped, so nothing is left behind.
         """
-        if self.n > DENSE_CACHE_CAP:
+        if not self.dense_ok:
             return None
         if self._codeg_matrix is None:
-            a = self.adjacency_matrix().astype(np.int32)
+            a = self.adjacency_matrix().astype(np.float32)
+            shape = (self.n, self.n)
             cache_dir = os.environ.get(CACHE_DIR_ENV)
             if cache_dir and self.n > 2000:
                 os.makedirs(cache_dir, exist_ok=True)
                 fd, path = tempfile.mkstemp(suffix=".codeg.npy", dir=cache_dir)
                 os.close(fd)
-                out = np.memmap(path, dtype=np.int32, mode="w+",
-                                shape=(self.n, self.n))
-                step = 512
-                for lo in range(0, self.n, step):
-                    hi = min(lo + step, self.n)
-                    out[lo:hi] = a[lo:hi] @ a
-                self._codeg_matrix = out
+                out = np.memmap(path, dtype=np.int32, mode="w+", shape=shape)
+                os.unlink(path)  # the mapping outlives the directory entry
             else:
-                self._codeg_matrix = a @ a
+                out = np.empty(shape, dtype=np.int32)
+            step = 512
+            for lo in range(0, self.n, step):
+                out[lo:lo + step] = a[lo:lo + step] @ a
+            self._codeg_matrix = out
         return self._codeg_matrix
 
     # -- deletion ------------------------------------------------------------

@@ -4,8 +4,11 @@ almost-regular band extraction, clean-subgraph trimming."""
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from typing import Optional
+
+import numpy as np
 
 from .errors import InputError, IntegrityError
 from .graphs import Graph, two_coloring
@@ -153,6 +156,21 @@ def almost_regular_subgraph(g: Graph, epsilon: float, c: float,
     return h, rep
 
 
+def _unclean_edges(a: np.ndarray, codeg: np.ndarray, d: float,
+                   n: int) -> np.ndarray:
+    """Mask of the edges uv where u has fewer than d/16 neighbors w != v with
+    codeg(v, w) >= d^2/(128 n), in either orientation.
+
+    ``a`` is a float32 adjacency block and ``codeg`` its codegree block.
+    With ``Q = (codeg >= d^2/(128 n))`` and a zero diagonal, ``(A Q)[u, v]``
+    counts those w; it is at most n < 2**24, so float32 is exact.
+    """
+    q = codeg >= math.ceil(d * d / (128.0 * n))  # integer c >= x iff c >= ceil(x)
+    np.fill_diagonal(q, False)
+    short = (a @ q.astype(np.float32)) < math.ceil(d / 16.0)
+    return (a > 0) & (short | short.T)
+
+
 def clean_subgraph(g: Graph, mode: str = "fixed") -> tuple[Graph, TransformReport]:
     """Delete edges uv where u lacks d/16 neighbors w with codeg(v, w) >=
     d^2/(128 n), in either orientation, until none remains.
@@ -160,7 +178,8 @@ def clean_subgraph(g: Graph, mode: str = "fixed") -> tuple[Graph, TransformRepor
     mode "fixed" pins both thresholds to the input average degree, which
     keeps the process from chasing a moving target; mode "self" recomputes
     them from the current average degree at each pass and may cascade to
-    empty.
+    empty.  Below the dense cap the passes run on a live float32 adjacency
+    block of the non-isolated vertices, and the output graph is built once.
     """
     if mode not in ("fixed", "self"):
         raise InputError("mode must be 'fixed' or 'self'")
@@ -168,42 +187,73 @@ def clean_subgraph(g: Graph, mode: str = "fixed") -> tuple[Graph, TransformRepor
         return g, TransformReport(_stats(g), _stats(g), 0,
                                   extras={"mode": mode})
     n = g.num_vertices
-    h = g
-    passes = 0
-    deleted = 0
     d_in = g.average_degree
-    while True:
-        d = d_in if mode == "fixed" else h.average_degree
-        need = d / 16.0
-        codeg_floor = d * d / (128.0 * n)
-        codeg = h.codegree_matrix()
-        bad: list[tuple[int, int]] = []
-        for (u, v) in h.edges():
-            for a, b in ((u, v), (v, u)):
-                cnt = 0
-                for w in h.neighbors(a):
-                    if w == b:
-                        continue
-                    cd = (int(codeg[b, w]) if codeg is not None
-                          else h.codegree(b, w))
-                    if cd >= codeg_floor:
-                        cnt += 1
-                        if cnt >= need:
-                            break
-                if cnt < need:
-                    bad.append((u, v))
-                    break
-        passes += 1
-        if not bad:
-            break
-        deleted += len(bad)
-        h = h.remove(edges=bad)
-        if h.edge_count == 0:
-            break
+    if g.dense_ok:
+        h, passes = _clean_block(g, mode, n, d_in)
+    else:
+        h, passes = _clean_pairs(g, mode, n, d_in)
     rep = TransformReport(_stats(g), _stats(h), steps_taken=passes,
-                          extras={"mode": mode, "edges_deleted": deleted,
+                          extras={"mode": mode,
+                                  "edges_deleted": g.edge_count - h.edge_count,
                                   "d_reference": d_in if mode == "fixed" else None})
     return h, rep
+
+
+def _clean_block(g: Graph, mode: str, n: int, d_in: float) -> tuple[Graph, int]:
+    """The deletion passes on a float32 adjacency block of the non-isolated
+    vertices; returns the output graph and the number of passes."""
+    idx = [v for v in range(g.n) if g.degree(v)]
+    a0 = g.adjacency_matrix()[np.ix_(idx, idx)]
+    a = a0.astype(np.float32)
+    e = g.edge_count
+    passes = 0
+    while True:
+        d = d_in if mode == "fixed" else 2.0 * e / n
+        bad = _unclean_edges(a, a @ a, d, n)
+        passes += 1
+        if not bad.any():
+            break
+        a[bad] = 0
+        e -= int(np.count_nonzero(bad)) // 2
+        if e == 0:
+            break
+    gone = np.argwhere(np.triu(a0 & (a == 0)))
+    if not len(gone):
+        return g, passes
+    return g.remove(edges=[(idx[i], idx[j]) for i, j in gone]), passes
+
+
+def _clean_pairs(g: Graph, mode: str, n: int, d_in: float) -> tuple[Graph, int]:
+    """The same process by per-pair codegrees, for hosts above the dense cap."""
+    h = g
+    passes = 0
+    while True:
+        d = d_in if mode == "fixed" else h.average_degree
+        bad = _unclean_pairs(h, d, n)
+        passes += 1
+        if not bad:
+            return h, passes
+        h = h.remove(edges=bad)
+        if h.edge_count == 0:
+            return h, passes
+
+
+def _unclean_pairs(g: Graph, d: float, n: int) -> list[tuple[int, int]]:
+    need = d / 16.0
+    floor = d * d / (128.0 * n)
+    bad = []
+    for (u, v) in g.edges():
+        for a, b in ((u, v), (v, u)):
+            cnt = 0
+            for w in g.neighbors(a):
+                if w != b and g.codegree(b, w) >= floor:
+                    cnt += 1
+                    if cnt >= need:
+                        break
+            if cnt < need:
+                bad.append((u, v))
+                break
+    return bad
 
 
 def is_clean(g: Graph, d: Optional[float] = None) -> bool:
@@ -213,12 +263,8 @@ def is_clean(g: Graph, d: Optional[float] = None) -> bool:
     if d is None:
         d = g.average_degree
     n = g.num_vertices
-    need = d / 16.0
-    floor = d * d / (128.0 * n)
-    for (u, v) in g.edges():
-        for a, b in ((u, v), (v, u)):
-            cnt = sum(1 for w in g.neighbors(a)
-                      if w != b and g.codegree(b, w) >= floor)
-            if cnt < need:
-                return False
-    return True
+    codeg = g.codegree_matrix()
+    if codeg is None:
+        return not _unclean_pairs(g, d, n)
+    a = g.adjacency_matrix().astype(np.float32)
+    return not _unclean_edges(a, codeg, d, n).any()

@@ -1,0 +1,162 @@
+"""The dense BLAS paths against the per-pair codegree reference paths.
+
+Each test runs the same call twice on freshly built hosts: once with
+``graphs.DENSE_CACHE_CAP`` patched below n, which forces every codegree
+through the per-pair merge, and once at the default cap.  Both runs must
+give identical graphs, reports and certificates.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from turan_forge import graphs
+from turan_forge.embedders import find_prism, find_prism_path
+from turan_forge.errors import InputError
+from turan_forge.generators import random_graph
+from turan_forge.graphs import build_graph
+from turan_forge.oracle import verify_certificate
+from turan_forge.transforms import clean_subgraph, is_clean
+
+densities = st.sampled_from([0.3, 0.5, 0.7, 0.9, 1.0])
+
+
+def _random_edges(n, p, seed, bipartite_at=None):
+    rng = random.Random(seed)
+    return [(u, v) for u in range(n) for v in range(u + 1, n)
+            if (bipartite_at is None or (u < bipartite_at) != (v < bipartite_at))
+            and rng.random() < p]
+
+
+# (n, edges, tombstones): general hosts, some with deleted vertices
+hosts = st.tuples(st.integers(2, 18), densities, st.integers(0, 2 ** 20),
+                  st.sets(st.integers(0, 3), max_size=2))
+# (n, |X|, edges, tombstones): bipartite hosts with X = {0..|X|-1}
+bipartite_hosts = st.tuples(st.integers(1, 10), st.integers(1, 10), densities,
+                            st.integers(0, 2 ** 20),
+                            st.sets(st.integers(0, 3), max_size=2))
+
+
+def _general(data):
+    n, p, seed, victims = data
+    g = build_graph(n, _random_edges(n, p, seed))
+    return g.remove(vertices=[v for v in victims if v < n])
+
+
+def _bipartite(data):
+    a, b, p, seed, victims = data
+    g = build_graph(a + b, _random_edges(a + b, p, seed, bipartite_at=a))
+    return g.remove(vertices=[v for v in victims if v < a + b]), a
+
+
+def _both(make, run):
+    """run(make()) per-pair (cap below n) and dense (default cap)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphs, "DENSE_CACHE_CAP", 0)
+        pairs = run(make())
+    return pairs, run(make())
+
+
+def _graph_key(g):
+    return (g.n, g.edge_count, list(g.edges()), list(g.vertices()))
+
+
+def _cert_json(cert):
+    return None if cert is None else cert.to_json()
+
+
+@settings(max_examples=80, deadline=None)
+@given(hosts, st.sampled_from(["fixed", "self"]))
+def test_clean_subgraph_dense_equals_pairs(data, mode):
+    def run(g):
+        h, rep = clean_subgraph(g, mode=mode)
+        return _graph_key(h), rep.to_json(), h, g
+
+    (key0, rep0, _, _), (key1, rep1, h, g) = _both(lambda: _general(data), run)
+    assert key0 == key1 and rep0 == rep1
+    if mode == "fixed":
+        assert is_clean(h, g.average_degree)  # clean at the input degree
+    else:
+        assert is_clean(h)  # clean at its own final degree
+
+
+@settings(max_examples=80, deadline=None)
+@given(bipartite_hosts, st.integers(1, 3), st.booleans())
+def test_find_prism_path_dense_equals_pairs(data, t, explicit_parts):
+    def run(g_a):
+        g, a = g_a
+        parts = (list(range(a)), list(range(a, g.n))) if explicit_parts else None
+        cert = find_prism_path(g, t, parts=parts)
+        if cert is not None:
+            assert verify_certificate(g, cert)[0]
+        return _cert_json(cert)
+
+    pairs, dense = _both(lambda: _bipartite(data), run)
+    assert pairs == dense
+
+
+@settings(max_examples=60, deadline=None)
+@given(hosts, st.sampled_from([0.5, 1.0, 8.0]), st.integers(0, 3))
+def test_find_prism_dense_equals_pairs(data, t_factor, seed):
+    def run(g):
+        cert, diag = find_prism(g, 2, t_factor, budget=2000, seed=seed)
+        return _cert_json(cert), diag
+
+    pairs, dense = _both(lambda: _general(data), run)
+    assert pairs == dense
+
+
+def test_find_prism_path_above_dense_cap(monkeypatch):
+    def run():
+        g = random_graph(60, 0.6, 5, bipartite=True)
+        cert = find_prism_path(g, 2)
+        assert cert is not None and verify_certificate(g, cert)[0]
+        return cert.to_json()
+
+    dense = run()
+    monkeypatch.setattr(graphs, "DENSE_CACHE_CAP", 10)
+    assert run() == dense
+
+
+def test_find_prism_thick_branch_dense_equals_pairs():
+    # a low threshold sends K(12,12) down the thick branch first
+    def run(g):
+        cert, diag = find_prism(g, 2, 0.5, budget=2000, seed=1)
+        return _cert_json(cert), diag
+
+    pairs, dense = _both(
+        lambda: build_graph(24, [(i, 12 + j) for i in range(12)
+                                 for j in range(12)]), run)
+    assert pairs == dense
+    assert dense[1]["branch_order"] == "thick,thin"
+    assert dense[1]["thick"]["ladder_found"] and dense[0] is not None
+
+
+def test_prism_path_residue_kills_degree_at_tau1():
+    # e = 25, |Y| = 4: tau1 = 25/16, so y = 11 of degree 1 is deleted as a
+    # vertex, and the three full y keep all 24 edges
+    def run(g):
+        cert = find_prism_path(g, 1, parts=(list(range(8)), [8, 9, 10, 11]))
+        return cert.method["residue"]
+
+    def make():
+        return build_graph(12, [(x, y) for x in range(8) for y in (8, 9, 10)]
+                           + [(0, 11)])
+
+    assert _both(make, run) == ({"n": 11, "e": 24}, {"n": 11, "e": 24})
+
+
+def test_find_prism_path_rejects_bad_parts():
+    g = build_graph(6, [(0, 3), (0, 4), (1, 3), (1, 5), (2, 4), (0, 1)])
+    with pytest.raises(InputError):  # edge (0, 1) lies inside X
+        find_prism_path(g, 1, parts=([0, 1, 2], [3, 4, 5]))
+    h = g.remove(edges=[(0, 1)])
+    with pytest.raises(InputError):  # 4 is in neither part
+        find_prism_path(h, 1, parts=([0, 1, 2], [3, 5]))
+    with pytest.raises(InputError):  # the parts overlap
+        find_prism_path(h, 1, parts=([0, 1, 2, 3], [3, 4, 5]))
+    with pytest.raises(InputError):  # an id outside the graph
+        find_prism_path(h, 1, parts=([0, 1, 2, 6], [3, 4, 5]))
+    # valid parts; no two vertices of X share two neighbors, so no ladder
+    assert find_prism_path(h, 1, parts=([0, 1, 2], [3, 4, 5])) is None

@@ -1,6 +1,10 @@
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from turan_forge import graphs
 from turan_forge.errors import InputError
 from turan_forge.graphs import build_graph, read_edge_list, two_coloring, write_edge_list
 
@@ -90,13 +94,55 @@ def test_remove_recount(data):
         assert h.degree(v) == expect
 
 
-def test_codegree_matrix_matches_merge():
-    g = build_graph(7, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5),
-                        (5, 6), (6, 0), (1, 4)])
+@settings(max_examples=60, deadline=None)
+@given(edge_lists, st.sets(st.integers(0, 3), max_size=2))
+def test_codegree_matrix_matches_merge(data, victims):
+    n, edges = data
+    g = build_graph(n, edges)
+    # tombstoned hosts too: some vertices and every third edge deleted
+    for h in (g, g.remove(vertices=victims, edges=list(g.edges())[::3])):
+        m = h.codegree_matrix()
+        assert m.dtype == np.int32
+        for u in range(n):
+            assert int(m[u, u]) == h.degree(u)
+            for v in range(u + 1, n):
+                assert int(m[u, v]) == int(m[v, u]) == len(h.common_neighbors(u, v))
+
+
+def test_codegree_same_with_and_without_matrix():
+    c4 = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    cached = build_graph(4, list(c4.edges()))
+    cached.codegree_matrix()
+    for g in (c4, cached):
+        assert g.codegree(1, 1) == 2  # the diagonal holds the degree
+        assert g.codegree(0, 2) == 2 and g.codegree(0, 1) == 0
+        for bad in ((-1, 0), (0, -1), (4, 0), (0, 4)):
+            with pytest.raises(InputError):
+                g.codegree(*bad)
+
+
+def test_codegree_matrix_memmap_leaves_no_file(tmp_path, monkeypatch):
+    monkeypatch.setenv(graphs.CACHE_DIR_ENV, str(tmp_path))
+    n = 2001
+    rng = random.Random(7)
+    pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(3 * n)]
+    g = build_graph(n, [(u, v) for u, v in pairs if u != v])
     m = g.codegree_matrix()
-    for u in range(7):
-        for v in range(u + 1, 7):
-            assert int(m[u, v]) == len(g.common_neighbors(u, v))
+    assert isinstance(m, np.memmap)
+    assert list(tmp_path.iterdir()) == []
+    # reference: every 2-path u - w - v adds one to codeg(u, v)
+    expect = np.zeros((n, n), dtype=np.int32)
+    for w in range(n):
+        nb = g.neighbors(w)
+        expect[w, w] = len(nb)
+        for i, u in enumerate(nb):
+            for v in nb[i + 1:]:
+                expect[u, v] += 1
+                expect[v, u] += 1
+    assert np.array_equal(m, expect)
+    for u, v in [(rng.randrange(n), rng.randrange(n)) for _ in range(500)]:
+        if u != v:
+            assert g.codegree(u, v) == len(g.common_neighbors(u, v))
 
 
 def test_edge_list_roundtrip(tmp_path):

@@ -43,6 +43,21 @@ def _load_host(path: str) -> Graph:
     return read_edge_list(path)
 
 
+def _read_text(path: str, what: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise InputError(f"cannot read {what}: {exc}") from None
+
+
+def _parse_json(text: str, what: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"malformed {what}: {exc}") from None
+
+
 def _pattern_spec_from_args(args) -> PatternSpec:
     params = {}
     for key in ("t", "k", "ell"):
@@ -190,8 +205,7 @@ def _emit_certificate(cert: Optional[EmbeddingCertificate], args,
 
 def cmd_embed(args) -> int:
     host = _load_host(args.host)
-    with open(args.coll, "r", encoding="utf-8") as fh:
-        coll = LabeledCollection.from_text(fh.read())
+    coll = LabeledCollection.from_text(_read_text(args.coll, "collection"))
     if args.target == "grid":
         cert = embedders.embed_grid(host, coll, args.t)
     elif args.target == "cylinder":
@@ -241,8 +255,7 @@ def cmd_oracle_find(args) -> int:
 
 def cmd_oracle_verify(args) -> int:
     host = _load_host(args.host)
-    with open(args.cert, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+    obj = _parse_json(_read_text(args.cert, "certificate"), "certificate")
     cert = EmbeddingCertificate.from_json(obj)
     ok, why = oracle.verify_certificate(host, cert)
     _dump({"valid": ok, "violation": why}, args)
@@ -435,8 +448,7 @@ def run_pipeline(config: dict, threads: int = 1) -> tuple[int, dict]:
 
 def cmd_pipeline(args) -> int:
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            config = json.load(fh)
+        config = _parse_json(_read_text(args.config, "config"), "config")
     else:
         config = {}
     # flag overrides for the fully-flag-driven form
@@ -450,7 +462,7 @@ def cmd_pipeline(args) -> int:
     if args.polarity_q is not None:
         config["host"] = {"kind": "polarity", "q": args.polarity_q}
     if args.target:
-        config["target"] = json.loads(args.target)
+        config["target"] = _parse_json(args.target, "--target")
     if args.alpha is not None:
         config.setdefault("builder", {})["alpha"] = args.alpha
     if args.strategy:

@@ -102,24 +102,25 @@ def _cycle_dfs(g: Graph, length: int) -> Iterator[tuple[int, ...]]:
 
 def count_even_cycles(g: Graph, ell: int, cap: int = DEFAULT_CAP) -> tuple[int, bool]:
     """Exact count of unlabeled 2*ell-cycles by canonical-rooted backtracking;
-    stops at ``cap`` and flags truncation."""
+    a host with more than ``cap`` of them gives ``(cap, True)``."""
     if ell < 2:
         raise InputError("need ell >= 2")
     count = 0
     for _ in _cycle_dfs(g, 2 * ell):
-        count += 1
-        if count >= cap:
+        if count == cap:
             return count, True
+        count += 1
     return count, False
 
 
 def enumerate_even_cycles(g: Graph, ell: int, cap: int = DEFAULT_CAP) -> tuple[list[tuple[int, ...]], bool]:
-    """Canonical 2*ell-cycle tuples, capped."""
+    """Canonical 2*ell-cycle tuples, at most ``cap`` of them; truncated only
+    when the host has more."""
     out: list[tuple[int, ...]] = []
     for cyc in _cycle_dfs(g, 2 * ell):
-        out.append(cyc)
-        if len(out) >= cap:
+        if len(out) == cap:
             return out, True
+        out.append(cyc)
     return out, False
 
 
@@ -141,13 +142,13 @@ def classify_c4(g: Graph, t_factor: float, cap: int = DEFAULT_CAP) -> C4Classifi
     thick: list[tuple[int, int, int, int]] = []
     truncated = False
     for (a, b, c, d) in _cycle_dfs(g, 4):
+        if len(thin) + len(thick) == cap:
+            truncated = True
+            break
         if g.codegree(a, c) <= tau and g.codegree(b, d) <= tau:
             thin.append((a, b, c, d))
         else:
             thick.append((a, b, c, d))
-        if len(thin) + len(thick) >= cap:
-            truncated = True
-            break
     return C4Classification(tau, thin, thick, truncated)
 
 
@@ -218,8 +219,6 @@ def _ladder_copies(g: Graph, ell: int, cap: int) -> Iterator[tuple[tuple[int, ..
     count = 0
     for x0 in g.vertices():
         for y0 in g.neighbors(x0):
-            rows: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-
             def extend(xs: list[int], ys: list[int]) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
                 if len(xs) == ell + 1:
                     yield tuple(xs), tuple(ys)
@@ -276,7 +275,10 @@ def prism_path_weight_report(g: Graph, ell: int, c0: float,
             rich_cache[key] = is_rich_tuple(g, a, b, c, dd, ell)[0]
         return rich_cache[key]
 
-    for xs, ys in _ladder_copies(g, ell, cap):
+    for xs, ys in _ladder_copies(g, ell, cap + 1):
+        if copies == cap:
+            truncated = True
+            break
         copies += 1
         weight = 1.0
         for i in range(1, ell + 1):
@@ -292,9 +294,6 @@ def prism_path_weight_report(g: Graph, ell: int, c0: float,
         else:
             counts["nice"] += 1
             nice_total += weight
-        if copies >= cap:
-            truncated = True
-            break
     return WeightReport(ell=ell, d_ref=d, total_weight=total,
                         nice_weight=nice_total, counts=counts,
                         copies_enumerated=copies, truncated=truncated)

@@ -15,13 +15,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-
-def _derive_rng(seed: int, tag: str, idx: int = 0) -> random.Random:
-    """Process-independent sub-stream: hash-salting of str seeds would break
-    byte-identical reruns, so derive an int seed explicitly."""
-    digest = hashlib.sha256(f"{seed}:{tag}:{idx}".encode()).digest()
-    return random.Random(int.from_bytes(digest[:8], "big"))
-
 from .certificates import EmbeddingCertificate
 from .errors import InputError, IntegrityError
 from .generators import PatternSpec, pattern as build_pattern
@@ -29,6 +22,13 @@ from .graphs import Graph, build_graph, two_coloring
 from .oracle import find_subgraph, verify_certificate
 from .rich_collections import LabeledCollection
 from .transforms import bipartite_half, peel_min_degree
+
+
+def _derive_rng(seed: int, tag: str, idx: int = 0) -> random.Random:
+    """Process-independent sub-stream: hash-salting of str seeds would break
+    byte-identical reruns, so derive an int seed explicitly."""
+    digest = hashlib.sha256(f"{seed}:{tag}:{idx}".encode()).digest()
+    return random.Random(int.from_bytes(digest[:8], "big"))
 
 
 def _checked(host: Graph, cert: EmbeddingCertificate) -> EmbeddingCertificate:

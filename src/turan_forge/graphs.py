@@ -260,8 +260,11 @@ def two_coloring(g: Graph) -> Optional[list[int]]:
 
 def read_edge_list(path_or_lines) -> Graph:
     if isinstance(path_or_lines, (str, os.PathLike)):
-        with open(path_or_lines, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+        try:
+            with open(path_or_lines, "r", encoding="utf-8") as fh:
+                lines = fh.read().splitlines()
+        except OSError as exc:
+            raise InputError(f"cannot read edge list: {exc}") from None
     else:
         lines = list(path_or_lines)
     n_decl: Optional[int] = None

@@ -12,6 +12,7 @@ on dense hosts where exhaustive enumeration cannot fit any cap.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
@@ -81,6 +82,15 @@ def _canon_cycles_np(rows: np.ndarray) -> np.ndarray:
     return best
 
 
+def _sorted_unique(rows: np.ndarray) -> np.ndarray:
+    """Rows in lexicographic order without repeats; rows that are already
+    strictly ascending come back as they are."""
+    if _lex_less(rows[:-1], rows[1:]).all():
+        return rows
+    rows = rows[np.lexsort(rows.T[::-1])]
+    return rows[np.concatenate([[True], np.any(rows[1:] != rows[:-1], axis=1)])]
+
+
 # ---------------------------------------------------------------------------
 # the frozen collection type
 
@@ -106,9 +116,10 @@ class LabeledCollection:
             members = members.reshape(0, length)
         if members.shape[1] != length:
             raise InputError("member width disagrees with declared length")
+        members = members.astype(np.uint32, copy=False)
         if kind == "cycle" and len(members):
-            members = _canon_cycles_np(members.astype(np.uint32))
-        members = np.unique(members.astype(np.uint32), axis=0)
+            members = _canon_cycles_np(members)
+        members = _sorted_unique(members)
         if len(members):
             distinct = np.ones(len(members), dtype=bool)
             for i in range(length):
@@ -117,17 +128,10 @@ class LabeledCollection:
             if not distinct.all():
                 raise InputError("members must consist of distinct vertices")
         self.members = members
-        self._members_bytes: Optional[set] = None
         self._fill_index: dict[int, dict[bytes, np.ndarray]] = {}
         self._pair_index: dict[int, dict[bytes, np.ndarray]] = {}
         self._cycle_index: Optional[dict[bytes, np.ndarray]] = None
         self._build_index()
-
-    @property
-    def _member_set(self) -> set:
-        if self._members_bytes is None:
-            self._members_bytes = {row.tobytes() for row in self.members}
-        return self._members_bytes
 
     # -- construction helpers ------------------------------------------------
 
@@ -136,7 +140,7 @@ class LabeledCollection:
                      members: Iterable[Sequence[int]],
                      good: bool = False, alpha: Optional[int] = None) -> "LabeledCollection":
         rows = [tuple(m) for m in members]
-        arr = (np.array(sorted(rows), dtype=np.uint32) if rows
+        arr = (np.array(rows, dtype=np.uint32) if rows
                else np.zeros((0, length), dtype=np.uint32))
         return cls(kind, length, arr, good=good, alpha=alpha)
 
@@ -201,10 +205,13 @@ class LabeledCollection:
         return len(self.members)
 
     def __contains__(self, member: Sequence[int]) -> bool:
-        row = tuple(member)
+        row = tuple(int(x) for x in member)
         if self.kind == "cycle":
             row = _canon_cycle(row)
-        return np.array(row, dtype=np.uint32).tobytes() in self._member_set
+        # members are sorted rows: one binary search over them
+        m = self.members
+        i = bisect_left(m, row, key=lambda r: tuple(r.tolist()))
+        return i < len(m) and tuple(m[i].tolist()) == row
 
     def iter_members(self) -> Iterator[tuple[int, ...]]:
         for row in self.members:
@@ -330,7 +337,8 @@ class LabeledCollection:
         head = lines[0].split()
         if len(head) != 3:
             raise InputError(f"bad collection header: {lines[0]!r}")
-        kind, length, count = head[0], int(head[1]), int(head[2])
+        kind = head[0]
+        length, count = _parse_ints(head[1:], lines[0])
         good = kind == "good-path"
         if good:
             kind = "path"
@@ -340,12 +348,22 @@ class LabeledCollection:
             if ln.startswith("#"):
                 parts = ln[1:].split()
                 if len(parts) == 2 and parts[0] == "alpha":
-                    alpha = int(parts[1])
+                    alpha, = _parse_ints(parts[1:], ln)
                 continue
-            rows.append(tuple(int(x) for x in ln.split()))
+            row = _parse_ints(ln.split(), ln)
+            if len(row) != length:
+                raise InputError(f"member {ln!r} does not have {length} vertices")
+            rows.append(row)
         if len(rows) != count:
             raise InputError(f"header promised {count} members, found {len(rows)}")
         return cls.from_members(kind, length, rows, good=good, alpha=alpha)
+
+
+def _parse_ints(fields: Sequence[str], line: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(x) for x in fields)
+    except ValueError:
+        raise InputError(f"bad collection line: {line!r}") from None
 
 
 @dataclass
@@ -362,57 +380,116 @@ class PruneAudit:
 
 
 # ---------------------------------------------------------------------------
-# exhaustive seeds
+# exhaustive seeds, as sorted uint32 row arrays
+
+_JOIN_ROWS = 1 << 20  # candidate rows one join step may materialise
+
+
+def _csr(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted adjacency lists as (indptr, indices) arrays."""
+    indptr = np.zeros(g.n + 1, dtype=np.int64)
+    np.cumsum(g.degrees(), out=indptr[1:])
+    indices = np.fromiter((v for u in range(g.n) for v in g.neighbors(u)),
+                          dtype=np.int64, count=int(indptr[-1]))
+    return indptr, indices
+
+
+def _extend(rows: np.ndarray, indptr: np.ndarray,
+            indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row repeated once per neighbour of its last vertex, and those
+    neighbours; sorted rows stay sorted, since adjacency lists are."""
+    last = rows[:, -1]
+    cnt = indptr[last + 1] - indptr[last]
+    before = np.cumsum(cnt) - cnt
+    pos = np.arange(int(cnt.sum())) + np.repeat(indptr[last] - before, cnt)
+    return np.repeat(rows, cnt, axis=0), indices[pos]
+
+
+def _join(g: Graph, width: int, cap: int, what: str, indptr: np.ndarray,
+          indices: np.ndarray, keep) -> np.ndarray:
+    """Walks of ``width`` vertices from every live vertex, grown one column
+    at a time and filtered by ``keep(rows, next vertices) -> mask``.
+
+    Rows grow depth first, in chunks halved until one step has at most
+    _JOIN_ROWS candidate rows, so memory stays bounded and the output keeps
+    the sorted row order.  Finished rows are counted as they come: a
+    resource error once there are more than ``cap``.
+    """
+    done: list[np.ndarray] = []
+    total = 0
+
+    def grow(rows: np.ndarray) -> None:
+        nonlocal total
+        if rows.shape[1] == width:
+            total += len(rows)
+            if total > cap:
+                raise ResourceError(f"{what} enumeration exceeded cap {cap}")
+            done.append(rows.astype(np.uint32))
+            return
+        last = rows[:, -1]
+        if len(rows) > 1 and (indptr[last + 1] - indptr[last]).sum() > _JOIN_ROWS:
+            half = len(rows) // 2
+            grow(rows[:half])
+            grow(rows[half:])
+            return
+        prev, v = _extend(rows, indptr, indices)
+        ok = keep(prev, v)
+        grow(np.column_stack([prev[ok], v[ok]]))
+
+    grow(np.fromiter(g.vertices(), dtype=np.int64)[:, None])
+    return np.concatenate(done)
+
 
 def _enumerate_paths(g: Graph, k: int, cap: int,
                      second_codegree_max: Optional[float] = None,
-                     ) -> list[tuple[int, ...]]:
-    """All labeled k-vertex paths, optionally filtered by
-    d(x_{i}, x_{i+2}) <= bound; resource error beyond cap."""
-    out: list[tuple[int, ...]] = []
-    path: list[int] = []
-    used: set[int] = set()
+                     ) -> np.ndarray:
+    """All labeled k-vertex paths as lexicographically sorted rows,
+    optionally filtered by d(x_i, x_{i+2}) <= bound; resource error beyond
+    cap."""
+    codeg = g.codegree_matrix() if second_codegree_max is not None else None
 
-    def extend() -> None:
-        if len(path) == k:
-            out.append(tuple(path))
-            if len(out) > cap:
-                raise ResourceError(f"path enumeration exceeded cap {cap}")
-            return
-        for v in g.neighbors(path[-1]):
-            if v in used:
-                continue
-            if (second_codegree_max is not None and len(path) >= 2
-                    and g.codegree(path[-2], v) > second_codegree_max):
-                continue
-            used.add(v)
-            path.append(v)
-            extend()
-            path.pop()
-            used.remove(v)
+    def keep(prev: np.ndarray, v: np.ndarray) -> np.ndarray:
+        ok = np.ones(len(v), dtype=bool)
+        for c in range(prev.shape[1] - 1):  # v is not the last vertex already
+            ok &= prev[:, c] != v
+        if second_codegree_max is not None and prev.shape[1] >= 2:
+            idx = np.flatnonzero(ok)
+            a, b = prev[idx, -2], v[idx]
+            d = codeg[a, b] if codeg is not None else np.fromiter(
+                (g.codegree(x, y) for x, y in zip(a.tolist(), b.tolist())),
+                dtype=np.int64, count=len(idx))
+            ok[idx] = d <= second_codegree_max
+        return ok
 
-    for s in g.vertices():
-        used.add(s)
-        path.append(s)
-        extend()
-        path.pop()
-        used.remove(s)
-    return out
+    return _join(g, k, cap, "path", *_csr(g), keep)
 
 
-def _enumerate_cycles(g: Graph, ell: int, cap: int) -> list[tuple[int, ...]]:
-    from .counting import _cycle_dfs
+def _enumerate_cycles(g: Graph, ell: int, cap: int) -> np.ndarray:
+    """Each unlabeled 2*ell-cycle once, in ``counting._cycle_dfs``'s canonical
+    form and order: the minimum vertex first, every later vertex above it,
+    and the last vertex above the second."""
+    length = 2 * ell
+    indptr, indices = _csr(g)
+    # edge codes u * n + v, sorted because the adjacency lists are
+    codes = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(indptr)) * g.n + indices
 
-    out: list[tuple[int, ...]] = []
-    for cyc in _cycle_dfs(g, 2 * ell):
-        out.append(cyc)
-        if len(out) > cap:
-            raise ResourceError(f"cycle enumeration exceeded cap {cap}")
-    return out
+    def keep(prev: np.ndarray, v: np.ndarray) -> np.ndarray:
+        ok = v > prev[:, 0]
+        for c in range(1, prev.shape[1] - 1):
+            ok &= prev[:, c] != v
+        if prev.shape[1] == length - 1:  # v closes the cycle
+            ok &= v > prev[:, 1]
+            idx = np.flatnonzero(ok)
+            close = v[idx] * g.n + prev[idx, 0]
+            at = np.minimum(np.searchsorted(codes, close), len(codes) - 1)
+            ok[idx] = codes[at] == close
+        return ok
+
+    return _join(g, length, cap, "cycle", indptr, indices, keep)
 
 
 # ---------------------------------------------------------------------------
-# dict-based fixpoint pruning (the deletion processes)
+# the deletion process on signature groups
 
 class _PathSigs:
     def __init__(self, k: int):
@@ -421,10 +498,6 @@ class _PathSigs:
     def sigs_of(self, member):
         for j in self.positions:
             yield member[:j] + (None,) + member[j + 1:], member[j]
-
-    def member_from(self, sig, fill):
-        j = sig.index(None)
-        return sig[:j] + (fill,) + sig[j + 1:]
 
 
 class _CycleSigs:
@@ -435,50 +508,84 @@ class _CycleSigs:
         for j in self.positions:
             yield _cycle_sig(member, j), member[j]
 
-    def member_from(self, sig, fill):
-        return _canon_cycle(sig + (fill,))
-
 
 def _sig_sort_key(sig):
     return tuple(-1 if x is None else x for x in sig)
 
 
-def _prune_fixpoint(members: set, strategy, alpha: int) -> PruneAudit:
-    """Remove whole signature classes while any class has < alpha fills."""
-    index: dict = {}
-    for m in sorted(members):
-        for sig, fill in strategy.sigs_of(m):
-            index.setdefault(sig, set()).add(fill)
-    audit = PruneAudit()
-    queue = deque(sorted((s for s, f in index.items() if len(f) < alpha),
-                         key=_sig_sort_key))
-    queued = set(queue)
-    while queue:
-        sig = queue.popleft()
-        queued.discard(sig)
-        fills = index.get(sig)
-        if not fills:
-            index.pop(sig, None)
-            continue
-        audit.entries.append(("rich", sig, len(fills)))
-        dirty = []
-        for fill in sorted(fills):
-            m = strategy.member_from(sig, fill)
-            members.discard(m)
-            for s2, f2 in strategy.sigs_of(m):
-                if s2 == sig:
-                    continue
-                fs = index.get(s2)
-                if fs is None:
-                    continue
-                fs.discard(f2)
-                if fs and len(fs) < alpha and s2 not in queued:
-                    dirty.append(s2)
-                    queued.add(s2)
-                elif not fs:
-                    index.pop(s2, None)
-        index.pop(sig, None)
-        queue.extend(sorted(set(dirty), key=_sig_sort_key))
+def _signature_rows(members: np.ndarray, kind: str) -> np.ndarray:
+    """One signature row per (member, replaceable position), position-major.
+
+    A path signature is the member with the blank position written 0 and
+    every vertex v written v + 1, so the rows sort as replay_audit's
+    signatures do with None first.  A cycle signature is the canonical open
+    path left by the blank, shared across positions.
+    """
+    L = members.shape[1]
+    sig_rows: list[np.ndarray] = []
+    if kind == "path":
+        for j in range(1, L - 1):
+            sig = members + np.uint32(1)
+            sig[:, j] = 0
+            sig_rows.append(sig)
+    else:
+        for pos in range(L):
+            rolled = np.roll(members, -(pos + 1), axis=1)
+            fwd = rolled[:, :L - 1]
+            rev = fwd[:, ::-1]
+            use_rev = _lex_less(rev, fwd)
+            sig_rows.append(np.where(use_rev[:, None], rev, fwd))
+    return np.vstack(sig_rows)
+
+
+def _np_prune_rich(members: np.ndarray, kind: str, alpha: int,
+                   ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+    """Fixpoint of the rich deletion process: drop the members of every
+    signature group with fewer than alpha live members until none is left.
+
+    Signature group ids are computed once; the fixpoint iterates on group
+    bincounts, one round deleting every short group at once.  Returns the
+    surviving rows and, per round, the signature rows of the groups it
+    deleted (in sorted order) with their live sizes.
+    """
+    m = len(members)
+    if m == 0:
+        return members, []
+    sig = _signature_rows(members, kind)
+    order = np.lexsort(sig.T[::-1])
+    s = sig[order]
+    boundary = np.concatenate([[True], np.any(s[1:] != s[:-1], axis=1)])
+    del s
+    gid = np.empty(len(sig), dtype=np.int64)
+    gid[order] = np.cumsum(boundary) - 1
+    first = order[boundary]  # one signature row per group, groups in order
+    del order, boundary
+    positions = len(sig) // m  # signature row i belongs to member i % m
+    n_groups = len(first)
+    alive = np.ones(m, dtype=bool)
+    rounds: list[tuple[np.ndarray, np.ndarray]] = []
+    while True:
+        row_alive = np.tile(alive, positions)
+        sizes = np.bincount(gid[row_alive], minlength=n_groups)
+        short = np.flatnonzero((sizes > 0) & (sizes < alpha))
+        if len(short) == 0:
+            break
+        rounds.append((sig[first[short]], sizes[short]))
+        doomed = np.zeros(n_groups, dtype=bool)
+        doomed[short] = True
+        alive &= ~(row_alive & doomed[gid]).reshape(positions, m).any(axis=0)
+    return members[alive], rounds
+
+
+def _rich_audit(kind: str, rounds: list, seed: int,
+                final: int) -> PruneAudit:
+    """The deletion rounds as replayable ("rich", signature, count) entries."""
+    audit = PruneAudit(diagnostics={"seed": seed, "final": final})
+    for keys, sizes in rounds:
+        for key, cnt in zip(keys.tolist(), sizes.tolist()):
+            if kind == "path":
+                key = [None if x == 0 else x - 1 for x in key]
+            audit.entries.append(("rich", tuple(key), cnt))
     return audit
 
 
@@ -506,12 +613,10 @@ def build_rich_paths(g: Graph, k: int, alpha: int,
         raise InputError("need k >= 3")
     if alpha < 1:
         raise InputError("need alpha >= 1")
-    members = set(_enumerate_paths(g, k, cap))
-    seed = len(members)
-    audit = _prune_fixpoint(members, _PathSigs(k), alpha)
-    audit.diagnostics.update({"seed": seed, "final": len(members)})
-    return (LabeledCollection.from_members("path", k, members, alpha=alpha),
-            audit)
+    seed = _enumerate_paths(g, k, cap)
+    members, rounds = _np_prune_rich(seed, "path", alpha)
+    return (LabeledCollection("path", k, members, alpha=alpha),
+            _rich_audit("path", rounds, len(seed), len(members)))
 
 
 def build_rich_cycles(g: Graph, ell: int, alpha: int,
@@ -521,12 +626,10 @@ def build_rich_cycles(g: Graph, ell: int, alpha: int,
         raise InputError("need ell >= 2")
     if alpha < 1:
         raise InputError("need alpha >= 1")
-    members = set(_enumerate_cycles(g, ell, cap))
-    seed = len(members)
-    audit = _prune_fixpoint(members, _CycleSigs(2 * ell), alpha)
-    audit.diagnostics.update({"seed": seed, "final": len(members)})
-    return (LabeledCollection.from_members("cycle", 2 * ell, members,
-                                           alpha=alpha), audit)
+    seed = _enumerate_cycles(g, ell, cap)
+    members, rounds = _np_prune_rich(seed, "cycle", alpha)
+    return (LabeledCollection("cycle", 2 * ell, members, alpha=alpha),
+            _rich_audit("cycle", rounds, len(seed), len(members)))
 
 
 # ---------------------------------------------------------------------------
@@ -608,8 +711,8 @@ def build_good_paths(g: Graph, k: int, alpha: int, c_thresh: float,
                                     "case_threshold": n * d * d / l_factor})
 
     if cherries <= n * d * d / l_factor:
-        members = set(_enumerate_paths(g, length, cap,
-                                       second_codegree_max=c_thresh))
+        members = set(map(tuple, _enumerate_paths(
+            g, length, cap, second_codegree_max=c_thresh).tolist()))
         audit.diagnostics["seed"] = len(members)
         _prune_pairs_by_count(members, length, c_thresh ** 2, audit)
         case = 1
@@ -890,55 +993,6 @@ def _layer_transversals(g: Graph, layers: list[np.ndarray], closed: bool,
     return rows.astype(np.uint32)
 
 
-def _np_prune_rich(members: np.ndarray, kind: str, alpha: int) -> np.ndarray:
-    """Vectorised fixpoint prune: drop members in signature groups smaller
-    than alpha until stable.
-
-    Signature group ids are computed once; the fixpoint iterates on group
-    bincounts.  Path signatures carry their blank position; cycle signatures
-    are unpositioned canonical open paths, counted jointly across blanks.
-    """
-    m = len(members)
-    if m == 0:
-        return members
-    L = members.shape[1]
-    sig_rows: list[np.ndarray] = []
-    owner_rows: list[np.ndarray] = []
-    if kind == "path":
-        for j in range(1, L - 1):
-            sig = np.delete(members, j, axis=1)
-            tagged = np.column_stack(
-                [np.full(m, j, dtype=np.uint32), sig])
-            sig_rows.append(tagged)
-            owner_rows.append(np.arange(m))
-    else:
-        for pos in range(L):
-            rolled = np.roll(members, -(pos + 1), axis=1)
-            fwd = rolled[:, :L - 1]
-            rev = fwd[:, ::-1]
-            use_rev = _lex_less(rev, fwd)
-            sig_rows.append(np.where(use_rev[:, None], rev, fwd))
-            owner_rows.append(np.arange(m))
-    sig = np.vstack(sig_rows)
-    owners = np.concatenate(owner_rows)
-    order = np.lexsort(sig.T[::-1])
-    s = sig[order]
-    boundary = np.concatenate([[True], np.any(s[1:] != s[:-1], axis=1)])
-    gid = np.empty(len(sig), dtype=np.int64)
-    gid[order] = np.cumsum(boundary) - 1
-    n_groups = int(gid.max()) + 1
-    alive = np.ones(m, dtype=bool)
-    while True:
-        row_alive = alive[owners]
-        sizes = np.bincount(gid[row_alive], minlength=n_groups)
-        bad_rows = row_alive & (sizes[gid] < alpha)
-        kill = np.unique(owners[bad_rows])
-        if len(kill) == 0:
-            break
-        alive[kill] = False
-    return members[alive]
-
-
 def _np_prune_good(members: np.ndarray, alpha: int) -> np.ndarray:
     """Fixpoint prune on pair signatures whose fill edges admit no
     alpha-matching."""
@@ -976,8 +1030,11 @@ def _sample_layers(g: Graph, count: int, size: int, rng: random.Random,
     layers: list[np.ndarray] = []
     for i in range(count):
         if endpoints and i in (0, count - 1):
-            pick = next(v for v in by_degree if v not in singles
-                        and (sides[i] is None or side[v] == sides[i]))
+            pick = next((v for v in by_degree if v not in singles
+                         and (sides[i] is None or side[v] == sides[i])), None)
+            if pick is None:  # no endpoint left: the layer, and so the seed, is empty
+                layers.append(np.zeros(0, dtype=np.int64))
+                continue
             singles.add(pick)
             layers.append(np.array([pick], dtype=np.int64))
         else:
@@ -993,7 +1050,7 @@ def _estimate_pair_density(g: Graph, rng: random.Random) -> float:
     """Empirical edge probability, sampled; floor keeps later divisions sane."""
     n = g.num_vertices
     if n < 2:
-        return 0.0
+        return 1e-3  # the floor below: no pair to sample
     side = two_coloring(g)
     verts = list(g.vertices())
     hits = 0
@@ -1025,7 +1082,7 @@ def layered_rich_paths(g: Graph, k: int, alpha: int, seed: int,
         part_size = max(int(np.ceil(target / (q * q))), alpha + 2)
     layers = _sample_layers(g, k, part_size, rng, endpoints=True)
     rows = _layer_transversals(g, layers, closed=False)
-    rows = _np_prune_rich(rows, "path", alpha)
+    rows, _ = _np_prune_rich(rows, "path", alpha)
     return LabeledCollection("path", k, rows, alpha=alpha)
 
 
@@ -1042,9 +1099,8 @@ def layered_rich_cycles(g: Graph, ell: int, alpha: int, seed: int,
     layers = _sample_layers(g, 2 * ell, part_size, rng, endpoints=False)
     rows = _layer_transversals(g, layers, closed=True)
     if len(rows):
-        rows = _canon_cycles_np(rows)
-        rows = np.unique(rows, axis=0)
-    rows = _np_prune_rich(rows, "cycle", alpha)
+        rows = _sorted_unique(_canon_cycles_np(rows))
+    rows, _ = _np_prune_rich(rows, "cycle", alpha)
     return LabeledCollection("cycle", 2 * ell, rows, alpha=alpha)
 
 

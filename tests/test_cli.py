@@ -119,3 +119,31 @@ def test_pipeline_examples(tmp_path):
                  "bipartite": True},
         "target": {"kind": "torus", "k": 5, "ell": 2}}))
     assert main(["pipeline", "--config", str(cfg_path)]) == 1
+
+
+def _input_error(argv, capsys):
+    code = main(argv)
+    err = capsys.readouterr().err
+    return code == 1 and err.startswith("input error:") and "Traceback" not in err
+
+
+def test_missing_input_files_are_input_errors(tmp_path, capsys):
+    missing = str(tmp_path / "missing.el")
+    assert _input_error(["pipeline", "--host-file", missing, "--target",
+                         '{"kind": "grid", "t": 2}'], capsys)
+    assert _input_error(["count", "c4", "--in", missing], capsys)
+
+
+def test_malformed_config_is_input_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"host": ')
+    assert _input_error(["pipeline", "--config", str(cfg)], capsys)
+
+
+def test_bad_collection_header_is_input_error(tmp_path, capsys):
+    host = tmp_path / "h.el"
+    host.write_text("n 3\n0 1\n1 2\n")
+    coll = tmp_path / "coll.txt"
+    coll.write_text("path 3 x\n0 1 2\n")
+    assert _input_error(["embed", "grid", "--coll", str(coll), "--host",
+                         str(host), "--t", "2"], capsys)

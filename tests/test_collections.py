@@ -1,12 +1,17 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from test_graphs import edge_lists
+from turan_forge import rich_collections
+from turan_forge.counting import _cycle_dfs
 from turan_forge.errors import InputError, ResourceError
 from turan_forge.generators import polarity_graph, random_graph
 from turan_forge.graphs import build_graph
-from turan_forge.rich_collections import (LabeledCollection, build_good_paths,
+from turan_forge.rich_collections import (LabeledCollection, _enumerate_cycles,
+                                          _enumerate_paths, build_good_paths,
                                           build_rich_cycles, build_rich_paths,
                                           good_suffix_restriction,
                                           layered_good_paths,
@@ -211,3 +216,149 @@ def test_layered_deterministic():
     a = layered_rich_cycles(g, 2, 6, seed=5)
     b = layered_rich_cycles(g, 2, 6, seed=5)
     assert a.members.tolist() == b.members.tolist()
+
+
+def test_layered_builders_on_degenerate_hosts():
+    # one vertex: no pair to sample a density from; star: no second
+    # endpoint on the centre's side for k = 5
+    one = build_graph(1, [])
+    star = build_graph(6, [(0, i) for i in range(1, 6)])
+    for g in (one, star, build_graph(0, [])):
+        paths = layered_rich_paths(g, 5, 2, seed=0)
+        assert len(paths) == 0 and paths.members.shape == (0, 5)
+        assert len(layered_rich_cycles(g, 2, 2, seed=0)) == 0
+        assert len(layered_good_paths(g, 2, 2, seed=0)) == 0
+
+
+# -- array fast paths against their references, on small and tombstoned hosts
+
+def _host(args):
+    (n, edges), victims, tombstoned = args
+    g = build_graph(n, edges)
+    if tombstoned:
+        g = g.remove(vertices=victims, edges=list(g.edges())[::3])
+    return g
+
+
+hosts = st.tuples(edge_lists, st.sets(st.integers(0, 3), max_size=2),
+                  st.booleans()).map(_host)
+
+
+def _rows(tuples, width):
+    return np.array(sorted(tuples), dtype=np.uint32).reshape(-1, width)
+
+
+def _cycle_key(m, j):
+    rest = m[j + 1:] + m[:j]
+    return min(rest, rest[::-1])
+
+
+def naive_fixpoint(members, kind, length, alpha):
+    """Drop every member of a signature group smaller than alpha, repeat."""
+    positions = range(1, length - 1) if kind == "path" else range(length)
+    members = set(members)
+    while True:
+        groups: dict = {}
+        for m in members:
+            for j in positions:
+                key = ((j, m[:j] + m[j + 1:]) if kind == "path"
+                       else _cycle_key(m, j))
+                groups.setdefault(key, set()).add(m)
+        doomed = set().union(*(grp for grp in groups.values()
+                               if len(grp) < alpha))
+        if not doomed:
+            return members
+        members -= doomed
+
+
+@settings(max_examples=60, deadline=None)
+@given(hosts)
+def test_cycle_enumerator_matches_dfs(g):
+    for ell in (2, 3):
+        rows = _enumerate_cycles(g, ell, 10 ** 6)
+        assert rows.dtype == np.uint32
+        expect = np.array(list(_cycle_dfs(g, 2 * ell)), dtype=np.uint32)
+        assert np.array_equal(rows, expect.reshape(-1, 2 * ell))
+
+
+@settings(max_examples=40, deadline=None)
+@given(hosts, st.integers(3, 4), st.sampled_from([None, 0, 1, 2]))
+def test_path_enumerator_matches_permutations(g, k, bound):
+    expect = [p for p in itertools.permutations(list(g.vertices()), k)
+              if all(g.has_edge(a, b) for a, b in zip(p, p[1:]))
+              and (bound is None or all(g.codegree(p[i], p[i + 2]) <= bound
+                                        for i in range(k - 2)))]
+    rows = _enumerate_paths(g, k, 10 ** 6, second_codegree_max=bound)
+    assert np.array_equal(rows, _rows(expect, k))
+
+
+@pytest.mark.parametrize("join_rows", [8, 1 << 20])
+def test_enumerators_in_chunks_and_capped(monkeypatch, join_rows):
+    g = random_graph(30, 0.5, 3, bipartite=True)
+    expect = (np.array(list(_cycle_dfs(g, 4)), dtype=np.uint32),
+              _rows(all_labeled_paths(g, 4), 4))
+    monkeypatch.setattr(rich_collections, "_JOIN_ROWS", join_rows)
+    assert np.array_equal(_enumerate_cycles(g, 2, 10 ** 6), expect[0])
+    assert np.array_equal(_enumerate_paths(g, 4, 10 ** 6), expect[1])
+    k6 = complete(6)
+    assert len(_enumerate_cycles(k6, 2, 45)) == 45
+    with pytest.raises(ResourceError):
+        _enumerate_cycles(k6, 2, 44)
+    assert len(_enumerate_paths(k6, 3, 120)) == 120
+    with pytest.raises(ResourceError):
+        _enumerate_paths(k6, 3, 119)
+
+
+@settings(max_examples=40, deadline=None)
+@given(hosts, st.integers(1, 4))
+def test_rich_builders_match_naive_fixpoint_and_replay(g, alpha):
+    for k in (3, 4):
+        seed = all_labeled_paths(g, k)
+        coll, audit = build_rich_paths(g, k, alpha)
+        final = naive_fixpoint(seed, "path", k, alpha)
+        assert np.array_equal(coll.members, _rows(final, k))
+        assert replay_audit(seed, audit, "path", k) == final
+        assert audit.diagnostics == {"seed": len(seed), "final": len(final)}
+    for ell in (2, 3):
+        seed = set(_cycle_dfs(g, 2 * ell))
+        coll, audit = build_rich_cycles(g, ell, alpha)
+        final = naive_fixpoint(seed, "cycle", 2 * ell, alpha)
+        assert np.array_equal(coll.members, _rows(final, 2 * ell))
+        assert replay_audit(seed, audit, "cycle", 2 * ell) == final
+        assert all(tag == "rich" and 0 < cnt < alpha
+                   for tag, _, cnt in audit.entries)
+
+
+@settings(max_examples=40, deadline=None)
+@given(hosts, st.randoms(use_true_random=False))
+def test_collection_from_unsorted_rows(g, rnd):
+    paths = _rows(all_labeled_paths(g, 3), 3)
+    cycles = _rows(_cycle_dfs(g, 4), 4)
+    for kind, rows in (("path", paths), ("cycle", cycles)):
+        width = rows.shape[1]
+        ref = LabeledCollection(kind, width, rows, alpha=1)
+        messy = []
+        for row in rows.tolist() * 2:
+            if kind == "cycle":  # any rotation, either direction
+                r = rnd.randrange(width)
+                row = row[r:] + row[:r]
+                if rnd.random() < 0.5:
+                    row = row[::-1]
+            messy.append(row)
+        rnd.shuffle(messy)
+        coll = LabeledCollection(kind, width,
+                                 np.array(messy, dtype=np.int64).reshape(-1, width),
+                                 alpha=1)
+        assert np.array_equal(coll.members, ref.members)
+        probes = messy + [tuple(rnd.randrange(g.n) for _ in range(width))
+                          for _ in range(20)]
+        stored = set(map(tuple, rows.tolist()))
+        for m in probes:
+            m = tuple(m)
+            canon = m if kind == "path" else min(
+                s[r:] + s[:r] for s in (m, m[::-1]) for r in range(width))
+            assert (m in coll) == (m in ref) == (canon in stored)
+            for pos in (range(width) if kind == "cycle" else range(1, width - 1)):
+                assert coll.fills(m, pos) == ref.fills(m, pos)
+        for m in ref.iter_members():
+            assert m in coll

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from turan_forge.counting import (check_path_inequality, classify_c4, count_c4,
-                                  count_even_cycles, hom_path_count,
+                                  count_even_cycles, enumerate_even_cycles,
+                                  hom_path_count,
                                   is_rich_tuple, prism_path_weight_report,
                                   verify_rich_witness)
 from turan_forge.errors import InputError
@@ -98,6 +99,21 @@ def test_count_even_cycles_examples():
     assert count_even_cycles(K33, 2)[0] == 9
     assert count_even_cycles(K33, 3)[0] == 6
     assert count_even_cycles(K33, 2, cap=4) == (4, True)
+
+
+def test_truncated_only_above_the_cap():
+    c4 = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    assert count_even_cycles(c4, 2, cap=1) == (1, False)
+    k23 = build_graph(5, [(a, 2 + b) for a in range(2) for b in range(3)])
+    assert count_even_cycles(k23, 2, cap=1) == (1, True)
+    assert count_even_cycles(k23, 2, cap=3) == (3, False)
+    assert enumerate_even_cycles(c4, 2, cap=1) == ([(0, 1, 2, 3)], False)
+    assert not classify_c4(c4, 10.0, cap=1).truncated
+    assert classify_c4(k23, 10.0, cap=2).truncated
+    # K_{3,3} has 72 labeled ladder copies with 3 rungs
+    for cap, truncated in ((72, False), (71, True)):
+        rep = prism_path_weight_report(K33, 2, 2.0, cap=cap)
+        assert (rep.copies_enumerated, rep.truncated) == (cap, truncated)
 
 
 @pytest.mark.parametrize("seed", range(12))

@@ -1,4 +1,6 @@
-"""Maximum-matching helper used by the richness predicates.
+"""Maximum-matching helper behind two exact checks: the good-path pair
+groups that ``rich_collections._PairGroups.failing`` cannot decide from its
+counting bounds, and ``counting.is_rich_tuple``'s witness matching.
 
 The link graphs we match over are bipartite whenever the two candidate
 sides are disjoint; that case is handled by a plain augmenting-path

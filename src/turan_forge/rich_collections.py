@@ -661,29 +661,105 @@ def _pair_positions(length: int) -> list[int]:
     return list(range(1, length - 2))
 
 
-def _max_pair_matching(pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
-    pairs = list(pairs)
+def _max_pair_matching(pairs: np.ndarray) -> list[tuple[int, int]]:
+    pairs = list(map(tuple, pairs.tolist()))
     left = {a for a, _ in pairs}
     right = {b for _, b in pairs}
     return max_disjoint_edges(pairs, left, right)
 
 
-def _verify_goodness(members: set, length: int, alpha: int):
-    """Return None if every pair signature supports an alpha matching,
-    else a counterexample (member, pair position, matching size)."""
-    index: dict = {}
-    for m in members:
-        for j in _pair_positions(length):
-            index.setdefault((j, m[:j] + m[j + 2:]), set()).add((m[j], m[j + 1]))
-    match_size: dict = {}
-    for key, pairs in index.items():
-        match_size[key] = len(_max_pair_matching(pairs))
-    for m in sorted(members):
-        for j in _pair_positions(length):
-            size = match_size[(j, m[:j] + m[j + 2:])]
-            if size < alpha:
-                return (m, j, size)
-    return None
+def _combination_ids(gid: np.ndarray, fill: np.ndarray, n: int):
+    """The distinct (group, fill vertex) combinations as packed int64 keys
+    in ascending order, each row's combination id, and each combination's
+    group.  Packing is exact: groups <= rows < 2^31 and n <= 2^32."""
+    keys, ids = np.unique(gid * n + fill, return_inverse=True)
+    return keys, ids, keys // n
+
+
+class _PairGroups:
+    """The rows of a path array grouped by their pair signature at pair
+    position j (the row without columns j and j+1), with the goodness
+    predicate over the groups.
+
+    Group ids come from one sort of the signatures, groups numbered in
+    sorted signature order.  Each (group, first fill) and (group, second
+    fill) combination gets an id too, so that one round's counts over the
+    live rows are bincounts.
+    """
+
+    def __init__(self, members: np.ndarray, j: int):
+        sig = np.delete(members, (j, j + 1), axis=1)
+        order = np.lexsort(sig.T[::-1])
+        s = sig[order]
+        boundary = np.concatenate([[True], np.any(s[1:] != s[:-1], axis=1)])
+        del s
+        self.gid = np.empty(len(members), dtype=np.int64)
+        self.gid[order] = np.cumsum(boundary) - 1
+        self.order = order  # the rows of group g are order[start[g]:start[g+1]]
+        self.start = np.append(np.flatnonzero(boundary), len(order))
+        self.groups = len(self.start) - 1
+        self.pairs = members[:, (j, j + 1)]
+        n = int(members.max()) + 1
+        f_keys, self.fid, self.f_owner = _combination_ids(self.gid,
+                                                          self.pairs[:, 0], n)
+        s_keys, self.sid, self.s_owner = _combination_ids(self.gid,
+                                                          self.pairs[:, 1], n)
+        every = np.arange(self.groups)
+        self.f_start = np.searchsorted(self.f_owner, every)
+        self.s_start = np.searchsorted(self.s_owner, every)
+        # a group whose first and second fills are disjoint vertex sets has
+        # a bipartite fill graph (the only kind a bipartite host gives)
+        self.bipartite = np.ones(self.groups, dtype=bool)
+        self.bipartite[self.f_owner[np.isin(f_keys, s_keys)]] = False
+
+    def rows(self, g: int, alive: np.ndarray) -> np.ndarray:
+        grp = self.order[self.start[g]:self.start[g + 1]]
+        return grp[alive[grp]]
+
+    def failing(self, alive: np.ndarray, alpha: int) -> np.ndarray:
+        """Per group: it has live rows, and their fill edges admit fewer
+        than alpha pairwise disjoint edges.
+
+        Each matched edge uses its own first and its own second fill, so a
+        group with fewer than alpha distinct firsts or distinct seconds
+        (and so one with fewer than alpha pairs) fails.  A bipartite fill
+        graph with p edges and maximum degree D splits into D matchings
+        (Koenig's edge-colouring theorem), so it passes when
+        ceil(p / D) >= alpha.  Only the groups left between the two bounds
+        run the exact matcher.
+        """
+        size = np.bincount(self.gid[alive], minlength=self.groups)
+        f_mult = np.bincount(self.fid[alive], minlength=len(self.f_owner))
+        s_mult = np.bincount(self.sid[alive], minlength=len(self.s_owner))
+        firsts = np.bincount(self.f_owner[f_mult > 0], minlength=self.groups)
+        seconds = np.bincount(self.s_owner[s_mult > 0], minlength=self.groups)
+        fail = np.minimum(firsts, seconds) < alpha
+        degree = np.maximum(np.maximum.reduceat(f_mult, self.f_start),
+                            np.maximum.reduceat(s_mult, self.s_start))
+        good = self.bipartite & (size > (alpha - 1) * degree)
+        live = size > 0
+        for g in np.flatnonzero(live & ~fail & ~good):
+            matched = len(_max_pair_matching(self.pairs[self.rows(g, alive)]))
+            fail[g] = matched < alpha
+        return live & fail
+
+
+def _first_bad_pair(members: np.ndarray, alpha: int):
+    """None if every pair signature of the sorted rows supports an
+    alpha-matching, else the first counterexample in row, then position,
+    order: (member, pair position, matching size)."""
+    alive = np.ones(len(members), dtype=bool)
+    first = None
+    for j in _pair_positions(members.shape[1]):
+        grp = _PairGroups(members, j)
+        bad = np.flatnonzero(grp.failing(alive, alpha)[grp.gid])
+        if len(bad) and (first is None or bad[0] < first[0]):
+            first = (bad[0], j, grp)
+    if first is None:
+        return None
+    i, j, grp = first
+    size = len(_max_pair_matching(grp.pairs[grp.rows(grp.gid[i], alive)]))
+    return tuple(members[i].tolist()), j, size
 
 
 def build_good_paths(g: Graph, k: int, alpha: int, c_thresh: float,
@@ -739,14 +815,13 @@ def build_good_paths(g: Graph, k: int, alpha: int, c_thresh: float,
         case = 2
 
     audit.diagnostics["final"] = len(members)
-    if members:
-        bad = _verify_goodness(members, length, alpha)
-        if bad is not None:
-            raise IntegrityError(
-                f"good-path fixpoint is not {alpha}-good: member {bad[0]} "
-                f"pair position {bad[1]} only supports {bad[2]} disjoint fills")
-    coll = LabeledCollection.from_members("path", length, members,
-                                          good=True, alpha=alpha)
+    rows = np.array(sorted(members), dtype=np.uint32).reshape(-1, length)
+    bad = _first_bad_pair(rows, alpha) if len(rows) else None
+    if bad is not None:
+        raise IntegrityError(
+            f"good-path fixpoint is not {alpha}-good: member {bad[0]} "
+            f"pair position {bad[1]} only supports {bad[2]} disjoint fills")
+    coll = LabeledCollection("path", length, rows, good=True, alpha=alpha)
     return coll, audit, case
 
 
@@ -921,17 +996,10 @@ def verify_collection(coll: LabeledCollection, g: Graph, alpha: int,
                 if got < alpha:
                     return False, {"member": m, "position": j, "fills": got}
     elif coll.good:
-        cache: dict[bytes, int] = {}
-        for m in coll.iter_members():
-            for j in _pair_positions(L):
-                key = np.array(m[:j] + m[j + 2:], dtype=np.uint32).tobytes()
-                size = cache.get(key)
-                if size is None:
-                    size = len(_max_pair_matching(coll.pair_fills(m, j)))
-                    cache[key] = size
-                if size < alpha:
-                    return False, {"member": m, "pair_position": j,
-                                   "matching": size}
+        bad = _first_bad_pair(coll.members, alpha) if len(coll) else None
+        if bad is not None:
+            return False, {"member": bad[0], "pair_position": bad[1],
+                           "matching": bad[2]}
     else:
         for m in coll.iter_members():
             for j in range(1, L - 1):
@@ -994,27 +1062,24 @@ def _layer_transversals(g: Graph, layers: list[np.ndarray], closed: bool,
 
 
 def _np_prune_good(members: np.ndarray, alpha: int) -> np.ndarray:
-    """Fixpoint prune on pair signatures whose fill edges admit no
-    alpha-matching."""
-    while len(members):
-        L = members.shape[1]
-        keep = np.ones(len(members), dtype=bool)
-        for j in _pair_positions(L):
-            sig = np.delete(members, (j, j + 1), axis=1)
-            order = np.lexsort(sig.T[::-1])
-            s = sig[order]
-            boundary = np.concatenate([[0], np.nonzero(
-                np.any(s[1:] != s[:-1], axis=1))[0] + 1, [len(s)]])
-            for i in range(len(boundary) - 1):
-                lo, hi = boundary[i], boundary[i + 1]
-                grp = order[lo:hi]
-                pairs = [(int(a), int(b)) for a, b in members[grp][:, (j, j + 1)]]
-                if len(_max_pair_matching(pairs)) < alpha:
-                    keep[grp] = False
-        if keep.all():
-            return members
-        members = members[keep]
-    return members
+    """Fixpoint of the good deletion process: drop the members of every
+    pair-signature group whose live fill edges admit no alpha pairwise
+    disjoint edges, until none is left.
+
+    Group ids are computed once per pair position; one round decides every
+    group of every position at once (``_PairGroups.failing``).
+    """
+    if len(members) == 0:
+        return members
+    groups = [_PairGroups(members, j) for j in _pair_positions(members.shape[1])]
+    alive = np.ones(len(members), dtype=bool)
+    while True:
+        doomed = np.zeros(len(members), dtype=bool)
+        for grp in groups:
+            doomed |= grp.failing(alive, alpha)[grp.gid]
+        if not doomed.any():
+            return members[alive]
+        alive &= ~doomed
 
 
 def _sample_layers(g: Graph, count: int, size: int, rng: random.Random,

@@ -2,14 +2,15 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from test_graphs import edge_lists
 from turan_forge import rich_collections
 from turan_forge.counting import _cycle_dfs
-from turan_forge.errors import InputError, ResourceError
+from turan_forge.errors import InputError, IntegrityError, ResourceError
 from turan_forge.generators import polarity_graph, random_graph
 from turan_forge.graphs import build_graph
+from turan_forge.matching import max_disjoint_edges
 from turan_forge.rich_collections import (LabeledCollection, _enumerate_cycles,
                                           _enumerate_paths, build_good_paths,
                                           build_rich_cycles, build_rich_paths,
@@ -362,3 +363,180 @@ def test_collection_from_unsorted_rows(g, rnd):
                 assert coll.fills(m, pos) == ref.fills(m, pos)
         for m in ref.iter_members():
             assert m in coll
+
+
+# -- goodness: the pair-group predicate, the good prune and verification
+
+def test_verify_good_collection_keys_groups_by_pair_position():
+    # the position-1 signature (0, 10, 40, 50) of a C2 member equals the
+    # position-2 signature of C1 members, whose group has a 2-matching
+    sides = ([0, 20, 21, 40, 41, 70, 71], [10, 11, 30, 31, 50, 60])
+    g = build_graph(72, [(a, b) for a in sides[0] for b in sides[1]])
+    c1 = itertools.product([0], [10, 11], [20, 21], [30, 31], [40, 41], [50])
+    c2 = itertools.product([0], [60], [70, 71], [10, 11], [40, 41], [50])
+    coll = LabeledCollection.from_members("path", 6, list(c1) + list(c2),
+                                          good=True, alpha=2)
+    assert len(coll.pair_fills((0, 60, 70, 10, 40, 50), 1)) == 2
+    ok, ce = verify_collection(coll, g, 2)
+    assert not ok
+    assert ce == {"member": (0, 60, 70, 10, 40, 50), "pair_position": 1,
+                  "matching": 1}
+
+
+def _pair_group_rows(groups):
+    """Rows (100 + i, first, second, 200), group i at pair position 1.
+    Bipartite groups draw firsts from 10.. and seconds from 30..; the
+    others draw both from 10.., so a fill can be a first and a second."""
+    rows = set()
+    for i, (overlap, pairs) in enumerate(groups):
+        for a, b in pairs:
+            if not (overlap and a == b):
+                rows.add((100 + i, 10 + a, (10 if overlap else 30) + b, 200))
+    return _rows(rows, 4)
+
+
+def _matching(pairs):
+    pairs = [tuple(p) for p in pairs]
+    return max_disjoint_edges(pairs, {a for a, _ in pairs},
+                              {b for _, b in pairs})
+
+
+# a triangle (not bipartite: one matching edge, though every fill has
+# degree 1 as a first and as a second); a 2-vertex cover with 3 firsts,
+# 3 seconds, 4 pairs and maximum degree 2; a perfect 3-matching
+_TRIANGLE = (True, [(1, 2), (2, 3), (3, 1)])
+_COVERED = (False, [(1, 2), (1, 3), (2, 1), (3, 1)])
+_PERFECT = (False, [(0, 0), (1, 1), (2, 2)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.booleans(),
+                          st.lists(st.tuples(st.integers(0, 5),
+                                             st.integers(0, 5)),
+                                   min_size=1, max_size=24)),
+                min_size=1, max_size=5),
+       st.integers(1, 6), st.integers(0, 2 ** 64 - 1))
+@example([_TRIANGLE], 2, 2 ** 64 - 1)
+@example([_COVERED], 3, 2 ** 64 - 1)
+@example([_PERFECT], 3, 2 ** 64 - 1)
+def test_pair_group_predicate_matches_matching(groups, alpha, bits):
+    rows = _pair_group_rows(groups)
+    assume(len(rows))
+    alive = np.array([bits >> (i % 64) & 1 for i in range(len(rows))],
+                     dtype=bool)
+    grp = rich_collections._PairGroups(rows, 1)
+    failing = grp.failing(alive, alpha)
+    assert failing.shape == (grp.groups,)
+    for g in range(grp.groups):
+        live = rows[alive & (grp.gid == g)]
+        good = len(_matching(live[:, 1:3])) >= alpha
+        assert failing[g] == (len(live) > 0 and not good)
+
+
+def test_pair_group_predicate_routes(monkeypatch):
+    calls = []
+
+    def counted(edges, left, right):
+        calls.append(edges)
+        return max_disjoint_edges(edges, left, right)
+
+    monkeypatch.setattr(rich_collections, "max_disjoint_edges", counted)
+    hexagon = (True, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)])
+    groups = [(False, [(0, 0), (1, 1)]),  # 2 pairs: fails by the upper bound
+              _PERFECT,  # ceil(3 / 1) >= 3: passes by the lower bound
+              _COVERED,  # matching 2, between the bounds
+              _TRIANGLE,  # matching 1, not bipartite
+              hexagon,  # matching 3, not bipartite
+              (False, [(0, 0), (1, 1), (2, 2), (0, 3)])]
+    rows = _pair_group_rows(groups)
+    # with (2, 2) dead the last group has 2 live firsts: the upper bound
+    alive = ~((rows[:, 0] == 105) & (rows[:, 1] == 12))
+    grp = rich_collections._PairGroups(rows, 1)
+    failing = grp.failing(alive, 3)
+    assert failing.tolist() == [True, False, True, True, False, True]
+    assert grp.bipartite.tolist() == [True, True, True, False, False, True]
+    assert len(calls) == 3
+
+
+def naive_good_fixpoint(members, length, alpha):
+    """Drop every member of a pair-signature group whose fill edges admit
+    no alpha disjoint edges, repeat."""
+    members = set(members)
+    while True:
+        groups: dict = {}
+        for m in members:
+            for j in range(1, length - 2):
+                groups.setdefault((j, m[:j] + m[j + 2:]), set()).add(m)
+        doomed = set()
+        for (j, _), grp in groups.items():
+            if len(_matching([(m[j], m[j + 1]) for m in grp])) < alpha:
+                doomed |= grp
+        if not doomed:
+            return members
+        members -= doomed
+
+
+def first_bad_pair(members, length, alpha):
+    groups: dict = {}
+    for m in members:
+        for j in range(1, length - 2):
+            groups.setdefault((j, m[:j] + m[j + 2:]), []).append((m[j], m[j + 1]))
+    for m in sorted(members):
+        for j in range(1, length - 2):
+            size = len(_matching(groups[(j, m[:j] + m[j + 2:])]))
+            if size < alpha:
+                return m, j, size
+    return None
+
+
+def _two_sided(args):
+    """The host of ``hosts`` keeping only edges between even and odd ids."""
+    (n, edges), victims, tombstoned = args
+    return _host(((n, [e for e in edges if (e[0] + e[1]) % 2]), victims,
+                  tombstoned))
+
+
+good_hosts = st.one_of(
+    hosts, st.tuples(edge_lists, st.sets(st.integers(0, 3), max_size=2),
+                     st.booleans()).map(_two_sided))
+
+
+# needs two rounds at alpha = 2 and keeps 16 of its 312 five-vertex paths
+_CASCADE = _host(((7, [(0, 2), (0, 3), (1, 2), (1, 4), (1, 5), (1, 6), (2, 3),
+                       (2, 4), (2, 5), (3, 5), (3, 6), (4, 6), (5, 6)]),
+                  set(), False))
+
+
+@settings(max_examples=40, deadline=None)
+@given(good_hosts, st.integers(1, 4))
+@example(_CASCADE, 2)
+def test_good_prune_matches_naive_fixpoint_and_verify(g, alpha):
+    for k in (4, 5, 6):
+        rows = _enumerate_paths(g, k, 10 ** 6)
+        seed = set(map(tuple, rows.tolist()))
+        final = naive_good_fixpoint(seed, k, alpha)
+        pruned = rich_collections._np_prune_good(rows, alpha)
+        assert np.array_equal(pruned, _rows(final, k))
+        coll = LabeledCollection("path", k, rows, good=True, alpha=alpha)
+        ok, ce = verify_collection(coll, g, alpha)
+        bad = first_bad_pair(seed, k, alpha)
+        assert ok == (bad is None)
+        if bad is not None:
+            assert ce == {"member": bad[0], "pair_position": bad[1],
+                          "matching": bad[2]}
+        assert verify_collection(LabeledCollection(
+            "path", k, pruned, good=True, alpha=alpha), g, alpha) == (True, None)
+
+
+def test_good_paths_integrity_error_names_first_bad_pair(monkeypatch):
+    # without the case-1 deletions the seed of K_{4,4} is not 3-good
+    k44 = complete_bipartite(4, 4)
+    monkeypatch.setattr(rich_collections, "_prune_pairs_by_count",
+                        lambda *args: None)
+    seed = all_labeled_paths(k44, 5)
+    m, j, size = first_bad_pair(seed, 5, 3)
+    with pytest.raises(IntegrityError) as err:
+        build_good_paths(k44, 2, 3, 16.0, 64.0)
+    assert str(err.value) == (
+        f"good-path fixpoint is not 3-good: member {m} pair position {j} "
+        f"only supports {size} disjoint fills")

@@ -212,8 +212,7 @@ def cmd_embed(args) -> int:
         cert = embedders.embed_cylinder(host, coll, args.k, args.ell)
     elif args.target == "torus":
         cert = embedders.embed_torus(host, coll, args.k, args.ell,
-                                     budget=int(args.budget), seed=args.seed,
-                                     threads=args.threads)
+                                     budget=int(args.budget), seed=args.seed)
     else:
         cert = embedders.embed_honeycomb(host, coll, args.k, args.ell)
     return _emit_certificate(cert, args)
@@ -224,8 +223,7 @@ def cmd_find(args) -> int:
     if args.what == "prism":
         cert, diag = embedders.find_prism(host, args.ell, args.T,
                                           budget=int(args.budget),
-                                          seed=args.seed,
-                                          threads=args.threads)
+                                          seed=args.seed)
         return _emit_certificate(cert, args, extra=diag)
     cert = embedders.find_prism_path(host, args.t)
     return _emit_certificate(cert, args)
@@ -339,8 +337,9 @@ def run_pipeline(config: dict, threads: int = 1) -> tuple[int, dict]:
     """generate -> transform -> build collection -> embed -> verify.
 
     Returns (exit status, report).  The report carries every intermediate
-    statistic plus the exact seeds and is byte-stable across reruns and
-    thread counts.
+    statistic plus the exact seeds and is byte-stable across reruns.
+    ``threads`` is accepted for compatibility; every search runs in one
+    thread, so it changes neither the report nor the speed.
     """
     report: dict = {"config": config}
     try:
@@ -389,7 +388,7 @@ def run_pipeline(config: dict, threads: int = 1) -> tuple[int, dict]:
             cert = embedders.embed_cylinder(g, coll, k, ell)
         else:
             cert = embedders.embed_torus(g, coll, k, ell, budget=budget,
-                                         seed=seed, threads=threads)
+                                         seed=seed)
     elif kind == "honeycomb":
         k, ell = p["k"], p["ell"]
         alpha = int(builder.get("alpha", k * ell))
@@ -407,7 +406,7 @@ def run_pipeline(config: dict, threads: int = 1) -> tuple[int, dict]:
     elif kind == "prism":
         cert, diag = embedders.find_prism(
             g, p["ell"], float(builder.get("T", 8.0)), budget=budget,
-            seed=seed, threads=threads)
+            seed=seed)
         diagnostics.update(diag)
     elif kind == "prism_path":
         cert = embedders.find_prism_path(g, p["t"])
@@ -488,7 +487,9 @@ def _common(sub):
     sub.add_argument("--json", action="store_true",
                      help="print the JSON report to stdout")
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--threads", type=int, default=1)
+    sub.add_argument("--threads", type=int, default=1,
+                     help="accepted for compatibility; changes neither "
+                          "results nor speed")
     return sub
 
 

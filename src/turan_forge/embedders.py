@@ -10,16 +10,15 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .certificates import EmbeddingCertificate
 from .errors import InputError, IntegrityError
-from .generators import PatternSpec, pattern as build_pattern
+from .generators import PatternSpec
 from .graphs import Graph, build_graph, two_coloring
-from .oracle import find_subgraph, verify_certificate
+from .oracle import verify_certificate
 from .rich_collections import LabeledCollection
 from .transforms import bipartite_half, peel_min_degree
 
@@ -152,30 +151,16 @@ def embed_cylinder(host: Graph, coll: LabeledCollection, k: int, ell: int,
 # ---------------------------------------------------------------------------
 # torus
 
-def _portfolio(attempt: Callable[[int], Optional[tuple]], n_attempts: int,
-               threads: int) -> tuple[Optional[tuple], int]:
-    """Run deterministic attempts in index order (batched when threaded).
-
-    The first success by lowest index wins, and node accounting covers
-    exactly the attempts up to the winner, so results and reported work are
-    identical for every thread count."""
-    threads = max(1, threads)
+def _portfolio(attempt: Callable[[int], Optional[tuple]],
+               n_attempts: int) -> tuple[Optional[tuple], int]:
+    """Run deterministic attempts in index order; the first success wins,
+    and the node count covers exactly the attempts up to it."""
     nodes_total = 0
-    if threads == 1:
-        for i in range(n_attempts):
-            res = attempt(i)
-            nodes_total += res[1]
-            if res[0] is not None:
-                return res[0], nodes_total
-        return None, nodes_total
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for lo in range(0, n_attempts, threads):
-            batch = list(range(lo, min(lo + threads, n_attempts)))
-            results = list(pool.map(attempt, batch))
-            for i, res in enumerate(results):
-                nodes_total += res[1]
-                if res[0] is not None:
-                    return res[0], nodes_total
+    for i in range(n_attempts):
+        res = attempt(i)
+        nodes_total += res[1]
+        if res[0] is not None:
+            return res[0], nodes_total
     return None, nodes_total
 
 
@@ -195,6 +180,8 @@ def embed_torus(host: Graph, coll: LabeledCollection, k: int, ell: int,
 
     The richness threshold sufficient in theory is reported in the method
     metadata but not enforced; budget exhaustion is an honest not-found.
+    ``threads`` is accepted for compatibility; the attempts run in order in
+    one thread, so it changes neither the result nor the speed.
     """
     spec = PatternSpec("torus", {"k": k, "ell": ell})
     if len(coll) == 0:
@@ -261,27 +248,14 @@ def embed_torus(host: Graph, coll: LabeledCollection, k: int, ell: int,
         res = extend(2)
         return res, counter[0]
 
-    found, nodes = _portfolio(attempt, n_attempts, threads)
+    found, nodes = _portfolio(attempt, n_attempts)
     if found is None:
         return None
-    vertices = sorted({v for tup in found for v in tup})
-    ids = {v: i for i, v in enumerate(vertices)}
-    induced = build_graph(len(vertices),
-                          [(ids[u], ids[v]) for u in vertices
-                           for v in host.neighbors(u)
-                           if v in ids and u < v])
-    pat, labels = build_pattern(spec)
-    mapping_pat, _ = find_subgraph(induced, pat, budget=10 ** 7)
-    if mapping_pat is None:
-        raise IntegrityError("conflict-free tuple cycle did not contain the "
-                             "torus; embedding bookkeeping is wrong")
-    label_of = {}
-    for lab_str, pid in labels.items():
-        label_of.setdefault(pid, lab_str)
+    # slot i is row i of the torus: its ell-tuple holds columns 1..ell
     cert = EmbeddingCertificate(
         spec,
-        sorted((label_of[pid], vertices[local])
-               for pid, local in mapping_pat.items()),
+        sorted((f"{i + 1},{j + 1}", v) for i, tup in enumerate(found)
+               for j, v in enumerate(tup)),
         {"embedder": "embed_torus", "k": k, "ell": ell, "seed": seed,
          "nodes": nodes, "alpha": coll.alpha,
          "prop_threshold": threshold,
@@ -613,8 +587,8 @@ def _sample_thin_fraction(h: Graph, tau: float, side: list[int],
     return thin_sum / weight_sum
 
 
-def _thin_branch(h: Graph, ell: int, tau: float, budget: int, seed: int,
-                 threads: int) -> tuple[Optional[list], int]:
+def _thin_branch(h: Graph, ell: int, tau: float, budget: int,
+                 seed: int) -> tuple[Optional[list], int]:
     """Randomized DFS for a 2*ell-cycle of ordered edges whose consecutive
     (and closing) pairs form thin 4-cycles on pairwise disjoint vertices."""
     edges = list(h.edges())
@@ -670,7 +644,7 @@ def _thin_branch(h: Graph, ell: int, tau: float, budget: int, seed: int,
 
         return extend(), counter
 
-    return _portfolio(attempt, n_attempts, threads)
+    return _portfolio(attempt, n_attempts)
 
 
 def _thick_extension_counts(h: Graph, codeg: np.ndarray, tau: float,
@@ -776,7 +750,9 @@ def find_prism(g: Graph, ell: int, t_factor: float = 8.0,
                ) -> tuple[Optional[EmbeddingCertificate], dict]:
     """Full prism search: bipartite half + peel, thin/thick classification by
     sampling, then the thin-majority auxiliary-graph DFS with the thick
-    high-codegree branch as fallback (or vice versa)."""
+    high-codegree branch as fallback (or vice versa).  ``threads`` is
+    accepted for compatibility and changes neither the result nor the
+    speed."""
     if ell < 2:
         raise InputError("need ell >= 2")
     if t_factor <= 0:
@@ -798,7 +774,7 @@ def find_prism(g: Graph, ell: int, t_factor: float = 8.0,
     diagnostics["thin_fraction"] = thin_frac
 
     def run_thin():
-        chain, nodes = _thin_branch(h, ell, tau, budget, seed, threads)
+        chain, nodes = _thin_branch(h, ell, tau, budget, seed)
         diagnostics["thin_nodes"] = nodes
         if chain is None:
             return None

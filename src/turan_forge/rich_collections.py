@@ -11,9 +11,9 @@ on dense hosts where exhaustive enumeration cannot fit any cap.
 
 from __future__ import annotations
 
+import math
 import random
 from bisect import bisect_left
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -440,6 +440,16 @@ def _join(g: Graph, width: int, cap: int, what: str, indptr: np.ndarray,
     return np.concatenate(done)
 
 
+def _codegrees(g: Graph, codeg: Optional[np.ndarray], a: np.ndarray,
+               b: np.ndarray) -> np.ndarray:
+    """d(a[i], b[i]) for vertex arrays a, b: from the codegree matrix, or
+    pair by pair above its cap (``codeg`` None)."""
+    if codeg is not None:
+        return codeg[a, b]
+    return np.fromiter((g.codegree(x, y) for x, y in zip(a.tolist(), b.tolist())),
+                       dtype=np.int64, count=len(a))
+
+
 def _enumerate_paths(g: Graph, k: int, cap: int,
                      second_codegree_max: Optional[float] = None,
                      ) -> np.ndarray:
@@ -454,11 +464,8 @@ def _enumerate_paths(g: Graph, k: int, cap: int,
             ok &= prev[:, c] != v
         if second_codegree_max is not None and prev.shape[1] >= 2:
             idx = np.flatnonzero(ok)
-            a, b = prev[idx, -2], v[idx]
-            d = codeg[a, b] if codeg is not None else np.fromiter(
-                (g.codegree(x, y) for x, y in zip(a.tolist(), b.tolist())),
-                dtype=np.int64, count=len(idx))
-            ok[idx] = d <= second_codegree_max
+            ok[idx] = _codegrees(g, codeg, prev[idx, -2],
+                                 v[idx]) <= second_codegree_max
         return ok
 
     return _join(g, k, cap, "path", *_csr(g), keep)
@@ -491,28 +498,6 @@ def _enumerate_cycles(g: Graph, ell: int, cap: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # the deletion process on signature groups
 
-class _PathSigs:
-    def __init__(self, k: int):
-        self.positions = list(range(1, k - 1))
-
-    def sigs_of(self, member):
-        for j in self.positions:
-            yield member[:j] + (None,) + member[j + 1:], member[j]
-
-
-class _CycleSigs:
-    def __init__(self, length: int):
-        self.positions = list(range(length))
-
-    def sigs_of(self, member):
-        for j in self.positions:
-            yield _cycle_sig(member, j), member[j]
-
-
-def _sig_sort_key(sig):
-    return tuple(-1 if x is None else x for x in sig)
-
-
 def _signature_rows(members: np.ndarray, kind: str) -> np.ndarray:
     """One signature row per (member, replaceable position), position-major.
 
@@ -538,43 +523,73 @@ def _signature_rows(members: np.ndarray, kind: str) -> np.ndarray:
     return np.vstack(sig_rows)
 
 
+def _group_ids(sig: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Signature rows grouped by equal value, groups numbered in sorted
+    signature order: each row's group id, the sorting order of the rows, and
+    where each group starts in that order (plus the end), so that the rows
+    of group g are order[start[g]:start[g + 1]]."""
+    order = np.lexsort(sig.T[::-1])
+    s = sig[order]
+    new = np.ones(len(s), dtype=bool)
+    new[1:] = np.any(s[1:] != s[:-1], axis=1)
+    del s
+    gid = np.empty(len(sig), dtype=np.int64)
+    gid[order] = np.cumsum(new) - 1
+    return gid, order, np.append(np.flatnonzero(new), len(order))
+
+
+def _fixpoint(m: int, rules: list[tuple]) -> tuple[np.ndarray, list]:
+    """Greatest fixpoint of deletion rules over m members.
+
+    A rule is (gid, first, fails): gid[r] is the group of signature row r,
+    which belongs to member r % m; first[g] is one row of group g; and
+    fails(row_alive, size) gives the groups that fail with the live rows,
+    size[g] being the live row count of group g.  Every rule is monotone:
+    a group fails once some count over its live rows falls to a threshold,
+    and the counts only fall as members go.  So the survivors are the same
+    whatever order the deletions run in, and one round deletes the members
+    of every failing group of every rule at once.  Returns the alive mask
+    and, per round, per rule, the ids (ascending) and live sizes of the
+    groups that failed.
+    """
+    alive = np.ones(m, dtype=bool)
+    rounds: list[list[tuple[np.ndarray, np.ndarray]]] = []
+    while alive.any():
+        doomed = np.zeros(m, dtype=bool)
+        failed = []
+        for gid, first, fails in rules:
+            row_alive = np.tile(alive, len(gid) // m)
+            size = np.bincount(gid[row_alive], minlength=len(first))
+            bad = (size > 0) & fails(row_alive, size)
+            ids = np.flatnonzero(bad)
+            failed.append((ids, size[ids]))
+            if len(ids):
+                doomed |= (row_alive & bad[gid]).reshape(-1, m).any(axis=0)
+        if not doomed.any():
+            break
+        rounds.append(failed)
+        alive &= ~doomed
+    return alive, rounds
+
+
 def _np_prune_rich(members: np.ndarray, kind: str, alpha: int,
                    ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
     """Fixpoint of the rich deletion process: drop the members of every
     signature group with fewer than alpha live members until none is left.
 
-    Signature group ids are computed once; the fixpoint iterates on group
-    bincounts, one round deleting every short group at once.  Returns the
-    surviving rows and, per round, the signature rows of the groups it
-    deleted (in sorted order) with their live sizes.
+    Returns the surviving rows and, per round, the signature rows of the
+    groups it deleted (in sorted order) with their live sizes.
     """
-    m = len(members)
-    if m == 0:
+    if len(members) == 0:  # a layered seed that ran dry may be narrower
         return members, []
     sig = _signature_rows(members, kind)
-    order = np.lexsort(sig.T[::-1])
-    s = sig[order]
-    boundary = np.concatenate([[True], np.any(s[1:] != s[:-1], axis=1)])
-    del s
-    gid = np.empty(len(sig), dtype=np.int64)
-    gid[order] = np.cumsum(boundary) - 1
-    first = order[boundary]  # one signature row per group, groups in order
-    del order, boundary
-    positions = len(sig) // m  # signature row i belongs to member i % m
-    n_groups = len(first)
-    alive = np.ones(m, dtype=bool)
-    rounds: list[tuple[np.ndarray, np.ndarray]] = []
-    while True:
-        row_alive = np.tile(alive, positions)
-        sizes = np.bincount(gid[row_alive], minlength=n_groups)
-        short = np.flatnonzero((sizes > 0) & (sizes < alpha))
-        if len(short) == 0:
-            break
-        rounds.append((sig[first[short]], sizes[short]))
-        doomed = np.zeros(n_groups, dtype=bool)
-        doomed[short] = True
-        alive &= ~(row_alive & doomed[gid]).reshape(positions, m).any(axis=0)
-    return members[alive], rounds
+    gid, order, start = _group_ids(sig)
+    first = order[start[:-1]]
+    del order
+    alive, rounds = _fixpoint(len(members),
+                              [(gid, first, lambda _, size: size < alpha)])
+    return members[alive], [(sig[first[ids]], sizes)
+                            for ((ids, sizes),) in rounds]
 
 
 def _rich_audit(kind: str, rounds: list, seed: int,
@@ -592,12 +607,16 @@ def _rich_audit(kind: str, rounds: list, seed: int,
 def replay_audit(seed_members: Iterable[tuple], audit: PruneAudit,
                  kind: str, length: int) -> set:
     """Apply an audit's deletions to the seed; reproduces the final members."""
-    strategy = _PathSigs(length) if kind == "path" else _CycleSigs(length)
+
+    def sigs(m: tuple) -> list:
+        if kind == "path":
+            return [m[:j] + (None,) + m[j + 1:] for j in range(1, length - 1)]
+        return [_cycle_sig(m, j) for j in range(length)]
+
     members = set(seed_members)
     for (tag, sig, _cnt) in audit.entries:
         if tag in ("rich", "type1"):
-            doomed = [m for m in members
-                      if any(s == sig for s, _ in strategy.sigs_of(m))]
+            doomed = [m for m in members if sig in sigs(m)]
         else:  # pair signature: (j, key-tuple-without-the-pair)
             j, key = sig[0], sig[1:]
             doomed = [m for m in members if m[:j] + m[j + 2:] == key]
@@ -688,18 +707,12 @@ class _PairGroups:
     """
 
     def __init__(self, members: np.ndarray, j: int):
-        sig = np.delete(members, (j, j + 1), axis=1)
-        order = np.lexsort(sig.T[::-1])
-        s = sig[order]
-        boundary = np.concatenate([[True], np.any(s[1:] != s[:-1], axis=1)])
-        del s
-        self.gid = np.empty(len(members), dtype=np.int64)
-        self.gid[order] = np.cumsum(boundary) - 1
-        self.order = order  # the rows of group g are order[start[g]:start[g+1]]
-        self.start = np.append(np.flatnonzero(boundary), len(order))
-        self.groups = len(self.start) - 1
+        self.gid, self.order, self.start = _group_ids(
+            np.delete(members, (j, j + 1), axis=1))
+        self.first = self.order[self.start[:-1]]
+        self.groups = len(self.first)
         self.pairs = members[:, (j, j + 1)]
-        n = int(members.max()) + 1
+        n = int(members.max(initial=0)) + 1
         f_keys, self.fid, self.f_owner = _combination_ids(self.gid,
                                                           self.pairs[:, 0], n)
         s_keys, self.sid, self.s_owner = _combination_ids(self.gid,
@@ -716,6 +729,14 @@ class _PairGroups:
         grp = self.order[self.start[g]:self.start[g + 1]]
         return grp[alive[grp]]
 
+    def distinct(self, cid: np.ndarray, owner: np.ndarray,
+                 alive: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each fill combination's live multiplicity, and each group's
+        number of distinct live fills, from the rows' combination ids (fid
+        or sid) and the combinations' groups (f_owner or s_owner)."""
+        mult = np.bincount(cid[alive], minlength=len(owner))
+        return mult, np.bincount(owner[mult > 0], minlength=self.groups)
+
     def failing(self, alive: np.ndarray, alpha: int) -> np.ndarray:
         """Per group: it has live rows, and their fill edges admit fewer
         than alpha pairwise disjoint edges.
@@ -729,10 +750,8 @@ class _PairGroups:
         run the exact matcher.
         """
         size = np.bincount(self.gid[alive], minlength=self.groups)
-        f_mult = np.bincount(self.fid[alive], minlength=len(self.f_owner))
-        s_mult = np.bincount(self.sid[alive], minlength=len(self.s_owner))
-        firsts = np.bincount(self.f_owner[f_mult > 0], minlength=self.groups)
-        seconds = np.bincount(self.s_owner[s_mult > 0], minlength=self.groups)
+        f_mult, firsts = self.distinct(self.fid, self.f_owner, alive)
+        s_mult, seconds = self.distinct(self.sid, self.s_owner, alive)
         fail = np.minimum(firsts, seconds) < alpha
         degree = np.maximum(np.maximum.reduceat(f_mult, self.f_start),
                             np.maximum.reduceat(s_mult, self.s_start))
@@ -762,6 +781,85 @@ def _first_bad_pair(members: np.ndarray, alpha: int):
     return tuple(members[i].tolist()), j, size
 
 
+def _count_rule(members: np.ndarray, cols, threshold: float) -> tuple:
+    """The members equal outside columns ``cols`` form a class, which fails
+    with at most ``threshold`` live members: its live fills, since the
+    members of a class differ only in those columns."""
+    gid, order, start = _group_ids(np.delete(members, cols, axis=1))
+    return gid, order[start[:-1]], lambda _, size: size <= threshold
+
+
+def _distinct_rule(members: np.ndarray, j: int, second: bool,
+                   threshold: float) -> tuple:
+    """Pair position j fails with at most ``threshold`` distinct live second
+    (or first) fills."""
+    grp = _PairGroups(members, j)
+    cid, owner = (grp.sid, grp.s_owner) if second else (grp.fid, grp.f_owner)
+    return (grp.gid, grp.first,
+            lambda alive, _: grp.distinct(cid, owner, alive)[1] <= threshold)
+
+
+def _case1_rules(members: np.ndarray, threshold: float) -> list[tuple]:
+    """Case 1 as (tag, position, rule): a pair class with at most
+    ``threshold`` fill edges."""
+    return [("pair", j, _count_rule(members, (j, j + 1), threshold))
+            for j in _pair_positions(members.shape[1])]
+
+
+def _case2_rules(members: np.ndarray, threshold: float) -> list[tuple]:
+    """Case 2 as (tag, position, rule).  type 1: odd position 2i-1 with at
+    most ``threshold`` fills; type 2: pair (2i+1, 2i+2) with at most
+    ``threshold`` distinct second fills; type 3: pair (2i, 2i+1) with at most
+    ``threshold`` distinct first fills."""
+    L = members.shape[1]
+    return ([("type1", j, _count_rule(members, j, threshold))
+             for j in range(1, L - 1, 2)]
+            + [("type2", j, _distinct_rule(members, j, True, threshold))
+               for j in range(1, L - 2, 2)]
+            + [("type3", j, _distinct_rule(members, j, False, threshold))
+               for j in range(2, L - 2, 2)])
+
+
+def _prune_case(seed: np.ndarray, rules: list[tuple]) -> tuple[np.ndarray, list]:
+    """Fixpoint of one case's (tag, position, rule) list over the seed rows:
+    the alive mask, and the audit entries one round at a time, each rule's
+    failing classes in sorted signature order with their live sizes."""
+    alive, rounds = _fixpoint(len(seed), [rule for _, _, rule in rules])
+    entries = []
+    for failed in rounds:
+        for (tag, j, (_, first, _)), (ids, sizes) in zip(rules, failed):
+            for r, cnt in zip(first[ids].tolist(), sizes.tolist()):
+                m = tuple(seed[r].tolist())
+                key = (m[:j] + (None,) + m[j + 1:] if tag == "type1"
+                       else (j,) + m[:j] + m[j + 2:])
+                entries.append((tag, key, cnt))
+    return alive, entries
+
+
+def _enumerate_pivot_paths(g: Graph, pivot: int, k: int, c_thresh: float,
+                           cap: int) -> np.ndarray:
+    """Case 2 seed as sorted rows: paths x_0..x_2k in G - pivot with every
+    even position in N(pivot) and d(x_{2i-2}, x_{2i}) > c_thresh (codegrees
+    in G, pivot included)."""
+    codeg = g.codegree_matrix()
+    near = np.zeros(g.n, dtype=bool)
+    near[list(g.neighbors(pivot))] = True
+
+    def keep(prev: np.ndarray, v: np.ndarray) -> np.ndarray:
+        ok = v != pivot
+        for c in range(prev.shape[1] - 1):  # v is not the last vertex already
+            ok &= prev[:, c] != v
+        if prev.shape[1] == 1:
+            ok &= near[prev[:, 0]]
+        elif prev.shape[1] % 2 == 0:  # v is at an even position
+            ok &= near[v]
+            idx = np.flatnonzero(ok)
+            ok[idx] = _codegrees(g, codeg, prev[idx, -2], v[idx]) > c_thresh
+        return ok
+
+    return _join(g, 2 * k + 1, cap, "pivot path", *_csr(g), keep)
+
+
 def build_good_paths(g: Graph, k: int, alpha: int, c_thresh: float,
                      l_factor: float, cap: int = DEFAULT_CAP,
                      ) -> tuple[LabeledCollection, PruneAudit, int]:
@@ -772,8 +870,10 @@ def build_good_paths(g: Graph, k: int, alpha: int, c_thresh: float,
     pairs with at most c_thresh^2 fill edges.  Case 2: fix the pivot vertex
     with the most high-codegree cherries and run the three typed deletions at
     threshold 2*alpha on the alternating collection through its neighborhood.
-    Non-empty output is verified alpha-good; verification failure is an
-    integrity error.
+    Both prune to the fixpoint of their rules, one round at a time, and the
+    audit lists each round's failing classes rule by rule, in sorted
+    (position, signature) order.  Non-empty output is verified alpha-good;
+    verification failure is an integrity error.
     """
     if k < 1:
         raise InputError("need k >= 1")
@@ -787,35 +887,28 @@ def build_good_paths(g: Graph, k: int, alpha: int, c_thresh: float,
                                     "case_threshold": n * d * d / l_factor})
 
     if cherries <= n * d * d / l_factor:
-        members = set(map(tuple, _enumerate_paths(
-            g, length, cap, second_codegree_max=c_thresh).tolist()))
-        audit.diagnostics["seed"] = len(members)
-        _prune_pairs_by_count(members, length, c_thresh ** 2, audit)
         case = 1
+        seed = _enumerate_paths(g, length, cap, second_codegree_max=c_thresh)
+        rules = _case1_rules(seed, c_thresh ** 2)
     else:
+        case = 2
         pivot = min(per_center, key=lambda v: (-per_center[v], v))
         audit.diagnostics["pivot"] = pivot
-        members = _enumerate_pivot_paths(g, pivot, k, c_thresh, cap)
-        audit.diagnostics["seed"] = len(members)
-        weight = 0.0
-        for m in members:
-            w = 1.0
-            for i in range(1, k + 1):
-                w /= g.codegree(m[2 * i - 2], m[2 * i])
-            weight += w
-        audit.diagnostics["seed_weight"] = weight
-        _typed_deletions(g, members, k, 2 * alpha, audit)
-        final_weight = 0.0
-        for m in members:
-            w = 1.0
-            for i in range(1, k + 1):
-                w /= g.codegree(m[2 * i - 2], m[2 * i])
-            final_weight += w
-        audit.diagnostics["final_weight"] = final_weight
-        case = 2
-
-    audit.diagnostics["final"] = len(members)
-    rows = np.array(sorted(members), dtype=np.uint32).reshape(-1, length)
+        seed = _enumerate_pivot_paths(g, pivot, k, c_thresh, cap)
+        rules = _case2_rules(seed, 2 * alpha)
+    audit.diagnostics["seed"] = len(seed)
+    alive, audit.entries = _prune_case(seed, rules)
+    if case == 2:
+        # each member weighs prod_i 1 / d(x_{2i-2}, x_{2i}); fsum rounds the
+        # exact sum, so it does not depend on the member order
+        codeg = g.codegree_matrix()
+        weight = np.ones(len(seed))
+        for i in range(1, k + 1):
+            weight /= _codegrees(g, codeg, seed[:, 2 * i - 2], seed[:, 2 * i])
+        audit.diagnostics["seed_weight"] = math.fsum(weight.tolist())
+        audit.diagnostics["final_weight"] = math.fsum(weight[alive].tolist())
+    rows = seed[alive]
+    audit.diagnostics["final"] = len(rows)
     bad = _first_bad_pair(rows, alpha) if len(rows) else None
     if bad is not None:
         raise IntegrityError(
@@ -823,154 +916,6 @@ def build_good_paths(g: Graph, k: int, alpha: int, c_thresh: float,
             f"pair position {bad[1]} only supports {bad[2]} disjoint fills")
     coll = LabeledCollection("path", length, rows, good=True, alpha=alpha)
     return coll, audit, case
-
-
-def _prune_pairs_by_count(members: set, length: int, min_fills: float,
-                          audit: PruneAudit) -> None:
-    """Case 1 deletion: drop pair-signature classes with <= min_fills fill
-    edges until none remains."""
-    index: dict = {}
-    for m in sorted(members):
-        for j in _pair_positions(length):
-            index.setdefault((j, m[:j] + m[j + 2:]), set()).add((m[j], m[j + 1]))
-    queue = deque(sorted(k for k, fills in index.items()
-                         if len(fills) <= min_fills))
-    queued = set(queue)
-    while queue:
-        j, key = queue.popleft()
-        queued.discard((j, key))
-        fills = index.get((j, key))
-        if not fills:
-            index.pop((j, key), None)
-            continue
-        audit.entries.append(("pair", (j,) + key, len(fills)))
-        for (a, b) in sorted(fills):
-            m = key[:j] + (a, b) + key[j:]
-            members.discard(m)
-            for j2 in _pair_positions(length):
-                if j2 == j:
-                    continue
-                k2 = (j2, m[:j2] + m[j2 + 2:])
-                fs = index.get(k2)
-                if fs is None:
-                    continue
-                fs.discard((m[j2], m[j2 + 1]))
-                if fs and len(fs) <= min_fills and k2 not in queued:
-                    queue.append(k2)
-                    queued.add(k2)
-                elif not fs:
-                    index.pop(k2, None)
-        index.pop((j, key), None)
-
-
-def _enumerate_pivot_paths(g: Graph, pivot: int, k: int, c_thresh: float,
-                           cap: int) -> set:
-    """Case 2 seed: paths x_0..x_2k in G - pivot with every even position in
-    N(pivot) and d(x_{2i-2}, x_{2i}) > c_thresh."""
-    nb = [v for v in g.neighbors(pivot)]
-    out: set = set()
-    path: list[int] = []
-    used: set[int] = set()
-
-    def extend() -> None:
-        if len(path) == 2 * k + 1:
-            out.add(tuple(path))
-            if len(out) > cap:
-                raise ResourceError(f"pivot path enumeration exceeded cap {cap}")
-            return
-        even = len(path) % 2 == 0
-        for v in g.neighbors(path[-1]):
-            if v == pivot or v in used:
-                continue
-            if even:
-                if not g.has_edge(pivot, v):
-                    continue
-                if g.codegree(path[-2], v) <= c_thresh:
-                    continue
-            used.add(v)
-            path.append(v)
-            extend()
-            path.pop()
-            used.remove(v)
-
-    for s in nb:
-        used.add(s)
-        path.append(s)
-        extend()
-        path.pop()
-        used.remove(s)
-    return out
-
-
-def _typed_deletions(g: Graph, members: set, k: int, threshold: int,
-                     audit: PruneAudit) -> None:
-    """Case 2 deletions, priority type 1, then 2, then 3, rechecked from the
-    top after every class removal.
-
-    type 1: odd position 2i-1 with at most ``threshold`` distinct fills;
-    type 2: pair (2i+1, 2i+2) with at most ``threshold`` distinct second fills;
-    type 3: pair (2i, 2i+1) with at most ``threshold`` distinct first fills.
-    """
-    length = 2 * k + 1
-
-    def remove_class(doomed: list) -> None:
-        members.difference_update(doomed)
-
-    while members:
-        # type 1
-        idx1: dict = {}
-        for m in members:
-            for i in range(1, k + 1):
-                j = 2 * i - 1
-                idx1.setdefault(m[:j] + (None,) + m[j + 1:], set()).add(m[j])
-        victim = None
-        for sig in sorted(idx1, key=_sig_sort_key):
-            if len(idx1[sig]) <= threshold:
-                victim = sig
-                break
-        if victim is not None:
-            j = victim.index(None)
-            audit.entries.append(("type1", victim, len(idx1[victim])))
-            remove_class([victim[:j] + (f,) + victim[j + 1:]
-                          for f in idx1[victim]])
-            continue
-        # type 2: distinct x'_{2i+2} over pair (2i+1, 2i+2)
-        victim2 = None
-        idx2: dict = {}
-        for m in members:
-            for i in range(0, k - 1):
-                j = 2 * i + 1
-                idx2.setdefault((j, m[:j] + m[j + 2:]), set()).add((m[j], m[j + 1]))
-        for (j, key) in sorted(idx2):
-            seconds = {b for (_, b) in idx2[(j, key)]}
-            if len(seconds) <= threshold:
-                victim2 = (j, key)
-                break
-        if victim2 is not None:
-            j, key = victim2
-            audit.entries.append(("type2", (j,) + key, len(idx2[victim2])))
-            remove_class([key[:j] + (a, b) + key[j:]
-                          for (a, b) in idx2[victim2]])
-            continue
-        # type 3: distinct x'_{2i} over pair (2i, 2i+1)
-        victim3 = None
-        idx3: dict = {}
-        for m in members:
-            for i in range(1, k):
-                j = 2 * i
-                idx3.setdefault((j, m[:j] + m[j + 2:]), set()).add((m[j], m[j + 1]))
-        for (j, key) in sorted(idx3):
-            firsts = {a for (a, _) in idx3[(j, key)]}
-            if len(firsts) <= threshold:
-                victim3 = (j, key)
-                break
-        if victim3 is not None:
-            j, key = victim3
-            audit.entries.append(("type3", (j,) + key, len(idx3[victim3])))
-            remove_class([key[:j] + (a, b) + key[j:]
-                          for (a, b) in idx3[victim3]])
-            continue
-        break
 
 
 # ---------------------------------------------------------------------------
@@ -1064,30 +1009,20 @@ def _layer_transversals(g: Graph, layers: list[np.ndarray], closed: bool,
 def _np_prune_good(members: np.ndarray, alpha: int) -> np.ndarray:
     """Fixpoint of the good deletion process: drop the members of every
     pair-signature group whose live fill edges admit no alpha pairwise
-    disjoint edges, until none is left.
-
-    Group ids are computed once per pair position; one round decides every
-    group of every position at once (``_PairGroups.failing``).
-    """
-    if len(members) == 0:
-        return members
+    disjoint edges (``_PairGroups.failing``), until none is left."""
     groups = [_PairGroups(members, j) for j in _pair_positions(members.shape[1])]
-    alive = np.ones(len(members), dtype=bool)
-    while True:
-        doomed = np.zeros(len(members), dtype=bool)
-        for grp in groups:
-            doomed |= grp.failing(alive, alpha)[grp.gid]
-        if not doomed.any():
-            return members[alive]
-        alive &= ~doomed
+    alive, _ = _fixpoint(len(members), [
+        (grp.gid, grp.first, lambda alive, _, grp=grp: grp.failing(alive, alpha))
+        for grp in groups])
+    return members[alive]
 
 
 def _sample_layers(g: Graph, count: int, size: int, rng: random.Random,
-                   endpoints: bool) -> list[np.ndarray]:
-    """Vertex pools for the layers: alternating sides on bipartite hosts,
-    singleton high-degree endpoints when requested.  Pools may overlap
-    (transversal distinctness is filtered later)."""
-    side = two_coloring(g)
+                   endpoints: bool, side: Optional[list]) -> list[np.ndarray]:
+    """Vertex pools for the layers: alternating sides on bipartite hosts
+    (``side`` is the host's two-coloring, None if it has none), singleton
+    high-degree endpoints when requested.  Pools may overlap (transversal
+    distinctness is filtered later)."""
     bipartite = side is not None and 0 < sum(side) < g.num_vertices
     by_degree = sorted(g.vertices(), key=lambda v: (-g.degree(v), v))
     sides = [(i % 2) if bipartite else None for i in range(count)]
@@ -1111,12 +1046,13 @@ def _sample_layers(g: Graph, count: int, size: int, rng: random.Random,
     return layers
 
 
-def _estimate_pair_density(g: Graph, rng: random.Random) -> float:
-    """Empirical edge probability, sampled; floor keeps later divisions sane."""
+def _estimate_pair_density(g: Graph, rng: random.Random,
+                           side: Optional[list]) -> float:
+    """Empirical edge probability, sampled across the two-coloring ``side``
+    if there is one; floor keeps later divisions sane."""
     n = g.num_vertices
     if n < 2:
         return 1e-3  # the floor below: no pair to sample
-    side = two_coloring(g)
     verts = list(g.vertices())
     hits = 0
     trials = 400
@@ -1141,11 +1077,12 @@ def layered_rich_paths(g: Graph, k: int, alpha: int, seed: int,
     if k < 3:
         raise InputError("need k >= 3")
     rng = random.Random(seed)
-    q = _estimate_pair_density(g, rng)
+    side = two_coloring(g)
+    q = _estimate_pair_density(g, rng, side)
     if part_size is None:
         target = alpha + 3 + int(1.5 * alpha ** 0.5)
         part_size = max(int(np.ceil(target / (q * q))), alpha + 2)
-    layers = _sample_layers(g, k, part_size, rng, endpoints=True)
+    layers = _sample_layers(g, k, part_size, rng, endpoints=True, side=side)
     rows = _layer_transversals(g, layers, closed=False)
     rows, _ = _np_prune_rich(rows, "path", alpha)
     return LabeledCollection("path", k, rows, alpha=alpha)
@@ -1157,11 +1094,13 @@ def layered_rich_cycles(g: Graph, ell: int, alpha: int, seed: int,
     if ell < 2:
         raise InputError("need ell >= 2")
     rng = random.Random(seed)
-    q = _estimate_pair_density(g, rng)
+    side = two_coloring(g)
+    q = _estimate_pair_density(g, rng, side)
     if part_size is None:
         target = alpha + 3 + int(1.5 * alpha ** 0.5)
         part_size = max(int(np.ceil(target / (q * q))), alpha + 2)
-    layers = _sample_layers(g, 2 * ell, part_size, rng, endpoints=False)
+    layers = _sample_layers(g, 2 * ell, part_size, rng, endpoints=False,
+                            side=side)
     rows = _layer_transversals(g, layers, closed=True)
     if len(rows):
         rows = _sorted_unique(_canon_cycles_np(rows))
@@ -1177,7 +1116,8 @@ def layered_good_paths(g: Graph, k: int, alpha: int, seed: int,
         raise InputError("need k >= 1")
     length = 2 * k
     rng = random.Random(seed)
-    q = _estimate_pair_density(g, rng)
+    side = two_coloring(g)
+    q = _estimate_pair_density(g, rng, side)
     if part_size is None:
         target = alpha + 3 + int(1.5 * alpha ** 0.5)
         part_size = max(int(np.ceil(target / q)), alpha + 2)
@@ -1186,7 +1126,8 @@ def layered_good_paths(g: Graph, k: int, alpha: int, seed: int,
         members = [e] if e else []
         return LabeledCollection.from_members("path", 2, members, good=True,
                                               alpha=alpha)
-    layers = _sample_layers(g, length, part_size, rng, endpoints=True)
+    layers = _sample_layers(g, length, part_size, rng, endpoints=True,
+                            side=side)
     rows = _layer_transversals(g, layers, closed=False)
     rows = _np_prune_good(rows, alpha)
     return LabeledCollection("path", length, rows, good=True, alpha=alpha)

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from turan_forge.errors import InputError, IntegrityError, ResourceError
 from turan_forge.generators import polarity_graph, random_graph
 from turan_forge.graphs import build_graph
 from turan_forge.matching import max_disjoint_edges
-from turan_forge.rich_collections import (LabeledCollection, _enumerate_cycles,
+from turan_forge.rich_collections import (LabeledCollection, PruneAudit,
+                                          _enumerate_cycles,
                                           _enumerate_paths, build_good_paths,
                                           build_rich_cycles, build_rich_paths,
                                           good_suffix_restriction,
@@ -531,8 +533,7 @@ def test_good_prune_matches_naive_fixpoint_and_verify(g, alpha):
 def test_good_paths_integrity_error_names_first_bad_pair(monkeypatch):
     # without the case-1 deletions the seed of K_{4,4} is not 3-good
     k44 = complete_bipartite(4, 4)
-    monkeypatch.setattr(rich_collections, "_prune_pairs_by_count",
-                        lambda *args: None)
+    monkeypatch.setattr(rich_collections, "_case1_rules", lambda *args: [])
     seed = all_labeled_paths(k44, 5)
     m, j, size = first_bad_pair(seed, 5, 3)
     with pytest.raises(IntegrityError) as err:
@@ -540,3 +541,100 @@ def test_good_paths_integrity_error_names_first_bad_pair(monkeypatch):
     assert str(err.value) == (
         f"good-path fixpoint is not 3-good: member {m} pair position {j} "
         f"only supports {size} disjoint fills")
+
+
+def naive_case_fixpoint(members, length, case, threshold):
+    """Delete every class that a rule of the good-path case fails, repeat.
+    Case 1: a pair class with at most threshold fill edges.  Case 2: an odd
+    position with at most threshold fills (type 1), an odd pair position
+    with at most threshold distinct second fills (type 2), an even pair
+    position with at most threshold distinct first fills (type 3)."""
+    members = set(members)
+    while True:
+        classes: dict = {}
+        for m in members:
+            counted = []
+            for j in range(1, length - 2):
+                fill = ((m[j], m[j + 1]) if case == 1
+                        else m[j + 1] if j % 2 else m[j])
+                counted.append(((j, m[:j] + m[j + 2:]), fill))
+            if case == 2:
+                counted += [((j, m[:j] + (None,) + m[j + 1:]), m[j])
+                            for j in range(1, length - 1, 2)]
+            for key, fill in counted:
+                fills, grp = classes.setdefault(key, (set(), set()))
+                fills.add(fill)
+                grp.add(m)
+        doomed = set().union(*(grp for fills, grp in classes.values()
+                               if len(fills) <= threshold))
+        if not doomed:
+            return members
+        members -= doomed
+
+
+# the case-1 fixpoint takes 4 rounds at threshold 2 and keeps 164 of 428
+# five-vertex paths; the case-2 fixpoint takes 4 rounds at threshold 1
+_CASE1_CASCADE = _host(((7, [(0, 1), (0, 4), (0, 5), (0, 6), (1, 2), (1, 3),
+                             (1, 6), (2, 3), (2, 4), (2, 5), (2, 6), (3, 4),
+                             (3, 6), (5, 6)]), set(), False))
+_CASE2_CASCADE = _host(((7, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3),
+                             (1, 4), (1, 6), (2, 3), (2, 4), (2, 5), (2, 6),
+                             (3, 5), (4, 5), (5, 6)]), set(), False))
+
+
+@settings(max_examples=40, deadline=None)
+@given(good_hosts, st.integers(0, 5), st.sampled_from([None, 1, 2]))
+@example(_CASE1_CASCADE, 2, None)
+@example(_CASE2_CASCADE, 1, None)
+def test_good_case_fixpoints_match_naive_and_replay(g, threshold, bound):
+    for k in (1, 2):
+        length = 2 * k + 1
+        rows = _enumerate_paths(g, length, 10 ** 6, second_codegree_max=bound)
+        seed = set(map(tuple, rows.tolist()))
+        for case, rules in ((1, rich_collections._case1_rules),
+                            (2, rich_collections._case2_rules)):
+            alive, entries = rich_collections._prune_case(
+                rows, rules(rows, threshold))
+            final = naive_case_fixpoint(seed, length, case, threshold)
+            assert np.array_equal(rows[alive], _rows(final, length))
+            assert replay_audit(seed, PruneAudit(entries), "path",
+                                length) == final
+            tags = {"pair"} if case == 1 else {"type1", "type2", "type3"}
+            assert all(tag in tags and cnt > 0 for tag, _, cnt in entries)
+
+
+@settings(max_examples=60, deadline=None)
+@given(hosts, st.integers(1, 4))
+@example(random_graph(9, 0.5, 1), 2)
+def test_pivot_paths_match_permutations(g, c_thresh):
+    pivot = max(g.vertices(), key=g.degree, default=None)
+    assume(pivot is not None)
+    others = [v for v in g.vertices() if v != pivot]
+    for k in (1, 2):
+        expect = [p for p in itertools.permutations(others, 2 * k + 1)
+                  if all(g.has_edge(a, b) for a, b in zip(p, p[1:]))
+                  and all(g.has_edge(pivot, p[i]) for i in range(0, 2 * k + 1, 2))
+                  and all(g.codegree(p[i - 2], p[i]) > c_thresh
+                          for i in range(2, 2 * k + 1, 2))]
+        rows = rich_collections._enumerate_pivot_paths(g, pivot, k, c_thresh,
+                                                       10 ** 6)
+        assert np.array_equal(rows, _rows(expect, 2 * k + 1))
+
+
+def test_good_paths_case2_weights_and_audit():
+    g = random_graph(14, 0.8, 3, bipartite=True)
+    coll, audit, case = build_good_paths(g, 2, 1, 4.0, 10 ** 6)
+    assert case == 2 and 0 < len(coll) < audit.diagnostics["seed"]
+    pivot = audit.diagnostics["pivot"]
+    seed = set(map(tuple, rich_collections._enumerate_pivot_paths(
+        g, pivot, 2, 4.0, 10 ** 6).tolist()))
+
+    def weight(members):
+        return math.fsum(1.0 / g.codegree(m[0], m[2]) / g.codegree(m[2], m[4])
+                         for m in members)
+
+    assert audit.diagnostics["seed_weight"] == weight(seed)
+    assert audit.diagnostics["final_weight"] == weight(coll.iter_members())
+    assert replay_audit(seed, audit, "path", 5) == set(coll.iter_members())
+    ok, ce = verify_collection(coll, g, 1)
+    assert ok, ce

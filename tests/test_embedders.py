@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from turan_forge import embedders, oracle
 from turan_forge.embedders import (embed_cylinder, embed_grid, embed_honeycomb,
                                    embed_torus, find_prism, find_prism_path)
 from turan_forge.errors import InputError
@@ -97,6 +98,25 @@ def test_embed_torus_dense_random():
     coll = layered_rich_cycles(g, 2, 8, seed=3)
     cert = checked(g, embed_torus(g, coll, 4, 2, budget=10 ** 7, seed=2))
     assert len(set(cert.host_vertices())) == 8
+
+
+def test_embed_torus_labels_from_slots(monkeypatch):
+    # the label map comes from the tuple cycle itself: no subgraph search
+    def boom(*args, **kwargs):
+        raise AssertionError("embed_torus must not search for the torus")
+
+    monkeypatch.setattr(embedders, "find_subgraph", boom, raising=False)
+    monkeypatch.setattr(oracle, "find_subgraph", boom)
+    k99 = complete_bipartite(9, 9)
+    coll = build_rich_cycles(k99, 2, 8)[0]
+    checked(k99, embed_torus(k99, coll, 4, 2, budget=10 ** 6, seed=5))
+    # ell = 3 on a host that is not complete, where a wrong column shift of
+    # one row would map a torus edge onto a non-edge
+    g = random_graph(24, 0.6, 2, bipartite=True)
+    cycles = build_rich_cycles(g, 3, 2)[0]
+    for k in (4, 6):
+        cert = checked(g, embed_torus(g, cycles, k, 3, budget=10 ** 5, seed=0))
+        assert len(set(cert.host_vertices())) == 3 * k
 
 
 def test_embed_torus_pigeonhole_and_errors():

@@ -148,19 +148,6 @@ def _canonical_form(n: int, adj_bits: list[int]) -> tuple:
     found by branch-and-bound on partial vertex orders."""
     best: Optional[list[int]] = None
 
-    def rows_for(perm: list[int]) -> list[int]:
-        # row bits of the relabeled graph, for the placed prefix only
-        out = []
-        for i, v in enumerate(perm):
-            row = 0
-            for j, u in enumerate(perm):
-                if j >= i:
-                    break
-                if adj_bits[v] >> u & 1:
-                    row |= 1 << j
-            out.append(row)
-        return out
-
     degs = [bin(b).count("1") for b in adj_bits]
     start_order = sorted(range(n), key=lambda v: (-degs[v], v))
 

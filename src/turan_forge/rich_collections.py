@@ -55,40 +55,79 @@ def _cycle_sig(member: Sequence[int], pos: int) -> tuple[int, ...]:
     return _canon_open_path(m[pos + 1:] + m[:pos])
 
 
-def _lex_less(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise lexicographic a < b for equal-shape 2-D integer arrays."""
-    out = np.zeros(len(a), dtype=bool)
-    decided = np.zeros(len(a), dtype=bool)
-    for c in range(a.shape[1]):
-        lt = ~decided & (a[:, c] < b[:, c])
-        gt = ~decided & (a[:, c] > b[:, c])
-        out |= lt
-        decided |= lt | gt
-    return out
-
-
 def _canon_cycles_np(rows: np.ndarray) -> np.ndarray:
-    """Vectorised cycle canonicalisation (min over rotations/reflections)."""
-    if len(rows) == 0:
-        return rows
-    best = rows.copy()
-    n = rows.shape[1]
-    for base in (rows, rows[:, ::-1]):
-        for r in range(n):
-            cand = np.roll(base, -r, axis=1)
-            mask = _lex_less(cand, best)
-            if mask.any():
-                best[mask] = cand[mask]
-    return best
+    """Vectorised cycle canonicalisation (min over rotations/reflections) of
+    rows of distinct vertices: the least vertex first, then the smaller of
+    its two neighbours."""
+    at = rows.argmin(axis=1)
+    rows = rows.copy()
+    for r in range(1, rows.shape[1]):
+        rows[at == r] = np.roll(rows[at == r], -r, axis=1)
+    flip = rows[:, 1] > rows[:, -1]
+    rows[flip, 1:] = rows[flip, :0:-1]
+    return rows
+
+
+_PACK_LIMIT = 2 ** 63  # packed row codes are int64
+
+
+def _sorted_keys(rows: np.ndarray, base: int, argsort: bool = True,
+                 ) -> tuple[Optional[np.ndarray], np.ndarray]:
+    """Rows with entries in [0, base) sorted lexicographically, as search
+    keys: an order that sorts them (None unless ``argsort``; rows that are
+    equal come in no set order) and the keys in that order.
+
+    While base**width < _PACK_LIMIT a key is the row packed into one int64
+    code, its columns the digits in base ``base``, so that codes order as
+    rows do and one sort of the codes sorts the rows.  Above the limit the
+    keys are the rows themselves, sorted by one lexsort.
+    """
+    if base ** rows.shape[1] >= _PACK_LIMIT:
+        order = np.lexsort(rows.T[::-1])
+        return order, rows[order]
+    code = np.zeros(len(rows), dtype=np.int64)
+    for c in range(rows.shape[1]):
+        code *= base
+        code += rows[:, c]
+    if not argsort:
+        return None, np.sort(code)
+    order = np.argsort(code)
+    return order, code[order]
+
+
+def _boundaries(keys: np.ndarray) -> np.ndarray:
+    """Where each sorted key differs from the one before; the first does."""
+    new = np.ones(len(keys), dtype=bool)
+    diff = keys[1:] != keys[:-1]
+    new[1:] = diff if diff.ndim == 1 else diff.any(axis=1)
+    return new
+
+
+def _span(keys: np.ndarray, prefix: Sequence[int], base: int,
+          tail: int) -> np.ndarray:
+    """The last ``tail`` digits, packed (a fill, or a * base + b for a fill
+    pair), of the sorted keys (from ``_sorted_keys``) whose leading digits
+    are ``prefix``: two searchsorted on packed codes, two per prefix column
+    on rows."""
+    step = base ** tail
+    if keys.ndim == 2:
+        lo, hi = 0, len(keys)
+        for c, v in enumerate(prefix):
+            col = keys[lo:hi, c]
+            lo, hi = (lo + np.searchsorted(col, v),
+                      lo + np.searchsorted(col, v, side="right"))
+        return keys[lo:hi, -tail:].astype(np.int64) @ base ** np.arange(tail)[::-1]
+    code = 0
+    for v in prefix:
+        code = code * base + v
+    hits = keys[keys.searchsorted(code * step):keys.searchsorted((code + 1) * step)]
+    return hits % step
 
 
 def _sorted_unique(rows: np.ndarray) -> np.ndarray:
-    """Rows in lexicographic order without repeats; rows that are already
-    strictly ascending come back as they are."""
-    if _lex_less(rows[:-1], rows[1:]).all():
-        return rows
-    rows = rows[np.lexsort(rows.T[::-1])]
-    return rows[np.concatenate([[True], np.any(rows[1:] != rows[:-1], axis=1)])]
+    """Rows in lexicographic order without repeats."""
+    order, keys = _sorted_keys(rows, int(rows.max(initial=0)) + 1)
+    return rows[order[_boundaries(keys)]]
 
 
 # ---------------------------------------------------------------------------
@@ -100,6 +139,17 @@ class LabeledCollection:
     Paths are stored as written (a path and its reversal are distinct
     members); cycles are stored in canonical rotation/reflection but all
     labelings are answerable through the index.
+
+    The index is one sorted int64 array of (signature, fill) codes per
+    replaceable position (per pair position on good collections), or a
+    single array for cycles, whose signature is the canonical open path
+    left by the blank.  A code packs the signature's vertices and then the
+    fill (or fill pair) as digits in base n, n the largest member vertex
+    plus one.  Each array is sorted on its first query; a lookup is then
+    two ``searchsorted`` calls, and the fills of a signature are its codes
+    mod n (n**2 for pairs), ascending.  Packing needs n**length < 2**63;
+    above that the index keeps the sorted rows, searched with two
+    ``searchsorted`` calls per column.
     """
 
     def __init__(self, kind: str, length: int, members: np.ndarray,
@@ -128,10 +178,8 @@ class LabeledCollection:
             if not distinct.all():
                 raise InputError("members must consist of distinct vertices")
         self.members = members
-        self._fill_index: dict[int, dict[bytes, np.ndarray]] = {}
-        self._pair_index: dict[int, dict[bytes, np.ndarray]] = {}
-        self._cycle_index: Optional[dict[bytes, np.ndarray]] = None
-        self._build_index()
+        self._base = int(members.max(initial=0)) + 1
+        self._keys: dict[int, np.ndarray] = {}  # position -> sorted keys
 
     # -- construction helpers ------------------------------------------------
 
@@ -144,60 +192,26 @@ class LabeledCollection:
                else np.zeros((0, length), dtype=np.uint32))
         return cls(kind, length, arr, good=good, alpha=alpha)
 
-    def _group(self, keys: np.ndarray, values: np.ndarray) -> dict[bytes, np.ndarray]:
-        """Group rows into key-bytes -> value-array views, values ascending.
-
-        One lexsort over (key columns, value columns) orders the values
-        within each group, so the per-group slices are plain views.
-        """
-        out: dict[bytes, np.ndarray] = {}
-        if len(keys) == 0:
-            return out
-        if values.ndim == 1:
-            vcols: tuple = (values,)
-        else:
-            vcols = tuple(values[:, c] for c in range(values.shape[1] - 1,
-                                                      -1, -1))
-        kcols = tuple(keys[:, c] for c in range(keys.shape[1] - 1, -1, -1))
-        order = np.lexsort(vcols + kcols)
-        keys = keys[order]
-        values = values[order]
-        boundary = np.nonzero(np.any(keys[1:] != keys[:-1], axis=1))[0] + 1
-        starts = np.concatenate([[0], boundary, [len(keys)]])
-        for i in range(len(starts) - 1):
-            lo, hi = int(starts[i]), int(starts[i + 1])
-            out[keys[lo].tobytes()] = values[lo:hi]
-        return out
-
-    def _build_index(self) -> None:
-        m = self.members
-        L = self.length
-        if self.kind == "path":
-            if self.good:
-                for j in range(1, L - 2):
-                    keys = np.delete(m, (j, j + 1), axis=1)
-                    self._pair_index[j] = self._group(keys, m[:, (j, j + 1)])
+    def _lookup(self, pos: int, sig: Sequence[int], tail: int) -> list[int]:
+        """The fills of ``tail`` vertices, packed as in ``_span``, completing
+        ``sig`` at position ``pos`` (cycles have one index, at 0)."""
+        sig = [int(v) for v in sig]
+        if len(sig) + tail != self.length or not all(
+                0 <= v < self._base for v in sig):
+            return []
+        keys = self._keys.get(pos)
+        if keys is None:
+            m = self.members
+            if self.kind == "cycle":
+                rows = np.column_stack([_signature_rows(m, "cycle")[0],
+                                        m.T.reshape(-1)])
             else:
-                for j in range(1, L - 1):
-                    keys = np.delete(m, j, axis=1)
-                    self._fill_index[j] = self._group(keys, m[:, j])
-        else:
-            if len(m) == 0:
-                self._cycle_index = {}
-                return
-            sig_rows = []
-            fill_rows = []
-            for pos in range(L):
-                rolled = np.roll(m, -(pos + 1), axis=1)
-                fwd = rolled[:, :L - 1]
-                rev = fwd[:, ::-1]
-                use_rev = _lex_less(rev, fwd)
-                canon = np.where(use_rev[:, None], rev, fwd)
-                sig_rows.append(canon)
-                fill_rows.append(m[:, pos])
-            keys = np.vstack(sig_rows)
-            vals = np.concatenate(fill_rows)
-            self._cycle_index = self._group(keys, vals)
+                blank = range(pos, pos + tail)
+                rows = m[:, [c for c in range(self.length) if c not in blank]
+                         + list(blank)]
+            _, keys = _sorted_keys(rows, self._base, argsort=False)
+            self._keys[pos] = keys
+        return _span(keys, sig, self._base, tail).tolist()
 
     # -- queries ---------------------------------------------------------------
 
@@ -230,20 +244,14 @@ class LabeledCollection:
                 raise InputError(f"position {pos} is not internal")
             if self.good:
                 raise InputError("good collections are indexed by pairs")
-            key = np.array(member[:pos] + member[pos + 1:],
-                           dtype=np.uint32).tobytes()
-            arr = self._fill_index[pos].get(key)
-            return [] if arr is None else [int(x) for x in arr]
+            return self._lookup(pos, member[:pos] + member[pos + 1:], 1)
         return self.fills_for_open_path(member[pos + 1:] + member[:pos])
 
     def fills_for_open_path(self, seq: Sequence[int]) -> list[int]:
         """Vertices closing an open (2*ell-1)-path into a member cycle."""
         if self.kind != "cycle":
             raise InputError("open-path fills are defined for cycles")
-        key = np.array(_canon_open_path(tuple(seq)),
-                       dtype=np.uint32).tobytes()
-        arr = self._cycle_index.get(key)
-        return [] if arr is None else [int(x) for x in arr]
+        return self._lookup(0, _canon_open_path(tuple(seq)), 1)
 
     def pair_fills(self, member: Sequence[int], pos: int) -> list[tuple[int, int]]:
         """Edges that can replace positions (pos, pos+1) of a good member."""
@@ -252,30 +260,14 @@ class LabeledCollection:
         if not (1 <= pos <= self.length - 3):
             raise InputError(f"pair position {pos} out of range")
         member = tuple(member)
-        key = np.array(member[:pos] + member[pos + 2:],
-                       dtype=np.uint32).tobytes()
-        arr = self._pair_index[pos].get(key)
-        return [] if arr is None else [(int(a), int(b)) for (a, b) in arr]
+        return [divmod(f, self._base)
+                for f in self._lookup(pos, member[:pos] + member[pos + 2:], 2)]
 
     def replace(self, member: Sequence[int], pos: int, fill) -> tuple[int, ...]:
         member = tuple(member)
         if isinstance(fill, tuple):
             return member[:pos] + fill + member[pos + 2:]
         return member[:pos] + (fill,) + member[pos + 1:]
-
-    def index_items(self) -> Iterator[tuple[object, object]]:
-        """Expose the raw index for consistency tests on small instances."""
-        if self.kind == "cycle":
-            for k, v in self._cycle_index.items():
-                yield np.frombuffer(k, dtype=np.uint32), v
-        elif self.good:
-            for j, d in self._pair_index.items():
-                for k, v in d.items():
-                    yield (j, np.frombuffer(k, dtype=np.uint32)), v
-        else:
-            for j, d in self._fill_index.items():
-                for k, v in d.items():
-                    yield (j, np.frombuffer(k, dtype=np.uint32)), v
 
     # -- the implicit auxiliary tuple graph used by the torus embedder ----------
 
@@ -498,15 +490,18 @@ def _enumerate_cycles(g: Graph, ell: int, cap: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # the deletion process on signature groups
 
-def _signature_rows(members: np.ndarray, kind: str) -> np.ndarray:
-    """One signature row per (member, replaceable position), position-major.
+def _signature_rows(members: np.ndarray, kind: str) -> tuple[np.ndarray, int]:
+    """One signature row per (member, replaceable position), position-major,
+    and the base their entries lie below.
 
     A path signature is the member with the blank position written 0 and
     every vertex v written v + 1, so the rows sort as replay_audit's
-    signatures do with None first.  A cycle signature is the canonical open
-    path left by the blank, shared across positions.
+    signatures do with None first, in base n + 1 (n the largest vertex plus
+    one).  A cycle signature is the canonical open path left by the blank,
+    shared across positions, in base n.
     """
     L = members.shape[1]
+    n = int(members.max(initial=0)) + 1
     sig_rows: list[np.ndarray] = []
     if kind == "path":
         for j in range(1, L - 1):
@@ -515,24 +510,22 @@ def _signature_rows(members: np.ndarray, kind: str) -> np.ndarray:
             sig_rows.append(sig)
     else:
         for pos in range(L):
-            rolled = np.roll(members, -(pos + 1), axis=1)
-            fwd = rolled[:, :L - 1]
-            rev = fwd[:, ::-1]
-            use_rev = _lex_less(rev, fwd)
-            sig_rows.append(np.where(use_rev[:, None], rev, fwd))
-    return np.vstack(sig_rows)
+            fwd = members[:, [(pos + 1 + i) % L for i in range(L - 1)]]
+            flip = fwd[:, -1] < fwd[:, 0]  # distinct vertices: the ends decide
+            sig_rows.append(np.where(flip[:, None], fwd[:, ::-1], fwd))
+    return np.vstack(sig_rows), n + 1 if kind == "path" else n
 
 
-def _group_ids(sig: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Signature rows grouped by equal value, groups numbered in sorted
-    signature order: each row's group id, the sorting order of the rows, and
-    where each group starts in that order (plus the end), so that the rows
-    of group g are order[start[g]:start[g + 1]]."""
-    order = np.lexsort(sig.T[::-1])
-    s = sig[order]
-    new = np.ones(len(s), dtype=bool)
-    new[1:] = np.any(s[1:] != s[:-1], axis=1)
-    del s
+def _group_ids(sig: np.ndarray, base: int,
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Signature rows (entries below ``base``) grouped by equal value,
+    groups numbered in sorted signature order: each row's group id, the
+    sorting order of the rows, and where each group starts in that order
+    (plus the end), so that the rows of group g are
+    order[start[g]:start[g + 1]]."""
+    order, keys = _sorted_keys(sig, base)
+    new = _boundaries(keys)
+    del keys
     gid = np.empty(len(sig), dtype=np.int64)
     gid[order] = np.cumsum(new) - 1
     return gid, order, np.append(np.flatnonzero(new), len(order))
@@ -582,8 +575,8 @@ def _np_prune_rich(members: np.ndarray, kind: str, alpha: int,
     """
     if len(members) == 0:  # a layered seed that ran dry may be narrower
         return members, []
-    sig = _signature_rows(members, kind)
-    gid, order, start = _group_ids(sig)
+    sig, base = _signature_rows(members, kind)
+    gid, order, start = _group_ids(sig, base)
     first = order[start[:-1]]
     del order
     alive, rounds = _fixpoint(len(members),
@@ -606,21 +599,24 @@ def _rich_audit(kind: str, rounds: list, seed: int,
 
 def replay_audit(seed_members: Iterable[tuple], audit: PruneAudit,
                  kind: str, length: int) -> set:
-    """Apply an audit's deletions to the seed; reproduces the final members."""
+    """Apply an audit's deletions to the seed; reproduces the final members.
 
-    def sigs(m: tuple) -> list:
-        if kind == "path":
-            return [m[:j] + (None,) + m[j + 1:] for j in range(1, length - 1)]
-        return [_cycle_sig(m, j) for j in range(length)]
-
+    Each seed member is filed once under every signature it has: its rich
+    (or type-1) signatures, which blank one position, and on paths its pair
+    signatures (j, the member without positions j, j+1).  An entry then
+    deletes the members filed under its signature."""
     members = set(seed_members)
-    for (tag, sig, _cnt) in audit.entries:
-        if tag in ("rich", "type1"):
-            doomed = [m for m in members if sig in sigs(m)]
-        else:  # pair signature: (j, key-tuple-without-the-pair)
-            j, key = sig[0], sig[1:]
-            doomed = [m for m in members if m[:j] + m[j + 2:] == key]
-        members.difference_update(doomed)
+    filed: dict[tuple, list] = {}
+    for m in members:
+        if kind == "path":
+            sigs = ([m[:j] + (None,) + m[j + 1:] for j in range(1, length - 1)]
+                    + [(j,) + m[:j] + m[j + 2:] for j in range(1, length - 2)])
+        else:
+            sigs = [_cycle_sig(m, j) for j in range(length)]
+        for sig in sigs:
+            filed.setdefault(sig, []).append(m)
+    for (_tag, sig, _cnt) in audit.entries:
+        members.difference_update(filed.pop(tuple(sig), ()))
     return members
 
 
@@ -656,23 +652,26 @@ def build_rich_cycles(g: Graph, ell: int, alpha: int,
 
 def _count_high_codegree_cherries(g: Graph, c_thresh: float) -> tuple[int, dict[int, int]]:
     """Ordered paths (u, v, w), u != w, with d(u, w) > c_thresh; per-center
+    tallies are returned so Case 2 can pick its pivot.
 
-    tallies are returned so Case 2 can pick its pivot."""
-    per_center: dict[int, int] = {}
-    codeg = g.codegree_matrix()
-    for v in g.vertices():
-        nb = g.neighbors(v)
-        cnt = 0
-        for i in range(len(nb)):
-            for j in range(len(nb)):
-                if i == j:
-                    continue
-                u, w = nb[i], nb[j]
-                cd = int(codeg[u, w]) if codeg is not None else g.codegree(u, w)
-                if cd > c_thresh:
-                    cnt += 1
-        if cnt:
-            per_center[v] = cnt
+    Below the dense cap the tally of v is (A M A)[v, v], A the adjacency
+    matrix and M = [codegree > c_thresh] with a zero diagonal: float32
+    products, in 512-row slabs, are exact since every entry of A M is at
+    most n < 2**24, and each row sum is taken in float64, exact past
+    deg**2 >= 2**24.  Above the cap, pair by pair."""
+    if g.dense_ok:
+        a = g.adjacency_matrix().astype(np.float32)
+        high = (g.codegree_matrix() > c_thresh).astype(np.float32)
+        np.fill_diagonal(high, 0)
+        counts = np.zeros(g.n)
+        for lo in range(0, g.n, 512):
+            slab = a[lo:lo + 512]
+            counts[lo:lo + 512] = ((slab @ high) * slab).sum(axis=1,
+                                                            dtype=np.float64)
+    else:
+        counts = [sum(g.codegree(u, w) > c_thresh for u in nb for w in nb
+                      if u != w) for nb in map(g.neighbors, range(g.n))]
+    per_center = {v: int(c) for v, c in enumerate(counts) if c}
     return sum(per_center.values()), per_center
 
 
@@ -707,12 +706,12 @@ class _PairGroups:
     """
 
     def __init__(self, members: np.ndarray, j: int):
+        n = int(members.max(initial=0)) + 1
         self.gid, self.order, self.start = _group_ids(
-            np.delete(members, (j, j + 1), axis=1))
+            np.delete(members, (j, j + 1), axis=1), n)
         self.first = self.order[self.start[:-1]]
         self.groups = len(self.first)
         self.pairs = members[:, (j, j + 1)]
-        n = int(members.max(initial=0)) + 1
         f_keys, self.fid, self.f_owner = _combination_ids(self.gid,
                                                           self.pairs[:, 0], n)
         s_keys, self.sid, self.s_owner = _combination_ids(self.gid,
@@ -785,7 +784,8 @@ def _count_rule(members: np.ndarray, cols, threshold: float) -> tuple:
     """The members equal outside columns ``cols`` form a class, which fails
     with at most ``threshold`` live members: its live fills, since the
     members of a class differ only in those columns."""
-    gid, order, start = _group_ids(np.delete(members, cols, axis=1))
+    gid, order, start = _group_ids(np.delete(members, cols, axis=1),
+                                   int(members.max(initial=0)) + 1)
     return gid, order[start[:-1]], lambda _, size: size <= threshold
 
 

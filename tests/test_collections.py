@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -314,6 +315,9 @@ def test_enumerators_in_chunks_and_capped(monkeypatch, join_rows):
 
 @settings(max_examples=40, deadline=None)
 @given(hosts, st.integers(1, 4))
+# the path 1-0-3-2: its two signatures pack to one code unless the base of
+# path signatures, whose blank is 0 and vertex v is v + 1, is n + 1
+@example(build_graph(4, [(1, 0), (0, 3), (3, 2)]), 2)
 def test_rich_builders_match_naive_fixpoint_and_replay(g, alpha):
     for k in (3, 4):
         seed = all_labeled_paths(g, k)
@@ -638,3 +642,126 @@ def test_good_paths_case2_weights_and_audit():
     assert replay_audit(seed, audit, "path", 5) == set(coll.iter_members())
     ok, ce = verify_collection(coll, g, 1)
     assert ok, ce
+
+
+# -- the packed signature index against a naive dict, packed and lexsorted
+
+def _index_oracle(kind, good, members):
+    """(position, signature) -> ascending fills, from the members alone."""
+    L = len(members[0]) if members else 0
+    index: dict = {}
+    for m in members:
+        if kind == "cycle":
+            for j in range(L):
+                index.setdefault((0, _cycle_key(m, j)), []).append(m[j])
+        elif good:
+            for j in range(1, L - 2):
+                index.setdefault((j, m[:j] + m[j + 2:]), []).append(m[j:j + 2])
+        else:
+            for j in range(1, L - 1):
+                index.setdefault((j, m[:j] + m[j + 1:]), []).append(m[j])
+    return {key: sorted(fills) for key, fills in index.items()}
+
+
+def _check_index(coll, members, probes):
+    kind, L = coll.kind, coll.length
+    index = _index_oracle(kind, coll.good, members)
+    stored = set(members)
+    for m in probes:
+        if kind == "cycle":
+            assert (m in coll) == (_canon(m) in stored)
+            for j in range(L):
+                seq = m[j + 1:] + m[:j]
+                expect = index.get((0, min(seq, seq[::-1])), [])
+                assert coll.fills(m, j) == expect
+                assert coll.fills_for_open_path(seq) == expect
+        elif coll.good:
+            assert (m in coll) == (m in stored)
+            for j in range(1, L - 2):
+                assert coll.pair_fills(m, j) == index.get(
+                    (j, m[:j] + m[j + 2:]), [])
+        else:
+            assert (m in coll) == (m in stored)
+            for j in range(1, L - 1):
+                assert coll.fills(m, j) == index.get((j, m[:j] + m[j + 1:]), [])
+
+
+def _canon(m):
+    return min(s[r:] + s[:r] for s in (m, m[::-1]) for r in range(len(m)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(good_hosts, st.booleans(), st.randoms(use_true_random=False))
+@example(_CASCADE, True, random.Random(0))
+def test_index_matches_naive_dict(g, lexsorted, rnd):
+    collections = [("path", False, _enumerate_paths(g, k, 10 ** 6)) for k in (3, 4)]
+    collections += [("path", True, _enumerate_paths(g, k, 10 ** 6)) for k in (4, 5)]
+    collections += [("cycle", False, _enumerate_cycles(g, ell, 10 ** 6))
+                    for ell in (2, 3)]
+    with pytest.MonkeyPatch.context() as mp:
+        if lexsorted:  # every base**width passes the limit: the lexsort keys
+            mp.setattr(rich_collections, "_PACK_LIMIT", 1)
+        for kind, good, rows in collections:
+            width = rows.shape[1]
+            coll = LabeledCollection(kind, width, rows, good=good, alpha=1)
+            members = list(map(tuple, rows.tolist()))
+            probes = [m for m in members if rnd.random() < 0.5]
+            probes += [p[r:] + p[:r] for p in probes[:5] for r in range(width)]
+            probes += [tuple(rnd.randrange(g.n + 2) for _ in range(width))
+                       for _ in range(10)]
+            _check_index(coll, members, probes)
+            for key in coll._keys.values():
+                assert key.ndim == (2 if lexsorted else 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda w: st.tuples(st.just(w), st.lists(
+    st.lists(st.integers(0, 7), min_size=w, max_size=w), max_size=30))))
+def test_grouping_same_packed_and_lexsorted(data):
+    width, rows = data
+    rows = np.array(rows, dtype=np.uint32).reshape(-1, width)
+    out = {}
+    for limit in (2 ** 63, 1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rich_collections, "_PACK_LIMIT", limit)
+            gid, order, start = rich_collections._group_ids(rows, 8)
+            out[limit] = (gid, rows[order], start,
+                          rich_collections._sorted_unique(rows))
+    for a, b in zip(out[2 ** 63], out[1]):
+        assert np.array_equal(a, b)
+    gid, ordered, start, unique = out[1]
+    assert list(map(tuple, ordered.tolist())) == sorted(map(tuple, rows.tolist()))
+    assert list(map(tuple, unique.tolist())) == sorted(set(map(tuple, rows.tolist())))
+    assert np.array_equal(unique[gid], rows)
+    assert np.array_equal(start[1:] - start[:-1], np.bincount(gid))
+
+
+def test_packing_limit_is_exclusive():
+    # base 2**21 and width 3 make base**width exactly 2**63: lexsorted keys
+    top = 2 ** 21 - 1
+    rows = np.array([[top, 0, top], [top, top, top], [0, top, 1],
+                     [top, top, top - 1], [0, 0, 0]], dtype=np.uint32)
+    order, keys = rich_collections._sorted_keys(rows, top + 1)
+    assert keys.ndim == 2
+    assert np.array_equal(keys, rows[[4, 2, 0, 3, 1]])
+    # one less fits: the largest code is (2**21 - 1)**3 - 1 < 2**63
+    small = np.minimum(rows, top - 1)
+    order, keys = rich_collections._sorted_keys(small, top)
+    assert keys.ndim == 1 and keys[-1] == top ** 3 - 1
+    members = [(top - 2, top, top - 1), (top - 2, 5, top - 1),
+               (top - 1, top, top - 2), (5, top, top - 2)]
+    for drop in (0, 1):  # largest vertex top (lexsorted), top - 1 (packed)
+        kept = [m for m in members if top not in m or not drop]
+        coll = LabeledCollection.from_members("path", 3, kept, alpha=1)
+        _check_index(coll, kept, members + [(top - 2, 7, top - 1), (1, 2, 3)])
+        assert coll._keys[1].ndim == 2 - drop
+
+
+def test_replay_of_a_large_good_path_audit():
+    g = random_graph(40, 0.5, 1, bipartite=True)
+    coll, audit, case = build_good_paths(g, 2, 3, 2.0, 256.0)
+    seed = rich_collections._enumerate_pivot_paths(
+        g, audit.diagnostics["pivot"], 2, 2.0, 10 ** 6)
+    assert case == 2 and len(seed) == 55560 and len(audit.entries) == 24248
+    final = replay_audit(map(tuple, seed.tolist()), audit, "path", 5)
+    assert final == set(coll.iter_members())

@@ -17,6 +17,7 @@ from turan_forge.errors import InputError
 from turan_forge.generators import random_graph
 from turan_forge.graphs import build_graph
 from turan_forge.oracle import verify_certificate
+from turan_forge.rich_collections import _count_high_codegree_cherries
 from turan_forge.transforms import clean_subgraph, is_clean
 
 densities = st.sampled_from([0.3, 0.5, 0.7, 0.9, 1.0])
@@ -105,6 +106,23 @@ def test_find_prism_dense_equals_pairs(data, t_factor, seed):
 
     pairs, dense = _both(lambda: _general(data), run)
     assert pairs == dense
+
+
+@settings(max_examples=80, deadline=None)
+@given(hosts, bipartite_hosts, st.booleans(), st.sampled_from([0, 0.5, 1, 2, 3.5]))
+def test_high_codegree_cherries_dense_equals_pairs(general, two_sided, bip,
+                                                   c_thresh):
+    def make():
+        return _bipartite(two_sided)[0] if bip else _general(general)
+
+    pairs, dense = _both(make, lambda g: _count_high_codegree_cherries(
+        g, c_thresh))
+    g = make()
+    expect = {v: sum(len(g.common_neighbors(u, w)) > c_thresh
+                     for u in g.neighbors(v) for w in g.neighbors(v) if u != w)
+              for v in g.vertices()}
+    assert pairs == dense == (sum(expect.values()),
+                              {v: c for v, c in expect.items() if c})
 
 
 def test_find_prism_path_above_dense_cap(monkeypatch):

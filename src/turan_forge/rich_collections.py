@@ -79,12 +79,12 @@ def _sorted_keys(rows: np.ndarray, base: int, argsort: bool = True,
 
     While base**width < _PACK_LIMIT a key is the row packed into one int64
     code, its columns the digits in base ``base``, so that codes order as
-    rows do and one sort of the codes sorts the rows.  Above the limit the
-    keys are the rows themselves, sorted by one lexsort.
+    rows do and one sort of the codes sorts the rows.  Above the limit
+    the keys are the lexsorted rows transposed (contiguous columns).
     """
     if base ** rows.shape[1] >= _PACK_LIMIT:
         order = np.lexsort(rows.T[::-1])
-        return order, rows[order]
+        return order, np.ascontiguousarray(rows[order].T)
     code = np.zeros(len(rows), dtype=np.int64)
     for c in range(rows.shape[1]):
         code *= base
@@ -97,9 +97,9 @@ def _sorted_keys(rows: np.ndarray, base: int, argsort: bool = True,
 
 def _boundaries(keys: np.ndarray) -> np.ndarray:
     """Where each sorted key differs from the one before; the first does."""
-    new = np.ones(len(keys), dtype=bool)
-    diff = keys[1:] != keys[:-1]
-    new[1:] = diff if diff.ndim == 1 else diff.any(axis=1)
+    new = np.ones(keys.shape[-1], dtype=bool)
+    diff = keys[..., 1:] != keys[..., :-1]
+    new[1:] = diff if diff.ndim == 1 else diff.any(axis=0)
     return new
 
 
@@ -111,12 +111,12 @@ def _span(keys: np.ndarray, prefix: Sequence[int], base: int,
     on rows."""
     step = base ** tail
     if keys.ndim == 2:
-        lo, hi = 0, len(keys)
-        for c, v in enumerate(prefix):
-            col = keys[lo:hi, c]
-            lo, hi = (lo + np.searchsorted(col, v),
-                      lo + np.searchsorted(col, v, side="right"))
-        return keys[lo:hi, -tail:].astype(np.int64) @ base ** np.arange(tail)[::-1]
+        lo, hi = 0, keys.shape[1]
+        for col, v in zip(keys, prefix):
+            part, v = col[lo:hi], col.dtype.type(v)
+            lo, hi = (lo + part.searchsorted(v),
+                      lo + part.searchsorted(v, side="right"))
+        return keys[-tail:, lo:hi].T.astype(np.int64) @ base ** np.arange(tail)[::-1]
     code = 0
     for v in prefix:
         code = code * base + v
@@ -148,8 +148,8 @@ class LabeledCollection:
     plus one.  Each array is sorted on its first query; a lookup is then
     two ``searchsorted`` calls, and the fills of a signature are its codes
     mod n (n**2 for pairs), ascending.  Packing needs n**length < 2**63;
-    above that the index keeps the sorted rows, searched with two
-    ``searchsorted`` calls per column.
+    above that the index keeps the sorted rows column by column, searched
+    with two ``searchsorted`` calls per column.
     """
 
     def __init__(self, kind: str, length: int, members: np.ndarray,
@@ -655,17 +655,17 @@ def _count_high_codegree_cherries(g: Graph, c_thresh: float) -> tuple[int, dict[
     tallies are returned so Case 2 can pick its pivot.
 
     Below the dense cap the tally of v is (A M A)[v, v], A the adjacency
-    matrix and M = [codegree > c_thresh] with a zero diagonal: float32
-    products, in 512-row slabs, are exact since every entry of A M is at
-    most n < 2**24, and each row sum is taken in float64, exact past
-    deg**2 >= 2**24.  Above the cap, pair by pair."""
+    matrix and M = [codegree > c_thresh] (zero diagonal; the one n x n
+    float32 array allocated): 512-row slabs of A times M in float32, exact
+    as entries of A M are at most n < 2**24, row sums in float64, exact
+    past deg**2 >= 2**24.  Above the cap, pair by pair."""
     if g.dense_ok:
-        a = g.adjacency_matrix().astype(np.float32)
+        adj = g.adjacency_matrix()
         high = (g.codegree_matrix() > c_thresh).astype(np.float32)
         np.fill_diagonal(high, 0)
         counts = np.zeros(g.n)
         for lo in range(0, g.n, 512):
-            slab = a[lo:lo + 512]
+            slab = adj[lo:lo + 512].astype(np.float32)
             counts[lo:lo + 512] = ((slab @ high) * slab).sum(axis=1,
                                                             dtype=np.float64)
     else:

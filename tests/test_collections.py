@@ -710,8 +710,9 @@ def test_index_matches_naive_dict(g, lexsorted, rnd):
             probes += [tuple(rnd.randrange(g.n + 2) for _ in range(width))
                        for _ in range(10)]
             _check_index(coll, members, probes)
-            for key in coll._keys.values():
+            for key in coll._keys.values():  # lexsorted: one row per column
                 assert key.ndim == (2 if lexsorted else 1)
+                assert not lexsorted or key.shape[0] == width
 
 
 @settings(max_examples=100, deadline=None)
@@ -743,7 +744,7 @@ def test_packing_limit_is_exclusive():
                      [top, top, top - 1], [0, 0, 0]], dtype=np.uint32)
     order, keys = rich_collections._sorted_keys(rows, top + 1)
     assert keys.ndim == 2
-    assert np.array_equal(keys, rows[[4, 2, 0, 3, 1]])
+    assert np.array_equal(keys, rows[[4, 2, 0, 3, 1]].T)
     # one less fits: the largest code is (2**21 - 1)**3 - 1 < 2**63
     small = np.minimum(rows, top - 1)
     order, keys = rich_collections._sorted_keys(small, top)

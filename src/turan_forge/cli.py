@@ -17,12 +17,11 @@ from .certificates import EmbeddingCertificate
 from .errors import (EXIT_FOUND, EXIT_INPUT, EXIT_INTEGRITY, EXIT_NOT_FOUND,
                      InputError, IntegrityError, ResourceError)
 from .generators import PatternSpec, pattern, polarity_graph, random_graph
-from .graphs import Graph, read_edge_list, write_edge_list
+from .graphs import Graph, edge_list_text, read_edge_list, write_edge_list
 from .rich_collections import LabeledCollection
 
 
-def _dump(obj: dict, args) -> None:
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+def _emit(text: str, args) -> None:
     if getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -30,17 +29,8 @@ def _dump(obj: dict, args) -> None:
         sys.stdout.write(text)
 
 
-def _write_graph(g: Graph, args) -> None:
-    if getattr(args, "out", None):
-        write_edge_list(g, args.out)
-    else:
-        sys.stdout.write(f"n {g.n}\n")
-        for (u, v) in g.edges():
-            sys.stdout.write(f"{u} {v}\n")
-
-
-def _load_host(path: str) -> Graph:
-    return read_edge_list(path)
+def _dump(obj: dict, args) -> None:
+    _emit(json.dumps(obj, sort_keys=True, indent=2) + "\n", args)
 
 
 def _read_text(path: str, what: str) -> str:
@@ -72,7 +62,7 @@ def _pattern_spec_from_args(args) -> PatternSpec:
 def cmd_gen_pattern(args) -> int:
     spec = _pattern_spec_from_args(args)
     g, labels = pattern(spec)
-    _write_graph(g, args)
+    _emit(edge_list_text(g), args)
     if args.labels:
         with open(args.labels, "w", encoding="utf-8") as fh:
             json.dump({"labels": sorted([lab, vid]
@@ -82,20 +72,20 @@ def cmd_gen_pattern(args) -> int:
 
 
 def cmd_gen_polarity(args) -> int:
-    _write_graph(polarity_graph(args.q), args)
+    _emit(edge_list_text(polarity_graph(args.q)), args)
     return EXIT_FOUND
 
 
 def cmd_gen_gnp(args) -> int:
     g = random_graph(args.n, args.p, args.seed, bipartite=args.bipartite)
-    _write_graph(g, args)
+    _emit(edge_list_text(g), args)
     return EXIT_FOUND
 
 
 # -- transform ---------------------------------------------------------------
 
 def cmd_transform(args) -> int:
-    g = _load_host(getattr(args, "in"))
+    g = read_edge_list(getattr(args, "in"))
     if args.step == "peel":
         out, rep = transforms.peel_min_degree(g, keep_audit=bool(args.audit))
     elif args.step == "half":
@@ -126,7 +116,7 @@ def cmd_transform(args) -> int:
 # -- count -------------------------------------------------------------------
 
 def cmd_count(args) -> int:
-    g = _load_host(getattr(args, "in"))
+    g = read_edge_list(getattr(args, "in"))
     if args.what == "homp":
         out = {"k": args.k, "hom": counting.hom_path_count(g, args.k)}
     elif args.what == "c4":
@@ -158,7 +148,7 @@ def _save_collection(coll: LabeledCollection, audit, args) -> None:
 
 
 def cmd_build(args) -> int:
-    g = _load_host(getattr(args, "in"))
+    g = read_edge_list(getattr(args, "in"))
     cap = int(args.cap)
     if args.family == "rich-paths":
         if args.strategy == "layered":
@@ -204,7 +194,7 @@ def _emit_certificate(cert: Optional[EmbeddingCertificate], args,
 
 
 def cmd_embed(args) -> int:
-    host = _load_host(args.host)
+    host = read_edge_list(args.host)
     coll = LabeledCollection.from_text(_read_text(args.coll, "collection"))
     if args.target == "grid":
         cert = embedders.embed_grid(host, coll, args.t)
@@ -219,7 +209,7 @@ def cmd_embed(args) -> int:
 
 
 def cmd_find(args) -> int:
-    host = _load_host(getattr(args, "in"))
+    host = read_edge_list(getattr(args, "in"))
     if args.what == "prism":
         cert, diag = embedders.find_prism(host, args.ell, args.T,
                                           budget=int(args.budget),
@@ -241,7 +231,7 @@ def _load_pattern_arg(value: str) -> Graph:
 
 
 def cmd_oracle_find(args) -> int:
-    host = _load_host(args.host)
+    host = read_edge_list(args.host)
     pat = _load_pattern_arg(args.pattern)
     mapping, stats = oracle.find_subgraph(host, pat, budget=int(args.budget))
     out = {"result": stats.result, "nodes": stats.nodes}
@@ -252,7 +242,7 @@ def cmd_oracle_find(args) -> int:
 
 
 def cmd_oracle_verify(args) -> int:
-    host = _load_host(args.host)
+    host = read_edge_list(args.host)
     obj = _parse_json(_read_text(args.cert, "certificate"), "certificate")
     cert = EmbeddingCertificate.from_json(obj)
     ok, why = oracle.verify_certificate(host, cert)

@@ -246,6 +246,7 @@ def embed_torus(host: Graph, coll: LabeledCollection, k: int, ell: int,
             return None
 
         res = extend(2)
+        del extend  # a self-reference: break it so coll is freed now, not at a gc
         return res, counter[0]
 
     found, nodes = _portfolio(attempt, n_attempts)

@@ -19,23 +19,30 @@ CACHE_DIR_ENV = "TURAN_FORGE_CACHE_DIR"
 class Graph:
     """Undirected simple graph on vertex ids ``0..n-1``, immutable after build.
 
-    Deleted vertices stay in the id space as isolated tombstones so that
-    tuple collections and certificates built before a deletion remain
-    interpretable.  ``num_vertices`` and ``average_degree`` count live
-    vertices only.
+    Stored as read-only CSR arrays: v's neighbours are ``indices[indptr[v]:
+    indptr[v + 1]]``, ascending, and ``alive`` masks the live vertices.
+    ``neighbors(v)`` makes its tuple on first request; the 2-coloring and
+    the dense matrices are computed at most once.  Deleted vertices stay in
+    the id space as isolated tombstones, so that collections and
+    certificates built before a deletion remain interpretable.
+    ``num_vertices`` and ``average_degree`` count live vertices only.
     """
 
-    __slots__ = ("n", "edge_count", "_adj", "_alive", "_num_alive",
-                 "_adj_matrix", "_codeg_matrix")
+    __slots__ = ("n", "edge_count", "indptr", "indices", "alive", "_deg",
+                 "_num_alive", "_rows", "_side", "_adj_matrix", "_codeg_matrix")
 
-    def __init__(self, n: int, adj: list[tuple[int, ...]], alive: list[bool],
-                 edge_count: int):
-        # internal constructor; use build_graph() / Graph.remove()
-        self.n = n
-        self._adj = adj
-        self._alive = alive
-        self._num_alive = sum(alive)
-        self.edge_count = edge_count
+    def __init__(self, n: int, src: np.ndarray, indices: np.ndarray,
+                 alive: np.ndarray):
+        # internal constructor (rows src ascending); use build_graph() / remove()
+        self._deg = np.bincount(src, minlength=n)
+        self.indptr = np.concatenate([[0], np.cumsum(self._deg)])
+        for a in (self.indptr, indices, alive):
+            a.flags.writeable = False
+        self.n, self.indices, self.alive = n, indices, alive
+        self.edge_count = len(indices) // 2
+        self._num_alive = int(np.count_nonzero(alive))
+        self._rows: dict[int, tuple[int, ...]] = {}
+        self._side = None  # two_coloring's sides, False for an odd cycle
         self._adj_matrix: Optional[np.ndarray] = None
         self._codeg_matrix: Optional[np.ndarray] = None
 
@@ -46,48 +53,53 @@ class Graph:
         return self._num_alive
 
     def is_alive(self, v: int) -> bool:
-        return 0 <= v < self.n and self._alive[v]
+        return 0 <= v < self.n and bool(self.alive[v])
 
     def vertices(self) -> Iterator[int]:
-        alive = self._alive
-        return (v for v in range(self.n) if alive[v])
+        return iter(np.flatnonzero(self.alive).tolist())
 
     def degree(self, v: int) -> int:
         self._check(v)
-        return len(self._adj[v])
+        return int(self._deg[v])
 
     def degrees(self) -> list[int]:
-        return [len(self._adj[v]) for v in range(self.n)]
+        return self._deg.tolist()
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        self._check(v)
-        return self._adj[v]
+        row = self._rows.get(v)
+        if row is None:
+            self._check(v)
+            row = self._rows[v] = tuple(self._row(v).tolist())
+        return row
+
+    def _row(self, v: int) -> np.ndarray:
+        return self.indices[self.indptr[v]:self.indptr[v + 1]]
+
+    def _sources(self) -> np.ndarray:
+        """The vertex each entry of ``indices`` belongs to."""
+        return np.repeat(np.arange(self.n, dtype=np.int64), self._deg)
 
     def has_edge(self, u: int, v: int) -> bool:
         self._check(u)
         self._check(v)
-        row = self._adj[u]
+        row = self.neighbors(u)
         i = bisect_left(row, v)
         return i < len(row) and row[i] == v
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        for u in range(self.n):
-            for v in self._adj[u]:
-                if v > u:
-                    yield (u, v)
+        src = self._sources()
+        up = self.indices > src
+        return zip(src[up].tolist(), self.indices[up].tolist())
 
     @property
     def average_degree(self) -> float:
-        if self._num_alive == 0:
-            return 0.0
-        return 2.0 * self.edge_count / self._num_alive
+        return 2.0 * self.edge_count / self._num_alive if self._num_alive else 0.0
 
     def max_degree(self) -> int:
-        return max((len(self._adj[v]) for v in range(self.n)), default=0)
+        return int(self._deg.max(initial=0))
 
     def min_degree_alive(self) -> int:
-        degs = [len(self._adj[v]) for v in range(self.n) if self._alive[v]]
-        return min(degs, default=0)
+        return int(self._deg[self.alive].min()) if self._num_alive else 0
 
     def _check(self, v: int) -> None:
         if not (0 <= v < self.n):
@@ -96,24 +108,17 @@ class Graph:
     # -- codegree primitives -----------------------------------------------
 
     def common_neighbors(self, u: int, v: int) -> list[int]:
-        """Sorted common neighborhood of two distinct vertices."""
+        """Sorted common neighborhood of two distinct vertices, as ints: from
+        the cached adjacency rows, else by intersecting the sorted slices."""
         if u == v:
             raise InputError("common_neighbors needs two distinct vertices")
         self._check(u)
         self._check(v)
-        return self._merge(u, v)
-
-    def _merge(self, u: int, v: int) -> list[int]:
-        a, b = self._adj[u], self._adj[v]
-        if len(a) > len(b):
-            a, b = b, a
-        out = []
-        i = 0
-        for x in a:
-            i = bisect_left(b, x, i)
-            if i < len(b) and b[i] == x:
-                out.append(x)
-        return out
+        m = self._adj_matrix
+        if m is not None:
+            return np.flatnonzero(m[u] & m[v]).tolist()
+        return np.intersect1d(self._row(u), self._row(v),
+                              assume_unique=True).tolist()
 
     def codegree(self, u: int, v: int) -> int:
         """Number of common neighbors, deg(v) on the diagonal u == v as in
@@ -123,12 +128,12 @@ class Graph:
         self._check(v)
         if self._codeg_matrix is not None:
             return int(self._codeg_matrix[u, v])
-        return len(self._merge(u, v))
+        return self.degree(u) if u == v else len(self.common_neighbors(u, v))
 
     @property
     def dense_ok(self) -> bool:
         """Whether dense matrices are built for this graph (n <= DENSE_CACHE_CAP);
-        above the cap every codegree comes from the per-pair merge."""
+        above the cap every codegree comes from the sorted neighbour slices."""
         return self.n <= DENSE_CACHE_CAP
 
     def adjacency_matrix(self) -> np.ndarray:
@@ -137,10 +142,7 @@ class Graph:
             raise ResourceError(f"adjacency matrix disabled for n={self.n}")
         if self._adj_matrix is None:
             m = np.zeros((self.n, self.n), dtype=bool)
-            for u in range(self.n):
-                row = self._adj[u]
-                if row:
-                    m[u, list(row)] = True
+            m[self._sources(), self.indices] = True
             self._adj_matrix = m
         return self._adj_matrix
 
@@ -179,32 +181,20 @@ class Graph:
     def remove(self, vertices: Iterable[int] = (),
                edges: Iterable[tuple[int, int]] = ()) -> "Graph":
         """Graph minus the given vertices (tombstoned) and edges."""
-        dead = set()
+        dead = np.zeros(self.n, dtype=bool)
         for v in vertices:
             self._check(v)
-            dead.add(v)
-        gone = set()
+            dead[v] = True
+        gone = []
         for (u, v) in edges:
-            self._check(u)
-            self._check(v)
             if not self.has_edge(u, v):
                 raise InputError(f"edge ({u},{v}) not present")
-            gone.add((u, v) if u < v else (v, u))
-        adj: list[tuple[int, ...]] = []
-        removed_edges = 0
-        for u in range(self.n):
-            if u in dead:
-                removed_edges += len(self._adj[u])
-                adj.append(())
-                continue
-            row = tuple(v for v in self._adj[u]
-                        if v not in dead
-                        and ((u, v) if u < v else (v, u)) not in gone)
-            removed_edges += len(self._adj[u]) - len(row)
-            adj.append(row)
-        alive = [self._alive[v] and v not in dead for v in range(self.n)]
-        assert removed_edges % 2 == 0
-        return Graph(self.n, adj, alive, self.edge_count - removed_edges // 2)
+            gone += (u * self.n + v, v * self.n + u)
+        src = self._sources()
+        keep = ~(dead[src] | dead[self.indices])
+        if gone:
+            keep &= ~np.isin(src * self.n + self.indices, gone)
+        return Graph(self.n, src[keep], self.indices[keep], self.alive & ~dead)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Graph(n={self.n}, alive={self._num_alive}, e={self.edge_count})"
@@ -212,91 +202,133 @@ class Graph:
 
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a simple graph; duplicate and reversed pairs collapse to one edge."""
+    return _from_ids(n, [x for (u, v) in edges for x in (u, v)])
+
+
+def _from_ids(n: int, ids) -> Graph:
+    """The graph on 0..n-1 whose edges are the consecutive pairs of ``ids``
+    (a list or an array): one sort of both directions' packed codes u*n + v,
+    duplicates dropped, gives the CSR rows."""
     if n < 0:
         raise InputError("vertex count must be non-negative")
-    seen: set[tuple[int, int]] = set()
-    for (u, v) in edges:
-        if not (0 <= u < n) or not (0 <= v < n):
-            raise InputError(f"edge ({u},{v}) has an endpoint outside 0..{n - 1}")
-        if u == v:
+    try:
+        ids = np.asarray(ids, dtype=np.int64)
+    except OverflowError:  # such an id is out of range; keep it for the message
+        ids = np.asarray(ids, dtype=object)
+    u, v = ids.reshape(-1, 2).T
+    bad = (u < 0) | (u >= n) | (v < 0) | (v >= n) | (u == v)
+    if bad.any():
+        u, v = ids.reshape(-1, 2)[int(np.argmax(bad))].tolist()
+        if 0 <= u < n and 0 <= v < n:
             raise InputError(f"self-loop at {u} rejected")
-        seen.add((u, v) if u < v else (v, u))
-    rows: list[list[int]] = [[] for _ in range(n)]
-    for (u, v) in seen:
-        rows[u].append(v)
-        rows[v].append(u)
-    adj = [tuple(sorted(r)) for r in rows]
-    return Graph(n, adj, [True] * n, len(seen))
+        raise InputError(f"edge ({u},{v}) has an endpoint outside 0..{n - 1}")
+    try:
+        if n * n >= 2 ** 63:  # the packed codes would overflow int64
+            raise MemoryError
+        codes = np.sort(np.concatenate([u * n + v, v * n + u]))
+        codes = codes[np.diff(codes, prepend=-1) != 0]
+        return Graph(n, codes // n, codes % n, np.ones(n, dtype=bool))
+    except MemoryError:
+        raise ResourceError(f"not enough memory for a graph on {n} vertices") from None
 
 
 def two_coloring(g: Graph) -> Optional[list[int]]:
-    """BFS 2-coloring over live vertices, or None if an odd cycle exists."""
-    side = [-1] * g.n
-    for s in g.vertices():
-        if side[s] != -1:
-            continue
-        side[s] = 0
-        queue = [s]
-        while queue:
-            nxt = []
-            for u in queue:
-                for v in g.neighbors(u):
-                    if side[v] == -1:
-                        side[v] = 1 - side[u]
-                        nxt.append(v)
-                    elif side[v] == side[u]:
-                        return None
-            queue = nxt
-    for v in range(g.n):
-        if side[v] == -1:
-            side[v] = 0
-    return side
+    """2-coloring over live vertices, or None if an odd cycle exists; each
+    component gets side 0 at its least vertex.  Computed once per graph, by
+    a breadth-first search over one level of CSR rows at a time."""
+    if g._side is None:
+        g._side = side = np.full(g.n, -1, dtype=np.int8)
+        for s in np.flatnonzero(g._deg).tolist():
+            if side[s] >= 0:
+                continue
+            side[s], front = 0, np.array([s])
+            while len(front):
+                colour, cnt = side[front[0]], g._deg[front]
+                nb = g.indices[np.repeat(g.indptr[front] - np.cumsum(cnt) + cnt, cnt)
+                               + np.arange(int(cnt.sum()))]
+                if (side[nb] == colour).any():
+                    g._side = False
+                    return None
+                front = np.unique(nb[side[nb] < 0])
+                side[front] = 1 - colour
+        side[side < 0] = 0
+    return None if g._side is False else g._side.tolist()
 
 
 # -- edge-list text format --------------------------------------------------
 # One edge per line ("u v", 0-based); lines starting with '#' are comments;
-# an optional leading "n <count>" header pins the id space (otherwise
-# n = max id + 1).  Tombstone flags do not survive a round-trip.
+# an optional "n <count>" header line, anywhere, pins the id space
+# (otherwise n = max id + 1).  Tombstone flags do not survive a round-trip.
+
+# by code point: 1 for a str.split() separator, 3 if also a str.splitlines()
+# boundary; code points from 0x3001 on separate nothing
+_CLASS = np.zeros(0x3002, dtype=np.uint8)
+_CLASS[[*range(9, 14), *range(28, 33), 133, 160, 5760, *range(8192, 8203),
+        8232, 8233, 8239, 8287, 12288]] = 1
+_CLASS[[10, 11, 12, 13, 28, 29, 30, 133, 8232, 8233]] = 3
+
 
 def read_edge_list(path_or_lines) -> Graph:
+    """Parse an edge list from a path or from lines (joined by newlines).
+
+    The text is one array of code points, split into tokens and lines where
+    ``str.split`` and ``str.splitlines`` split it; a line's first token
+    makes it a comment, the header or an edge, values are what ``int``
+    reads, and the first malformed line is named in the error.
+    """
     if isinstance(path_or_lines, (str, os.PathLike)):
         try:
-            with open(path_or_lines, "r", encoding="utf-8") as fh:
-                lines = fh.read().splitlines()
-        except OSError as exc:
+            with open(path_or_lines, "rb") as fh:
+                text = fh.read().decode("utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
             raise InputError(f"cannot read edge list: {exc}") from None
     else:
-        lines = list(path_or_lines)
-    n_decl: Optional[int] = None
-    edges: list[tuple[int, int]] = []
-    max_id = -1
-    for raw in lines:
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if parts[0] == "n":
-            if len(parts) != 2 or n_decl is not None:
-                raise InputError(f"bad header line: {raw!r}")
+        text = "\n".join(path_or_lines)
+    c = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+    cls = _CLASS[np.minimum(c, len(_CLASS) - 1)]
+    brk = cls == 3
+    brk[1:] &= (c[1:] != 10) | (c[:-1] != 13)  # "\r\n" is one boundary
+    start, end = np.flatnonzero(np.diff(cls == 0, prepend=False, append=False)
+                                ).reshape(-1, 2).T
+    line = np.searchsorted(np.flatnonzero(brk), start)  # the line of each token
+    lead = np.flatnonzero(np.diff(line, prepend=-1))  # first token of each line
+    header = (c[start[lead]] == ord("n")) & (end[lead] - start[lead] == 1)
+    data = header | (c[start[lead]] != ord("#"))  # not a comment
+    bad = data & (np.diff(lead, append=len(line)) != 2)
+    bad[np.flatnonzero(header)[1:]] = True
+    pick = np.flatnonzero(data & ~bad)
+    tok = np.stack([lead[pick] + header[pick], lead[pick] + 1], axis=1).ravel()
+    start, end = start[tok], end[tok]
+    size = end - start
+    values = np.zeros(len(size), dtype=np.int64)
+    ok = size <= 18
+    for j in range(min(int(size.max(initial=0)), 18)):  # ASCII digits, as arrays
+        live = ok & (j < size)
+        d = c[np.where(live, start + j, 0)].astype(np.int64) - 48
+        ok &= ~live | ((d >= 0) & (d <= 9))
+        values = np.where(live, values * 10 + d, values)
+    if not ok.all():  # signs, '_', other digits or junk: one by one
+        values = values.astype(object)
+        for i in np.flatnonzero(~ok).tolist():
             try:
-                n_decl = int(parts[1])
+                values[i], ok[i] = int(text[start[i]:end[i]]), True
             except ValueError:
-                raise InputError(f"bad header line: {raw!r}") from None
-            continue
-        if len(parts) != 2:
-            raise InputError(f"bad edge line: {raw!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise InputError(f"bad edge line: {raw!r}") from None
-        edges.append((u, v))
-        max_id = max(max_id, u, v)
-    n = n_decl if n_decl is not None else max_id + 1
-    return build_graph(n, edges)
+                pass
+    bad[pick] = ~ok.reshape(-1, 2).all(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raw = text.splitlines()[line[lead[i]]]
+        raise InputError(f"bad {'header' if header[i] else 'edge'} line: {raw!r}")
+    values = values.reshape(-1, 2)  # a header's value twice
+    ids, n = values[~header[pick]].ravel(), values[header[pick], 0].tolist()
+    return _from_ids(n[0] if n else int(ids.max(initial=-1)) + 1, ids)
+
+
+def edge_list_text(g: Graph) -> str:
+    """The edge-list text of ``g``: the header, then each edge u < v once."""
+    return f"n {g.n}\n" + "".join(f"{u} {v}\n" for (u, v) in g.edges())
 
 
 def write_edge_list(g: Graph, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"n {g.n}\n")
-        for (u, v) in g.edges():
-            fh.write(f"{u} {v}\n")
+        fh.write(edge_list_text(g))

@@ -377,15 +377,6 @@ class PruneAudit:
 _JOIN_ROWS = 1 << 20  # candidate rows one join step may materialise
 
 
-def _csr(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted adjacency lists as (indptr, indices) arrays."""
-    indptr = np.zeros(g.n + 1, dtype=np.int64)
-    np.cumsum(g.degrees(), out=indptr[1:])
-    indices = np.fromiter((v for u in range(g.n) for v in g.neighbors(u)),
-                          dtype=np.int64, count=int(indptr[-1]))
-    return indptr, indices
-
-
 def _extend(rows: np.ndarray, indptr: np.ndarray,
             indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each row repeated once per neighbour of its last vertex, and those
@@ -397,8 +388,7 @@ def _extend(rows: np.ndarray, indptr: np.ndarray,
     return np.repeat(rows, cnt, axis=0), indices[pos]
 
 
-def _join(g: Graph, width: int, cap: int, what: str, indptr: np.ndarray,
-          indices: np.ndarray, keep) -> np.ndarray:
+def _join(g: Graph, width: int, cap: int, what: str, keep) -> np.ndarray:
     """Walks of ``width`` vertices from every live vertex, grown one column
     at a time and filtered by ``keep(rows, next vertices) -> mask``.
 
@@ -407,28 +397,26 @@ def _join(g: Graph, width: int, cap: int, what: str, indptr: np.ndarray,
     the sorted row order.  Finished rows are counted as they come: a
     resource error once there are more than ``cap``.
     """
+    indptr = g.indptr
     done: list[np.ndarray] = []
     total = 0
-
-    def grow(rows: np.ndarray) -> None:
-        nonlocal total
+    todo = [np.flatnonzero(g.alive)[:, None]]  # a stack: last item grows next
+    while todo:
+        rows = todo.pop()
         if rows.shape[1] == width:
             total += len(rows)
             if total > cap:
                 raise ResourceError(f"{what} enumeration exceeded cap {cap}")
             done.append(rows.astype(np.uint32))
-            return
+            continue
         last = rows[:, -1]
         if len(rows) > 1 and (indptr[last + 1] - indptr[last]).sum() > _JOIN_ROWS:
             half = len(rows) // 2
-            grow(rows[:half])
-            grow(rows[half:])
-            return
-        prev, v = _extend(rows, indptr, indices)
+            todo += [rows[half:], rows[:half]]
+            continue
+        prev, v = _extend(rows, indptr, g.indices)
         ok = keep(prev, v)
-        grow(np.column_stack([prev[ok], v[ok]]))
-
-    grow(np.fromiter(g.vertices(), dtype=np.int64)[:, None])
+        todo.append(np.column_stack([prev[ok], v[ok]]))
     return np.concatenate(done)
 
 
@@ -460,7 +448,7 @@ def _enumerate_paths(g: Graph, k: int, cap: int,
                                  v[idx]) <= second_codegree_max
         return ok
 
-    return _join(g, k, cap, "path", *_csr(g), keep)
+    return _join(g, k, cap, "path", keep)
 
 
 def _enumerate_cycles(g: Graph, ell: int, cap: int) -> np.ndarray:
@@ -468,9 +456,8 @@ def _enumerate_cycles(g: Graph, ell: int, cap: int) -> np.ndarray:
     form and order: the minimum vertex first, every later vertex above it,
     and the last vertex above the second."""
     length = 2 * ell
-    indptr, indices = _csr(g)
     # edge codes u * n + v, sorted because the adjacency lists are
-    codes = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(indptr)) * g.n + indices
+    codes = np.repeat(np.arange(g.n), np.diff(g.indptr)) * g.n + g.indices
 
     def keep(prev: np.ndarray, v: np.ndarray) -> np.ndarray:
         ok = v > prev[:, 0]
@@ -484,7 +471,7 @@ def _enumerate_cycles(g: Graph, ell: int, cap: int) -> np.ndarray:
             ok[idx] = codes[at] == close
         return ok
 
-    return _join(g, length, cap, "cycle", indptr, indices, keep)
+    return _join(g, length, cap, "cycle", keep)
 
 
 # ---------------------------------------------------------------------------
@@ -857,7 +844,7 @@ def _enumerate_pivot_paths(g: Graph, pivot: int, k: int, c_thresh: float,
             ok[idx] = _codegrees(g, codeg, prev[idx, -2], v[idx]) > c_thresh
         return ok
 
-    return _join(g, 2 * k + 1, cap, "pivot path", *_csr(g), keep)
+    return _join(g, 2 * k + 1, cap, "pivot path", keep)
 
 
 def build_good_paths(g: Graph, k: int, alpha: int, c_thresh: float,
@@ -1018,11 +1005,11 @@ def _np_prune_good(members: np.ndarray, alpha: int) -> np.ndarray:
 
 
 def _sample_layers(g: Graph, count: int, size: int, rng: random.Random,
-                   endpoints: bool, side: Optional[list]) -> list[np.ndarray]:
-    """Vertex pools for the layers: alternating sides on bipartite hosts
-    (``side`` is the host's two-coloring, None if it has none), singleton
-    high-degree endpoints when requested.  Pools may overlap (transversal
-    distinctness is filtered later)."""
+                   endpoints: bool) -> list[np.ndarray]:
+    """Vertex pools for the layers: alternating sides on bipartite hosts,
+    singleton high-degree endpoints when requested.  Pools may overlap
+    (transversal distinctness is filtered later)."""
+    side = two_coloring(g)
     bipartite = side is not None and 0 < sum(side) < g.num_vertices
     by_degree = sorted(g.vertices(), key=lambda v: (-g.degree(v), v))
     sides = [(i % 2) if bipartite else None for i in range(count)]
@@ -1046,10 +1033,10 @@ def _sample_layers(g: Graph, count: int, size: int, rng: random.Random,
     return layers
 
 
-def _estimate_pair_density(g: Graph, rng: random.Random,
-                           side: Optional[list]) -> float:
-    """Empirical edge probability, sampled across the two-coloring ``side``
-    if there is one; floor keeps later divisions sane."""
+def _estimate_pair_density(g: Graph, rng: random.Random) -> float:
+    """Empirical edge probability, sampled across the two-coloring if there
+    is one; floor keeps later divisions sane."""
+    side = two_coloring(g)
     n = g.num_vertices
     if n < 2:
         return 1e-3  # the floor below: no pair to sample
@@ -1077,12 +1064,11 @@ def layered_rich_paths(g: Graph, k: int, alpha: int, seed: int,
     if k < 3:
         raise InputError("need k >= 3")
     rng = random.Random(seed)
-    side = two_coloring(g)
-    q = _estimate_pair_density(g, rng, side)
+    q = _estimate_pair_density(g, rng)
     if part_size is None:
         target = alpha + 3 + int(1.5 * alpha ** 0.5)
         part_size = max(int(np.ceil(target / (q * q))), alpha + 2)
-    layers = _sample_layers(g, k, part_size, rng, endpoints=True, side=side)
+    layers = _sample_layers(g, k, part_size, rng, endpoints=True)
     rows = _layer_transversals(g, layers, closed=False)
     rows, _ = _np_prune_rich(rows, "path", alpha)
     return LabeledCollection("path", k, rows, alpha=alpha)
@@ -1094,13 +1080,11 @@ def layered_rich_cycles(g: Graph, ell: int, alpha: int, seed: int,
     if ell < 2:
         raise InputError("need ell >= 2")
     rng = random.Random(seed)
-    side = two_coloring(g)
-    q = _estimate_pair_density(g, rng, side)
+    q = _estimate_pair_density(g, rng)
     if part_size is None:
         target = alpha + 3 + int(1.5 * alpha ** 0.5)
         part_size = max(int(np.ceil(target / (q * q))), alpha + 2)
-    layers = _sample_layers(g, 2 * ell, part_size, rng, endpoints=False,
-                            side=side)
+    layers = _sample_layers(g, 2 * ell, part_size, rng, endpoints=False)
     rows = _layer_transversals(g, layers, closed=True)
     if len(rows):
         rows = _sorted_unique(_canon_cycles_np(rows))
@@ -1116,8 +1100,7 @@ def layered_good_paths(g: Graph, k: int, alpha: int, seed: int,
         raise InputError("need k >= 1")
     length = 2 * k
     rng = random.Random(seed)
-    side = two_coloring(g)
-    q = _estimate_pair_density(g, rng, side)
+    q = _estimate_pair_density(g, rng)
     if part_size is None:
         target = alpha + 3 + int(1.5 * alpha ** 0.5)
         part_size = max(int(np.ceil(target / q)), alpha + 2)
@@ -1126,8 +1109,7 @@ def layered_good_paths(g: Graph, k: int, alpha: int, seed: int,
         members = [e] if e else []
         return LabeledCollection.from_members("path", 2, members, good=True,
                                               alpha=alpha)
-    layers = _sample_layers(g, length, part_size, rng, endpoints=True,
-                            side=side)
+    layers = _sample_layers(g, length, part_size, rng, endpoints=True)
     rows = _layer_transversals(g, layers, closed=False)
     rows = _np_prune_good(rows, alpha)
     return LabeledCollection("path", length, rows, good=True, alpha=alpha)

@@ -37,25 +37,22 @@ def _stats(g: Graph) -> dict:
 
 def _peel_below(g: Graph, lo: float, audit: Optional[list]) -> Graph:
     """Repeatedly delete the (degree, id)-smallest live vertex of degree < lo."""
-    deg = {v: g.degree(v) for v in g.vertices()}
-    adj = {v: set(g.neighbors(v)) for v in g.vertices()}
-    heap = [(d, v) for v, d in deg.items() if d < lo]
+    deg = g.degrees()
+    heap = [(deg[v], v) for v in g.vertices() if deg[v] < lo]
     heapq.heapify(heap)
     dead = set()
     while heap:
         d, v = heapq.heappop(heap)
-        if v in dead or deg[v] != d or d >= lo:
+        if v in dead or deg[v] != d:
             continue
         dead.add(v)
         if audit is not None:
             audit.append(["peel", v, d])
-        for u in adj[v]:
-            if u in dead:
-                continue
-            adj[u].discard(v)
-            deg[u] -= 1
-            if deg[u] < lo:
-                heapq.heappush(heap, (deg[u], u))
+        for u in g.neighbors(v):
+            if u not in dead:
+                deg[u] -= 1
+                if deg[u] < lo:
+                    heapq.heappush(heap, (deg[u], u))
     return g.remove(vertices=dead) if dead else g
 
 

@@ -169,3 +169,100 @@ def test_two_coloring():
     assert all(side[u] != side[v] for (u, v) in k33.edges())
     k3 = build_graph(3, [(0, 1), (1, 2), (0, 2)])
     assert two_coloring(k3) is None
+
+
+def reference_coloring(n, adj, alive):
+    """The breadth-first 2-coloring over sets that two_coloring replaced."""
+    side = [-1] * n
+    for s in sorted(alive):
+        if side[s] != -1:
+            continue
+        side[s] = 0
+        queue = [s]
+        while queue:
+            nxt = []
+            for u in queue:
+                for v in sorted(adj[u]):
+                    if side[v] == -1:
+                        side[v] = 1 - side[u]
+                        nxt.append(v)
+                    elif side[v] == side[u]:
+                        return None
+            queue = nxt
+    return [max(s, 0) for s in side]
+
+
+def assert_matches_sets(g, n, adj, alive):
+    edges = sorted((u, v) for u in adj for v in adj[u] if u < v)
+    assert (g.n, g.num_vertices, g.edge_count) == (n, len(alive), len(edges))
+    assert list(g.edges()) == edges
+    assert g.degrees() == [len(adj[v]) for v in range(n)]
+    assert list(g.vertices()) == sorted(alive)
+    assert [g.is_alive(v) for v in range(-1, n + 1)] == \
+        [v in alive for v in range(-1, n + 1)]
+    assert g.max_degree() == max((len(adj[v]) for v in range(n)), default=0)
+    assert g.min_degree_alive() == min((len(adj[v]) for v in alive), default=0)
+    m = g.adjacency_matrix()
+    for u in range(n):
+        assert g.neighbors(u) == tuple(sorted(adj[u]))
+        for v in range(n):
+            assert g.has_edge(u, v) == (v in adj[u]) == bool(m[u, v])
+    assert two_coloring(g) == reference_coloring(n, adj, alive)
+
+
+@settings(max_examples=80, deadline=None)
+@given(edge_lists, st.booleans(), st.randoms(use_true_random=False))
+def test_csr_graph_matches_sets_under_chained_removes(data, bipartite, rnd):
+    n, edges = data
+    if bipartite:  # even ids on one side, odd ids on the other
+        edges = [(u, v) for (u, v) in edges if (u - v) % 2]
+    g = build_graph(n, edges)
+    adj = {v: set() for v in range(n)}
+    for (u, v) in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    alive = set(range(n))
+    assert_matches_sets(g, n, adj, alive)
+    for _ in range(3):
+        present = sorted((u, v) for u in adj for v in adj[u] if u < v)
+        dead = rnd.sample(range(n), rnd.randint(0, 2))
+        gone = rnd.sample(present, min(len(present), rnd.randint(0, 3)))
+        gone = [(v, u) if rnd.random() < 0.5 else (u, v) for (u, v) in gone]
+        absent = [(u, v) for u in range(n) for v in range(n)
+                  if u != v and v not in adj[u]]
+        if absent and rnd.random() < 0.3:
+            u, v = rnd.choice(absent)
+            with pytest.raises(InputError, match=rf"edge \({u},{v}\) not present"):
+                g.remove(vertices=dead, edges=gone + [(u, v)])
+        if rnd.random() < 0.2:
+            with pytest.raises(InputError, match="out of range"):
+                g.remove(vertices=dead + [n])
+        g = g.remove(vertices=dead, edges=gone)
+        for (u, v) in gone:
+            adj[u].discard(v)
+            adj[v].discard(u)
+        for v in dead:
+            for u in adj[v]:
+                adj[u].discard(v)
+            adj[v] = set()
+            alive.discard(v)
+        assert_matches_sets(g, n, adj, alive)
+
+
+@settings(max_examples=60, deadline=None)
+@given(edge_lists, st.sets(st.integers(0, 3), max_size=2))
+def test_common_neighbors_match_merge(data, victims):
+    n, edges = data
+    g = build_graph(n, edges)
+    for h in (g, g.remove(vertices=victims, edges=list(g.edges())[::3])):
+        expect = {(u, v): sorted(set(h.neighbors(u)) & set(h.neighbors(v)))
+                  for u in range(n) for v in range(n) if u != v}
+        for cached in (False, True):
+            if cached:  # dense rows and codegrees answer from here on
+                h.codegree_matrix()
+            for (u, v), common in expect.items():
+                got = h.common_neighbors(u, v)
+                assert got == common and all(type(x) is int for x in got)
+                assert h.codegree(u, v) == len(common)
+            for u in range(n):
+                assert h.codegree(u, u) == h.degree(u)

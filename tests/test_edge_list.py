@@ -6,6 +6,7 @@ give the same graph, or the same ``InputError`` message, on every file.
 """
 
 import os
+import re
 import subprocess
 import sys
 
@@ -132,6 +133,23 @@ def test_code_point_classes_match_str_methods():
     assert set(np.flatnonzero(graphs._CLASS).tolist()) == spaces
     assert set(np.flatnonzero(graphs._CLASS == 3).tolist()) == breaks
     assert max(spaces) < len(graphs._CLASS) - 1  # the last entry stands for the rest
+
+
+# text over every kind of line boundary and separator, signs, '_' and a
+# non-ASCII digit; at most four digits a token keeps the reference's rows small
+spaced_text = st.text(st.sampled_from(list(
+    "0123456789 \t\r\n\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u2028\u2029\u3000n#+-_x٣")),
+    max_size=60).filter(lambda s: all(len(re.findall(r"\d", tok)) <= 4
+                                      for tok in s.split()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(spaced_text)
+@example("n 4\x85\u3000 1\xa03\u2028# c\r\n2\x1f0\r")
+def test_reader_matches_reference_on_unicode_spacing(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("el") / "g.el"
+    path.write_bytes(text.encode("utf-8"))
+    assert outcome(read_edge_list, path) == outcome(reference_read, path)
 
 
 @pytest.mark.parametrize("lines, n, edges", [

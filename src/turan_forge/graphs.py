@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import re
 import tempfile
 from bisect import bisect_left
 from typing import Iterable, Iterator, Optional
@@ -43,8 +44,7 @@ class Graph:
         self._num_alive = int(np.count_nonzero(alive))
         self._rows: dict[int, tuple[int, ...]] = {}
         self._side = None  # two_coloring's sides, False for an odd cycle
-        self._adj_matrix: Optional[np.ndarray] = None
-        self._codeg_matrix: Optional[np.ndarray] = None
+        self._adj_matrix = self._codeg_matrix = None  # dense, built on demand
 
     # -- basic accessors ---------------------------------------------------
 
@@ -82,9 +82,9 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         self._check(u)
         self._check(v)
-        row = self.neighbors(u)
+        row = self._rows.get(u) or self._row(u)  # one-off queries build no tuple
         i = bisect_left(row, v)
-        return i < len(row) and row[i] == v
+        return i < len(row) and bool(row[i] == v)
 
     def edges(self) -> Iterator[tuple[int, int]]:
         src = self._sources()
@@ -108,15 +108,12 @@ class Graph:
     # -- codegree primitives -----------------------------------------------
 
     def common_neighbors(self, u: int, v: int) -> list[int]:
-        """Sorted common neighborhood of two distinct vertices, as ints: from
-        the cached adjacency rows, else by intersecting the sorted slices."""
+        """Sorted common neighborhood of two distinct vertices, as ints, by
+        intersecting their sorted CSR slices."""
         if u == v:
             raise InputError("common_neighbors needs two distinct vertices")
         self._check(u)
         self._check(v)
-        m = self._adj_matrix
-        if m is not None:
-            return np.flatnonzero(m[u] & m[v]).tolist()
         return np.intersect1d(self._row(u), self._row(v),
                               assume_unique=True).tolist()
 
@@ -249,7 +246,8 @@ def two_coloring(g: Graph) -> Optional[list[int]]:
                 if (side[nb] == colour).any():
                     g._side = False
                     return None
-                front = np.unique(nb[side[nb] < 0])
+                front = np.sort(nb[side[nb] < 0])
+                front = front[np.diff(front, prepend=-1) != 0]
                 side[front] = 1 - colour
         side[side < 0] = 0
     return None if g._side is False else g._side.tolist()
@@ -260,21 +258,17 @@ def two_coloring(g: Graph) -> Optional[list[int]]:
 # an optional "n <count>" header line, anywhere, pins the id space
 # (otherwise n = max id + 1).  Tombstone flags do not survive a round-trip.
 
-# by code point: 1 for a str.split() separator, 3 if also a str.splitlines()
-# boundary; code points from 0x3001 on separate nothing
-_CLASS = np.zeros(0x3002, dtype=np.uint8)
-_CLASS[[*range(9, 14), *range(28, 33), 133, 160, 5760, *range(8192, 8203),
-        8232, 8233, 8239, 8287, 12288]] = 1
-_CLASS[[10, 11, 12, 13, 28, 29, 30, 133, 8232, 8233]] = 3
+# the layout edge_list_text writes: the header, then "u v" lines of ASCII digits
+_PLAIN = re.compile(r"n ([0-9]{1,18})\n(?:[0-9]{1,18} [0-9]{1,18}\n)*")
 
 
 def read_edge_list(path_or_lines) -> Graph:
-    """Parse an edge list from a path or from lines (joined by newlines).
+    """Parse an edge list from a path or from lines.
 
-    The text is one array of code points, split into tokens and lines where
-    ``str.split`` and ``str.splitlines`` split it; a line's first token
-    makes it a comment, the header or an edge, values are what ``int``
-    reads, and the first malformed line is named in the error.
+    A file in the layout ``edge_list_text`` writes is converted to ids in
+    one call.  Other text is read line by line, split as ``str.splitlines``
+    and ``str.split`` split it, with ids as ``int`` reads them; the first
+    malformed line is named in the error.
     """
     if isinstance(path_or_lines, (str, os.PathLike)):
         try:
@@ -282,46 +276,28 @@ def read_edge_list(path_or_lines) -> Graph:
                 text = fh.read().decode("utf-8")
         except (OSError, UnicodeDecodeError) as exc:
             raise InputError(f"cannot read edge list: {exc}") from None
+        if plain := _PLAIN.fullmatch(text):
+            return _from_ids(int(plain[1]), np.fromstring(
+                text[plain.end(1) + 1:], dtype=np.int64, sep=" "))
+        lines = text.splitlines()
     else:
-        text = "\n".join(path_or_lines)
-    c = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
-    cls = _CLASS[np.minimum(c, len(_CLASS) - 1)]
-    brk = cls == 3
-    brk[1:] &= (c[1:] != 10) | (c[:-1] != 13)  # "\r\n" is one boundary
-    start, end = np.flatnonzero(np.diff(cls == 0, prepend=False, append=False)
-                                ).reshape(-1, 2).T
-    line = np.searchsorted(np.flatnonzero(brk), start)  # the line of each token
-    lead = np.flatnonzero(np.diff(line, prepend=-1))  # first token of each line
-    header = (c[start[lead]] == ord("n")) & (end[lead] - start[lead] == 1)
-    data = header | (c[start[lead]] != ord("#"))  # not a comment
-    bad = data & (np.diff(lead, append=len(line)) != 2)
-    bad[np.flatnonzero(header)[1:]] = True
-    pick = np.flatnonzero(data & ~bad)
-    tok = np.stack([lead[pick] + header[pick], lead[pick] + 1], axis=1).ravel()
-    start, end = start[tok], end[tok]
-    size = end - start
-    values = np.zeros(len(size), dtype=np.int64)
-    ok = size <= 18
-    for j in range(min(int(size.max(initial=0)), 18)):  # ASCII digits, as arrays
-        live = ok & (j < size)
-        d = c[np.where(live, start + j, 0)].astype(np.int64) - 48
-        ok &= ~live | ((d >= 0) & (d <= 9))
-        values = np.where(live, values * 10 + d, values)
-    if not ok.all():  # signs, '_', other digits or junk: one by one
-        values = values.astype(object)
-        for i in np.flatnonzero(~ok).tolist():
-            try:
-                values[i], ok[i] = int(text[start[i]:end[i]]), True
-            except ValueError:
-                pass
-    bad[pick] = ~ok.reshape(-1, 2).all(axis=1)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raw = text.splitlines()[line[lead[i]]]
-        raise InputError(f"bad {'header' if header[i] else 'edge'} line: {raw!r}")
-    values = values.reshape(-1, 2)  # a header's value twice
-    ids, n = values[~header[pick]].ravel(), values[header[pick], 0].tolist()
-    return _from_ids(n[0] if n else int(ids.max(initial=-1)) + 1, ids)
+        lines = list(path_or_lines)
+    n, ids = None, []
+    for raw in lines:
+        parts = raw.split()
+        if not parts or parts[0][0] == "#":
+            continue
+        header = parts[0] == "n"
+        try:
+            if len(parts) != 2 or (header and n is not None):
+                raise ValueError
+            if header:
+                n = int(parts[1])
+            else:
+                ids += (int(parts[0]), int(parts[1]))
+        except ValueError:
+            raise InputError(f"bad {'header' if header else 'edge'} line: {raw!r}") from None
+    return _from_ids(max([-1, *ids]) + 1 if n is None else n, ids)
 
 
 def edge_list_text(g: Graph) -> str:

@@ -1,8 +1,10 @@
 """Contract of the edge-list reader and writer.
 
 ``reference_read`` is the line-by-line reader (and the set-based checks of
-the graph builder) that the array reader replaced; the array reader must
-give the same graph, or the same ``InputError`` message, on every file.
+the graph builder) of earlier versions; ``read_edge_list`` must give the
+same graph, or the same ``InputError`` message, on every file, whether it
+takes its one-call path for the layout ``edge_list_text`` writes or reads
+line by line.
 """
 
 import os
@@ -10,7 +12,6 @@ import re
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -115,6 +116,7 @@ def render(parts) -> str:
 @example((["n 5", "0 1", "n 6"], None, "\n", False))
 @example((["0 1", "0 1 2"], None, "\n", False))
 @example((["n -1"], None, "\n", True))
+@example((["-2 -2"], None, "\n", False))  # n is 0, not -1
 @example((["n 3", "2 1", "3 1"], None, "\n", True))  # an id equal to n
 def test_reader_matches_reference(tmp_path_factory, parts):
     text = render(parts)
@@ -126,13 +128,32 @@ def test_reader_matches_reference(tmp_path_factory, parts):
     assert outcome(read_edge_list, lines) == outcome(reference_read, lines)
 
 
-def test_code_point_classes_match_str_methods():
-    spaces = {c for c in range(sys.maxunicode + 1) if chr(c).isspace()}
-    pieces = "a".join(map(chr, range(sys.maxunicode + 1))).splitlines(True)
-    breaks = {ord(piece[-1]) for piece in pieces[:-1]}
-    assert set(np.flatnonzero(graphs._CLASS).tolist()) == spaces
-    assert set(np.flatnonzero(graphs._CLASS == 3).tolist()) == breaks
-    assert max(spaces) < len(graphs._CLASS) - 1  # the last entry stands for the rest
+# the layout edge_list_text writes, with ids that are out of range, equal,
+# zero-padded, too long or not ASCII, which the one-call path leaves alone
+plain_ids = st.one_of(st.integers(0, 12).map(str), st.sampled_from(
+    ["007", "13", "99", "0" * 18, "9" * 18, "1" + "0" * 18, "0" * 19, "٣"]))
+plain_files = st.tuples(
+    st.sampled_from(["0", "1", "12", "012", "9" * 18, "1" + "0" * 18]),
+    st.lists(st.tuples(plain_ids, plain_ids), max_size=20))
+
+
+@settings(max_examples=200, deadline=None)
+@given(plain_files)
+@example(("12", []))
+@example(("3", [("0", "1"), ("1", "0"), ("0", "1")]))
+def test_reader_matches_reference_on_written_layout(tmp_path_factory, parts):
+    n, pairs = parts
+    text = f"n {n}\n" + "".join(f"{u} {v}\n" for u, v in pairs)
+    plain = all(len(x) <= 18 and x.isascii() for x in (n, *sum(pairs, ())))
+    assert bool(graphs._PLAIN.fullmatch(text)) == plain
+    path = tmp_path_factory.mktemp("el") / "g.el"
+    path.write_bytes(text.encode("utf-8"))
+    expect = outcome(reference_read, path)
+    if expect[0] == "graph" and expect[1][0] > 10 ** 6:  # a header of 10**18 - 1
+        with pytest.raises(ResourceError):
+            read_edge_list(path)
+    else:
+        assert outcome(read_edge_list, path) == expect
 
 
 # text over every kind of line boundary and separator, signs, '_' and a

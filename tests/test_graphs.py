@@ -258,7 +258,7 @@ def test_common_neighbors_match_merge(data, victims):
         expect = {(u, v): sorted(set(h.neighbors(u)) & set(h.neighbors(v)))
                   for u in range(n) for v in range(n) if u != v}
         for cached in (False, True):
-            if cached:  # dense rows and codegrees answer from here on
+            if cached:  # codegrees answer from the matrix from here on
                 h.codegree_matrix()
             for (u, v), common in expect.items():
                 got = h.common_neighbors(u, v)

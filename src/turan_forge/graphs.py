@@ -258,8 +258,11 @@ def two_coloring(g: Graph) -> Optional[list[int]]:
 # an optional "n <count>" header line, anywhere, pins the id space
 # (otherwise n = max id + 1).  Tombstone flags do not survive a round-trip.
 
-# the layout edge_list_text writes: the header, then "u v" lines of ASCII digits
-_PLAIN = re.compile(r"n ([0-9]{1,18})\n(?:[0-9]{1,18} [0-9]{1,18}\n)*")
+# the layout edge_list_text writes is the header, then "u v" lines of ASCII
+# digits; _OTHER finds a line that is not such an edge (a repeated group
+# instead would keep a backtracking stack of 16 MB for 65k lines)
+_HEADER = re.compile(r"n ([0-9]{1,18})\n")
+_OTHER = re.compile(r"(?m)^(?!\Z)(?![0-9]{1,18} [0-9]{1,18}$)")
 
 
 def read_edge_list(path_or_lines) -> Graph:
@@ -276,9 +279,10 @@ def read_edge_list(path_or_lines) -> Graph:
                 text = fh.read().decode("utf-8")
         except (OSError, UnicodeDecodeError) as exc:
             raise InputError(f"cannot read edge list: {exc}") from None
-        if plain := _PLAIN.fullmatch(text):
-            return _from_ids(int(plain[1]), np.fromstring(
-                text[plain.end(1) + 1:], dtype=np.int64, sep=" "))
+        head = _HEADER.match(text)
+        if head and not _OTHER.search(text, head.end()):
+            return _from_ids(int(head[1]), np.fromstring(
+                text[head.end():], dtype=np.int64, sep=" "))
         lines = text.splitlines()
     else:
         lines = list(path_or_lines)

@@ -12,13 +12,16 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from turan_forge import cli, graphs
+from turan_forge import cli
 from turan_forge.errors import InputError, ResourceError
 from turan_forge.graphs import (build_graph, edge_list_text, read_edge_list,
                                 write_edge_list)
+
+fromstring = np.fromstring
 
 
 def reference_read(path_or_lines):
@@ -117,6 +120,7 @@ def render(parts) -> str:
 @example((["0 1", "0 1 2"], None, "\n", False))
 @example((["n -1"], None, "\n", True))
 @example((["-2 -2"], None, "\n", False))  # n is 0, not -1
+@example((["12", "0 1"], None, "\n", True))  # no "n " before the count
 @example((["n 3", "2 1", "3 1"], None, "\n", True))  # an id equal to n
 def test_reader_matches_reference(tmp_path_factory, parts):
     text = render(parts)
@@ -134,26 +138,33 @@ plain_ids = st.one_of(st.integers(0, 12).map(str), st.sampled_from(
     ["007", "13", "99", "0" * 18, "9" * 18, "1" + "0" * 18, "0" * 19, "٣"]))
 plain_files = st.tuples(
     st.sampled_from(["0", "1", "12", "012", "9" * 18, "1" + "0" * 18]),
-    st.lists(st.tuples(plain_ids, plain_ids), max_size=20))
+    st.lists(st.tuples(plain_ids, plain_ids), max_size=20), st.booleans(),
+    st.sampled_from([" ", " ", "\t", "\xa0"]))
 
 
 @settings(max_examples=200, deadline=None)
 @given(plain_files)
-@example(("12", []))
-@example(("3", [("0", "1"), ("1", "0"), ("0", "1")]))
+@example(("12", [], True, " "))
+@example(("3", [("0", "1"), ("1", "0"), ("0", "1")], False, " "))
 def test_reader_matches_reference_on_written_layout(tmp_path_factory, parts):
-    n, pairs = parts
-    text = f"n {n}\n" + "".join(f"{u} {v}\n" for u, v in pairs)
-    plain = all(len(x) <= 18 and x.isascii() for x in (n, *sum(pairs, ())))
-    assert bool(graphs._PLAIN.fullmatch(text)) == plain
+    n, pairs, trailing, sep = parts
+    text = f"n {n}\n" + "".join(f"{u}{sep}{v}\n" for u, v in pairs)
+    text = text if trailing else text[:-1]  # the last line may lack its "\n"
     path = tmp_path_factory.mktemp("el") / "g.el"
     path.write_bytes(text.encode("utf-8"))
     expect = outcome(reference_read, path)
-    if expect[0] == "graph" and expect[1][0] > 10 ** 6:  # a header of 10**18 - 1
-        with pytest.raises(ResourceError):
-            read_edge_list(path)
-    else:
-        assert outcome(read_edge_list, path) == expect
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:  # see which path reads the file
+        mp.setattr(np, "fromstring",
+                   lambda *a, **k: calls.append(a) or fromstring(*a, **k))
+        if expect[0] == "graph" and expect[1][0] > 10 ** 6:  # a header of 10**18 - 1
+            with pytest.raises(ResourceError):
+                read_edge_list(path)
+        else:
+            assert outcome(read_edge_list, path) == expect
+    plain = all(len(x) <= 18 and x.isascii() for x in (n, *sum(pairs, ())))
+    assert bool(calls) == (plain and (sep == " " or not pairs)
+                           and bool(pairs or trailing))
 
 
 # text over every kind of line boundary and separator, signs, '_' and a

@@ -308,19 +308,29 @@ def _choose_strategy(cfg: dict, g: Graph, tuple_len: int, closed: bool) -> str:
     strategy = cfg.get("strategy", "auto")
     if strategy in ("exhaustive", "layered"):
         return strategy
-    if closed:
-        # closed walks of the right length bound the labeled cycle count
-        if g.n <= 1500:
-            import numpy as np
-
-            a = g.adjacency_matrix().astype(np.float64)
-            est = float(np.trace(np.linalg.matrix_power(a, tuple_len)))
-        else:
-            est = g.num_vertices * max(g.average_degree, 1.0) ** (tuple_len - 1)
-        est /= 2 * tuple_len
-    else:
-        est = float(counting.hom_path_count(g, tuple_len))
+    est = _tuple_estimate(g, tuple_len, closed)
     return "exhaustive" if est <= _EXHAUSTIVE_ESTIMATE_CAP else "layered"
+
+
+def _tuple_estimate(g: Graph, tuple_len: int, closed: bool) -> float:
+    """Estimated number of labeled tuples: closed walks of length
+    ``tuple_len`` over 2 * tuple_len bound the labeled cycles, homomorphic
+    paths the labeled paths."""
+    if not closed:
+        return float(counting.hom_path_count(g, tuple_len))
+    if g.n > 1500:
+        est = g.num_vertices * max(g.average_degree, 1.0) ** (tuple_len - 1)
+    else:
+        import numpy as np
+
+        # trace(A^(2l)) = trace(C^l) for the codegree matrix C = A^2,
+        # the entrywise sum of C^(l//2) * C^(l - l//2) as C is symmetric:
+        # int64 for l = 2, float64 products above (exact below 2**53)
+        ell = tuple_len // 2
+        c = g.codegree_matrix().astype(np.int64 if ell == 2 else np.float64)
+        half = np.linalg.matrix_power(c, ell // 2)
+        est = float((half * (half if ell % 2 == 0 else half @ c)).sum())
+    return est / (2 * tuple_len)
 
 
 def run_pipeline(config: dict, threads: int = 1) -> tuple[int, dict]:

@@ -17,7 +17,7 @@ import numpy as np
 from .certificates import EmbeddingCertificate
 from .errors import InputError, IntegrityError
 from .generators import PatternSpec
-from .graphs import Graph, build_graph, two_coloring
+from .graphs import Graph, build_graph, dense_blocks, two_coloring
 from .oracle import verify_certificate
 from .rich_collections import LabeledCollection
 from .transforms import bipartite_half, peel_min_degree
@@ -391,8 +391,8 @@ def _prism_path_residue(h: Graph, xs: Sequence[int], ys: Sequence[int],
     tau2 = h.edge_count / (8 * len(ys))
     if not h.dense_ok:
         return _prism_path_residue_pairs(h, ys, t, tau1, tau2), tau1, tau2
-    b0 = h.adjacency_matrix()[np.ix_(xs, ys)]
-    b = b0.astype(np.float32)
+    b = h.block(xs, ys)
+    b0 = b > 0
     killed = np.zeros(len(ys), dtype=bool)
     while True:
         deg = b.sum(axis=0)
@@ -501,8 +501,8 @@ def find_prism_path(h: Graph, t: int,
     # residue property, asserted directly from the residue's own codegrees
     codeg = residue.codegree_matrix()
     if codeg is not None:
-        b = residue.adjacency_matrix()[np.ix_(xs, ys)].astype(np.float32)
-        short = _short_edges(b, codeg[np.ix_(xs, xs)] >= 2 * t, tau2).any()
+        short = _short_edges(residue.block(xs, ys),
+                             codeg[np.ix_(xs, xs)] >= 2 * t, tau2).any()
     else:
         short = any(_short_neighbors(residue, residue.neighbors(y), t, tau2)
                     for y in ys if residue.is_alive(y))
@@ -573,15 +573,14 @@ def _sample_thin_fraction(h: Graph, tau: float, side: list[int],
         u, v = rng.sample(verts, 2)
         if side[u] != side[v]:
             continue
-        common = h.common_neighbors(u, v)
-        c = len(common)
+        c = h.codegree(u, v)
         if c < 2:
             continue
         found_pair = True
-        w1, w2 = rng.sample(common, 2)
+        w1, w2 = rng.sample(h.common_neighbors(u, v), 2)
         weight = c * (c - 1) / 2.0
         weight_sum += weight
-        if h.codegree(u, v) <= tau and h.codegree(w1, w2) <= tau:
+        if c <= tau and h.codegree(w1, w2) <= tau:
             thin_sum += weight
     if not found_pair or weight_sum == 0.0:
         return None
@@ -649,40 +648,33 @@ def _thin_branch(h: Graph, ell: int, tau: float, budget: int,
 
 
 def _thick_extension_counts(h: Graph, codeg: np.ndarray, tau: float,
-                            side: list[int],
                             pairs: list[tuple[int, int]]) -> np.ndarray:
     """For each oriented edge (u, v), the sum of codeg(u, w) - 1 over the
-    w in N(v) - u with codeg(u, w) > tau: ``(W A)[u, v] - W[u, u]`` with
-    ``W = (codeg - 1) [codeg > tau]``.
-
-    h is bipartite, so W only joins same-side vertices and the product
-    splits into two side blocks; they run in float64 because these sums can
-    exceed 2**24.
+    w in N(v) - u with codeg(u, w) > tau: ``(W B)[u, v] - W[u, u]`` with
+    ``W = (codeg - 1) [codeg > tau]`` on the rows R of the ``dense_blocks``
+    block (R, C) that holds u, and B its adjacency block.  They run in
+    float64 because these sums can exceed 2**24.
     """
-    a = h.adjacency_matrix()
-    sides = np.asarray(side)
-    pos = np.empty(h.n, dtype=np.intp)
     us = np.array([u for u, _ in pairs], dtype=np.intp)
     vs = np.array([v for _, v in pairs], dtype=np.intp)
     out = np.zeros(len(pairs))
-    for s in (0, 1):
-        own, other = np.flatnonzero(sides == s), np.flatnonzero(sides != s)
-        pos[own] = np.arange(len(own))
-        pos[other] = np.arange(len(other))
-        c = codeg[np.ix_(own, own)]
+    for rows, cols in dense_blocks(h):
+        at_row, at_col = np.full(h.n, -1), np.full(h.n, -1)
+        at_row[rows], at_col[cols] = np.arange(len(rows)), np.arange(len(cols))
+        mine = at_row[us] >= 0  # then v is a column: every edge joins R and C
+        pu, pv = at_row[us[mine]], at_col[vs[mine]]
+        c = codeg[np.ix_(rows, rows)]
         w = np.where(c > math.floor(tau), c - 1, 0).astype(np.float64)
-        wa = w @ a[np.ix_(own, other)].astype(np.float64)
-        mine = sides[us] == s
-        pu, pv = pos[us[mine]], pos[vs[mine]]
-        out[mine] = wa[pu, pv] - w[pu, pu]
+        wb = w @ h.block(rows, cols).astype(np.float64)
+        out[mine] = wb[pu, pv] - w[pu, pu]
     return out
 
 
-def _thick_branch(h: Graph, ell: int, tau: float, seed: int, side: list[int],
+def _thick_branch(h: Graph, ell: int, tau: float, seed: int,
                   ) -> tuple[Optional[EmbeddingCertificate], dict]:
     """Pick the oriented edge with the most thick extensions, build the
     asymmetric bipartite graph of its high-codegree link, and look for a
-    (2*ell-1)-rung ladder to close into a prism.  ``side`` 2-colors h."""
+    (2*ell-1)-rung ladder to close into a prism."""
     diag: dict = {}
     edges = list(h.edges())
     if not edges:
@@ -695,7 +687,7 @@ def _thick_branch(h: Graph, ell: int, tau: float, seed: int, side: list[int],
     pairs = [(u, v) for (p, q) in edges for (u, v) in ((p, q), (q, p))]
     codeg = h.codegree_matrix()
     if codeg is not None:
-        counts = _thick_extension_counts(h, codeg, tau, side, pairs)
+        counts = _thick_extension_counts(h, codeg, tau, pairs)
     else:
         counts = [sum(h.codegree(u, w) - 1 for w in h.neighbors(v)
                       if w != u and h.codegree(u, w) > tau)
@@ -770,6 +762,9 @@ def find_prism(g: Graph, ell: int, t_factor: float = 8.0,
     tau = t_factor * math.sqrt(d)
     diagnostics["prepared"] = {"n": h.num_vertices, "e": h.edge_count,
                                "avg_degree": d, "tau": tau}
+    # below the dense cap the sampler reads codegrees from the matrix, which
+    # the thick branch then reuses
+    h.codegree_matrix()
     rng = _derive_rng(seed, "classify")
     thin_frac = _sample_thin_fraction(h, tau, side, rng)
     diagnostics["thin_fraction"] = thin_frac
@@ -793,7 +788,7 @@ def find_prism(g: Graph, ell: int, t_factor: float = 8.0,
              "seed": seed, "nodes": nodes})
 
     def run_thick():
-        cert, diag = _thick_branch(h, ell, tau, seed, side)
+        cert, diag = _thick_branch(h, ell, tau, seed)
         diagnostics["thick"] = diag
         return cert
 

@@ -147,16 +147,18 @@ class Graph:
         """Dense int32 codegree matrix (diagonal holds degrees), or None above
         the cap.
 
-        ``A @ A`` runs as a float32 BLAS product in 512-row slabs; float32 is
-        exact because every entry is at most n <= DENSE_CACHE_CAP < 2**24.  If
-        TURAN_FORGE_CACHE_DIR is set and n > 2000, the matrix is backed by a
-        memmap of a temporary file in that directory instead of RAM; the file
-        is unlinked as soon as it is mapped, so nothing is left behind.
+        Each block (R, C) of ``dense_blocks`` fills the R-by-R entries with
+        ``B B^T``, B the float32 adjacency block, in 512-row slabs; on a
+        bipartite graph these are the two side blocks, and every other entry
+        is 0.  float32 is exact because every entry is at most n <=
+        DENSE_CACHE_CAP < 2**24.  If TURAN_FORGE_CACHE_DIR is set and
+        n > 2000, the matrix is backed by a memmap of a temporary file in
+        that directory instead of RAM; the file is unlinked as soon as it is
+        mapped, so nothing is left behind.
         """
         if not self.dense_ok:
             return None
         if self._codeg_matrix is None:
-            a = self.adjacency_matrix().astype(np.float32)
             shape = (self.n, self.n)
             cache_dir = os.environ.get(CACHE_DIR_ENV)
             if cache_dir and self.n > 2000:
@@ -166,12 +168,19 @@ class Graph:
                 out = np.memmap(path, dtype=np.int32, mode="w+", shape=shape)
                 os.unlink(path)  # the mapping outlives the directory entry
             else:
-                out = np.empty(shape, dtype=np.int32)
+                out = np.zeros(shape, dtype=np.int32)
             step = 512
-            for lo in range(0, self.n, step):
-                out[lo:lo + step] = a[lo:lo + step] @ a
+            for rows, cols in dense_blocks(self):
+                b = self.block(rows, cols)
+                for lo in range(0, len(rows), step):
+                    out[np.ix_(rows[lo:lo + step], rows)] = b[lo:lo + step] @ b.T
             self._codeg_matrix = out
         return self._codeg_matrix
+
+    def block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """The float32 adjacency block of ``rows`` by ``cols``."""
+        # whole rows first, then columns: several times faster than np.ix_
+        return self.adjacency_matrix()[rows][:, cols].astype(np.float32)
 
     # -- deletion ------------------------------------------------------------
 
@@ -251,6 +260,21 @@ def two_coloring(g: Graph) -> Optional[list[int]]:
                 side[front] = 1 - colour
         side[side < 0] = 0
     return None if g._side is False else g._side.tolist()
+
+
+def dense_blocks(g: Graph) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The (rows, columns) vertex blocks that every dense product of g runs
+    on: the sides X, Y of its non-isolated vertices as ``[(X, Y), (Y, X)]``
+    when g is bipartite (from ``two_coloring``), else ``[(V, V)]`` with V
+    the non-isolated vertices.  Either way each edge has two entries in the
+    blocks together, and the codegrees of a block's rows come from that
+    block alone: in a bipartite graph every common neighbour of two X
+    vertices lies in Y."""
+    live = np.flatnonzero(g._deg)
+    if two_coloring(g) is None:
+        return [(live, live)]
+    x, y = live[g._side[live] == 0], live[g._side[live] == 1]
+    return [(x, y), (y, x)]
 
 
 # -- edge-list text format --------------------------------------------------

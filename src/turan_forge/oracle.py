@@ -5,11 +5,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 from .certificates import EmbeddingCertificate
 from .errors import InputError
-from .generators import pattern as build_pattern
+from .generators import PatternSpec, pattern as build_pattern
 from .graphs import Graph, build_graph
 
 
@@ -111,11 +113,29 @@ def find_subgraph(host: Graph, pat: Graph, budget: int = 10 ** 8,
     return None, SearchStats(nodes, dt, "exhausted" if res is False else "budget")
 
 
+@lru_cache(maxsize=64)
+def _pattern(kind: str, params: tuple) -> tuple[Graph, Mapping[str, int]]:
+    pat, labels = build_pattern(PatternSpec(kind, dict(params)))
+    return pat, MappingProxyType(labels)
+
+
+def _built_pattern(spec: PatternSpec) -> tuple[Graph, Mapping[str, int]]:
+    """The pattern graph of ``spec`` and a read-only label map, built once
+    per kind and sorted parameters."""
+    try:
+        key = tuple(sorted(spec.params.items()))
+        hash(key)
+    except TypeError:  # unhashable or unorderable extra parameters
+        pat, labels = build_pattern(spec)
+        return pat, MappingProxyType(labels)
+    return _pattern(spec.kind, key)
+
+
 def verify_certificate(host: Graph, cert: EmbeddingCertificate,
                        ) -> tuple[bool, Optional[str]]:
     """Check injectivity and that every pattern edge maps to a host edge."""
     try:
-        pat, labels = build_pattern(cert.pattern)
+        pat, labels = _built_pattern(cert.pattern)
     except InputError as exc:
         return False, f"bad pattern spec: {exc}"
     assigned: dict[int, int] = {}

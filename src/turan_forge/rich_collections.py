@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import InputError, IntegrityError, ResourceError
-from .graphs import Graph, two_coloring
+from .graphs import Graph, dense_blocks, two_coloring
 from .matching import max_disjoint_edges
 
 DEFAULT_CAP = 10 ** 8
@@ -641,20 +641,22 @@ def _count_high_codegree_cherries(g: Graph, c_thresh: float) -> tuple[int, dict[
     """Ordered paths (u, v, w), u != w, with d(u, w) > c_thresh; per-center
     tallies are returned so Case 2 can pick its pivot.
 
-    Below the dense cap the tally of v is (A M A)[v, v], A the adjacency
-    matrix and M = [codegree > c_thresh] (zero diagonal; the one n x n
-    float32 array allocated): 512-row slabs of A times M in float32, exact
-    as entries of A M are at most n < 2**24, row sums in float64, exact
-    past deg**2 >= 2**24.  Above the cap, pair by pair."""
+    Below the dense cap the tally of v is (B M B^T)[v, v] on the
+    ``dense_blocks`` block (R, C) with v in R: B its adjacency block and
+    M = [codegree > c_thresh] on C (zero diagonal; the one float32 array of
+    that size allocated).  512-row slabs of B times M run in float32, exact
+    as entries of B M are at most n < 2**24, row sums in float64, exact past
+    deg**2 >= 2**24.  Above the cap, pair by pair."""
     if g.dense_ok:
-        adj = g.adjacency_matrix()
-        high = (g.codegree_matrix() > c_thresh).astype(np.float32)
-        np.fill_diagonal(high, 0)
+        codeg = g.codegree_matrix()
         counts = np.zeros(g.n)
-        for lo in range(0, g.n, 512):
-            slab = adj[lo:lo + 512].astype(np.float32)
-            counts[lo:lo + 512] = ((slab @ high) * slab).sum(axis=1,
-                                                            dtype=np.float64)
+        for rows, cols in dense_blocks(g):
+            high = (codeg[np.ix_(cols, cols)] > c_thresh).astype(np.float32)
+            np.fill_diagonal(high, 0)
+            for lo in range(0, len(rows), 512):
+                slab = g.block(rows[lo:lo + 512], cols)
+                counts[rows[lo:lo + 512]] = ((slab @ high) * slab).sum(
+                    axis=1, dtype=np.float64)
     else:
         counts = [sum(g.codegree(u, w) > c_thresh for u in nb for w in nb
                       if u != w) for nb in map(g.neighbors, range(g.n))]

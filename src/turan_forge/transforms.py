@@ -11,7 +11,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InputError, IntegrityError
-from .graphs import Graph, two_coloring
+from .graphs import Graph, dense_blocks, two_coloring
 
 
 @dataclass
@@ -153,19 +153,26 @@ def almost_regular_subgraph(g: Graph, epsilon: float, c: float,
     return h, rep
 
 
-def _unclean_edges(a: np.ndarray, codeg: np.ndarray, d: float,
-                   n: int) -> np.ndarray:
-    """Mask of the edges uv where u has fewer than d/16 neighbors w != v with
-    codeg(v, w) >= d^2/(128 n), in either orientation.
+def _unclean_edges(b: np.ndarray, d: float, n: int, square: bool) -> np.ndarray:
+    """Mask of the edges of the float32 block ``b`` (rows X, columns Y, from
+    ``dense_blocks``) where an end u lacks d/16 neighbours w != v with
+    codeg(v, w) >= d^2/(128 n), v the other end.
 
-    ``a`` is a float32 adjacency block and ``codeg`` its codegree block.
-    With ``Q = (codeg >= d^2/(128 n))`` and a zero diagonal, ``(A Q)[u, v]``
-    counts those w; it is at most n < 2**24, so float32 is exact.
+    With ``Q_Y = (b^T b >= d^2/(128 n))`` and ``Q_X = (b b^T >= ...)``, zero
+    diagonals, ``(b Q_Y)[x, y]`` counts those w for u = x and ``(Q_X b)[x, y]``
+    for u = y; both are at most n < 2**24, so float32 is exact.  A
+    ``square`` block is the whole symmetric adjacency matrix, where
+    ``Q_X = Q_Y`` and ``Q_X b = (b Q_Y)^T``.
     """
-    q = codeg >= math.ceil(d * d / (128.0 * n))  # integer c >= x iff c >= ceil(x)
-    np.fill_diagonal(q, False)
-    short = (a @ q.astype(np.float32)) < math.ceil(d / 16.0)
-    return (a > 0) & (short | short.T)
+    floor = math.ceil(d * d / (128.0 * n))  # integer c >= x iff c >= ceil(x)
+    need = math.ceil(d / 16.0)
+    q_x = (b @ b.T) >= floor
+    np.fill_diagonal(q_x, False)
+    q_y = q_x if square else (b.T @ b) >= floor
+    np.fill_diagonal(q_y, False)
+    short_xy = (b @ q_y.astype(np.float32)) < need
+    short_yx = short_xy.T if square else (q_x.astype(np.float32) @ b) < need
+    return (b > 0) & (short_xy | short_yx)
 
 
 def clean_subgraph(g: Graph, mode: str = "fixed") -> tuple[Graph, TransformReport]:
@@ -175,8 +182,9 @@ def clean_subgraph(g: Graph, mode: str = "fixed") -> tuple[Graph, TransformRepor
     mode "fixed" pins both thresholds to the input average degree, which
     keeps the process from chasing a moving target; mode "self" recomputes
     them from the current average degree at each pass and may cascade to
-    empty.  Below the dense cap the passes run on a live float32 adjacency
-    block of the non-isolated vertices, and the output graph is built once.
+    empty.  Below the dense cap the passes run on a float32 adjacency block
+    of the non-isolated vertices, |X| by |Y| on a bipartite host, and the
+    output graph is built once.
     """
     if mode not in ("fixed", "self"):
         raise InputError("mode must be 'fixed' or 'self'")
@@ -197,27 +205,28 @@ def clean_subgraph(g: Graph, mode: str = "fixed") -> tuple[Graph, TransformRepor
 
 
 def _clean_block(g: Graph, mode: str, n: int, d_in: float) -> tuple[Graph, int]:
-    """The deletion passes on a float32 adjacency block of the non-isolated
-    vertices; returns the output graph and the number of passes."""
-    idx = [v for v in range(g.n) if g.degree(v)]
-    a0 = g.adjacency_matrix()[np.ix_(idx, idx)]
-    a = a0.astype(np.float32)
+    """The deletion passes on the float32 block of ``dense_blocks``; returns
+    the output graph and the number of passes."""
+    blocks = dense_blocks(g)
+    (rows, cols), square = blocks[0], len(blocks) == 1
+    b = g.block(rows, cols)
+    b0 = b > 0
     e = g.edge_count
     passes = 0
     while True:
         d = d_in if mode == "fixed" else 2.0 * e / n
-        bad = _unclean_edges(a, a @ a, d, n)
+        bad = _unclean_edges(b, d, n, square)
         passes += 1
         if not bad.any():
             break
-        a[bad] = 0
-        e -= int(np.count_nonzero(bad)) // 2
+        b[bad] = 0
+        e -= int(np.count_nonzero(bad)) // (2 if square else 1)
         if e == 0:
             break
-    gone = np.argwhere(np.triu(a0 & (a == 0)))
-    if not len(gone):
+    i, j = np.nonzero(b0 & (b == 0))
+    if not len(i):
         return g, passes
-    return g.remove(edges=[(idx[i], idx[j]) for i, j in gone]), passes
+    return g.remove(edges=zip(rows[i].tolist(), cols[j].tolist())), passes
 
 
 def _clean_pairs(g: Graph, mode: str, n: int, d_in: float) -> tuple[Graph, int]:
@@ -260,8 +269,7 @@ def is_clean(g: Graph, d: Optional[float] = None) -> bool:
     if d is None:
         d = g.average_degree
     n = g.num_vertices
-    codeg = g.codegree_matrix()
-    if codeg is None:
+    if not g.dense_ok:
         return not _unclean_pairs(g, d, n)
-    a = g.adjacency_matrix().astype(np.float32)
-    return not _unclean_edges(a, codeg, d, n).any()
+    blocks = dense_blocks(g)
+    return not _unclean_edges(g.block(*blocks[0]), d, n, len(blocks) == 1).any()

@@ -1,8 +1,12 @@
 import json
+import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from turan_forge.cli import main, run_pipeline
+from turan_forge.cli import _tuple_estimate, main, run_pipeline
+from turan_forge.graphs import build_graph
 from turan_forge.errors import InputError
 from turan_forge.graphs import read_edge_list
 
@@ -147,3 +151,17 @@ def test_bad_collection_header_is_input_error(tmp_path, capsys):
     coll.write_text("path 3 x\n0 1 2\n")
     assert _input_error(["embed", "grid", "--coll", str(coll), "--host",
                          str(host), "--t", "2"], capsys)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 24), st.floats(0.1, 1.0), st.booleans(),
+       st.sampled_from([4, 6, 8]), st.integers(0, 2 ** 20))
+def test_closed_estimate_equals_walk_trace(n, p, bipartite, tuple_len, seed):
+    # the estimate from the codegree matrix against the closed-walk count
+    # trace(A^tuple_len) of the adjacency matrix, on general and bipartite hosts
+    rng = random.Random(seed)
+    g = build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                        if (not bipartite or (u - v) % 2) and rng.random() < p])
+    a = g.adjacency_matrix().astype(np.float64)
+    old = float(np.trace(np.linalg.matrix_power(a, tuple_len))) / (2 * tuple_len)
+    assert _tuple_estimate(g, tuple_len, closed=True) == old

@@ -67,14 +67,17 @@ def _cert_json(cert):
     return None if cert is None else cert.to_json()
 
 
-@settings(max_examples=80, deadline=None)
-@given(hosts, st.sampled_from(["fixed", "self"]))
-def test_clean_subgraph_dense_equals_pairs(data, mode):
+@settings(max_examples=120, deadline=None)
+@given(hosts, bipartite_hosts, st.booleans(), st.sampled_from(["fixed", "self"]))
+def test_clean_subgraph_dense_equals_pairs(general, two_sided, bip, mode):
+    def make():
+        return _bipartite(two_sided)[0] if bip else _general(general)
+
     def run(g):
         h, rep = clean_subgraph(g, mode=mode)
         return _graph_key(h), rep.to_json(), h, g
 
-    (key0, rep0, _, _), (key1, rep1, h, g) = _both(lambda: _general(data), run)
+    (key0, rep0, _, _), (key1, rep1, h, g) = _both(make, run)
     assert key0 == key1 and rep0 == rep1
     if mode == "fixed":
         assert is_clean(h, g.average_degree)  # clean at the input degree

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from turan_forge import graphs
 from turan_forge.errors import InputError
-from turan_forge.graphs import build_graph, read_edge_list, two_coloring, write_edge_list
+from turan_forge.graphs import (build_graph, dense_blocks, read_edge_list, two_coloring,
+                               write_edge_list)
 
 
 def test_build_c4():
@@ -107,6 +108,44 @@ def test_codegree_matrix_matches_merge(data, victims):
             assert int(m[u, u]) == h.degree(u)
             for v in range(u + 1, n):
                 assert int(m[u, v]) == int(m[v, u]) == len(h.common_neighbors(u, v))
+
+
+def a_squared(g):
+    """Reference codegree matrix: A @ A of the adjacency matrix built from
+    the edge list (float64 BLAS, exact below 2**53)."""
+    a = np.zeros((g.n, g.n))
+    for u, v in g.edges():
+        a[u, v] = a[v, u] = 1
+    return (a @ a).astype(np.int64)
+
+
+@settings(max_examples=100, deadline=None)
+@given(edge_lists, st.sampled_from(["general", "bipartite", "tombstoned",
+                                    "one-side-isolated", "edgeless"]),
+       st.randoms(use_true_random=False))
+def test_codegree_matrix_equals_a_squared(data, kind, rnd):
+    n, edges = data
+    if kind != "general":  # even ids on one side, odd ids on the other
+        edges = [(u, v) for (u, v) in edges if (u - v) % 2]
+    g = build_graph(n, [] if kind == "edgeless" else edges)
+    if kind == "tombstoned":
+        g = g.remove(vertices=rnd.sample(range(n), 2))
+    if kind == "one-side-isolated":  # strip some even ids, which stay alive
+        evens = set(rnd.sample(range(0, n, 2), rnd.randint(1, n // 2)))
+        g = g.remove(edges=[(u, v) for (u, v) in g.edges()
+                            if u in evens or v in evens])
+    m = g.codegree_matrix()
+    assert m.dtype == np.int32 and np.array_equal(m, a_squared(g))
+    # the blocks: the non-isolated vertices, as two sides exactly when the
+    # graph is bipartite, with every edge joining a row to a column
+    blocks = [(r.tolist(), c.tolist()) for r, c in dense_blocks(g)]
+    live = [v for v in range(n) if g.degree(v)]
+    if kind == "general" and two_coloring(g) is None:
+        assert blocks == [(live, live)]
+    else:
+        (x, y), (y2, x2) = blocks
+        assert (x, y) == (x2, y2) and sorted(x + y) == live
+        assert all((u in x) != (v in x) for (u, v) in g.edges())
 
 
 def test_codegree_same_with_and_without_matrix():
@@ -266,3 +305,16 @@ def test_common_neighbors_match_merge(data, victims):
                 assert h.codegree(u, v) == len(common)
             for u in range(n):
                 assert h.codegree(u, u) == h.degree(u)
+
+
+def test_codegree_matrix_memmap_bipartite(tmp_path, monkeypatch):
+    # the side blocks filled into a memmap: n > 2000 with the cache dir set
+    monkeypatch.setenv(graphs.CACHE_DIR_ENV, str(tmp_path))
+    n = 2001
+    rng = random.Random(11)
+    g = build_graph(n, [(2 * rng.randrange(1000), 2 * rng.randrange(1000) + 1)
+                        for _ in range(6 * n)]).remove(vertices=[5, 8])
+    assert len(dense_blocks(g)) == 2
+    m = g.codegree_matrix()
+    assert isinstance(m, np.memmap) and list(tmp_path.iterdir()) == []
+    assert np.array_equal(m, a_squared(g))

@@ -6,7 +6,8 @@ from turan_forge.certificates import EmbeddingCertificate
 from turan_forge.errors import InputError
 from turan_forge.generators import PatternSpec, pattern, polarity_graph, random_graph
 from turan_forge.graphs import build_graph
-from turan_forge.oracle import find_subgraph, max_edges_exhaustive, verify_certificate
+from turan_forge.oracle import (_built_pattern, find_subgraph, max_edges_exhaustive,
+                               verify_certificate)
 
 
 def cycle_pattern(length):
@@ -77,6 +78,22 @@ def test_verify_certificate():
     short = EmbeddingCertificate(c4_spec, [("1,1", 0)])
     ok, why = verify_certificate(host, short)
     assert not ok
+
+
+def test_verify_certificate_builds_each_pattern_once():
+    spec = PatternSpec("prism", {"ell": 2})
+    pat, labels = _built_pattern(spec)
+    again = _built_pattern(PatternSpec("prism", {"ell": 2}))
+    assert again[0] is pat and again[1] is labels
+    assert dict(labels) == pattern(spec)[1]
+    with pytest.raises(TypeError):  # the shared label map is read-only
+        labels["1,1"] = 5
+    # an unhashable extra parameter is built afresh, with the same answer
+    odd = PatternSpec("prism", {"ell": 2, "note": [1]})
+    assert dict(_built_pattern(odd)[1]) == dict(labels)
+    host = build_graph(8, list(pattern(spec)[0].edges()))
+    cert = EmbeddingCertificate(odd, sorted(labels.items()))
+    assert verify_certificate(host, cert) == (True, None)
 
 
 def brute_max_edges(n, pat):

@@ -148,9 +148,12 @@ class Graph:
         the cap.
 
         Each block (R, C) of ``dense_blocks`` fills the R-by-R entries with
-        ``B B^T``, B the float32 adjacency block, in 512-row slabs; on a
-        bipartite graph these are the two side blocks, and every other entry
-        is 0.  float32 is exact because every entry is at most n <=
+        ``B B^T``, B the float32 adjacency block; on a bipartite graph these
+        are the two side blocks, and every other entry is 0.  The product
+        runs in slabs of at most 2**22 entries, so a block of up to 2048
+        rows is one ``B @ B.T``, which numpy computes as a symmetric rank-k
+        update at half the flops.  Consecutive R is written as whole slabs.
+        float32 is exact because every entry is at most n <=
         DENSE_CACHE_CAP < 2**24.  If TURAN_FORGE_CACHE_DIR is set and
         n > 2000, the matrix is backed by a memmap of a temporary file in
         that directory instead of RAM; the file is unlinked as soon as it is
@@ -169,18 +172,23 @@ class Graph:
                 os.unlink(path)  # the mapping outlives the directory entry
             else:
                 out = np.zeros(shape, dtype=np.int32)
-            step = 512
             for rows, cols in dense_blocks(self):
                 b = self.block(rows, cols)
+                at = _run(rows)
+                step = max(512, (1 << 22) // max(len(rows), 1))
                 for lo in range(0, len(rows), step):
-                    out[np.ix_(rows[lo:lo + step], rows)] = b[lo:lo + step] @ b.T
+                    c = b[lo:lo + step] @ b.T
+                    if isinstance(at, slice):
+                        out[at.start + lo:at.start + lo + len(c), at] = c
+                    else:
+                        out[np.ix_(rows[lo:lo + step], rows)] = c
             self._codeg_matrix = out
         return self._codeg_matrix
 
     def block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """The float32 adjacency block of ``rows`` by ``cols``."""
         # whole rows first, then columns: several times faster than np.ix_
-        return self.adjacency_matrix()[rows][:, cols].astype(np.float32)
+        return self.adjacency_matrix()[_run(rows)][:, _run(cols)].astype(np.float32)
 
     # -- deletion ------------------------------------------------------------
 
@@ -262,14 +270,23 @@ def two_coloring(g: Graph) -> Optional[list[int]]:
     return None if g._side is False else g._side.tolist()
 
 
+def _run(ids: np.ndarray):
+    """Sorted distinct ``ids`` as a slice when they are consecutive, so that
+    reads and writes stay contiguous; otherwise ``ids`` itself."""
+    if len(ids) and ids[-1] - ids[0] + 1 == len(ids):
+        return slice(int(ids[0]), int(ids[-1]) + 1)
+    return ids
+
+
 def dense_blocks(g: Graph) -> list[tuple[np.ndarray, np.ndarray]]:
     """The (rows, columns) vertex blocks that every dense product of g runs
     on: the sides X, Y of its non-isolated vertices as ``[(X, Y), (Y, X)]``
     when g is bipartite (from ``two_coloring``), else ``[(V, V)]`` with V
-    the non-isolated vertices.  Either way each edge has two entries in the
-    blocks together, and the codegrees of a block's rows come from that
-    block alone: in a bipartite graph every common neighbour of two X
-    vertices lies in Y."""
+    the non-isolated vertices, one array as both rows and columns (so
+    ``rows is cols`` marks that square block).  Either way the first block
+    holds an entry for every edge, and the codegrees of a block's rows come
+    from that block alone: in a bipartite graph every common neighbour of
+    two X vertices lies in Y."""
     live = np.flatnonzero(g._deg)
     if two_coloring(g) is None:
         return [(live, live)]

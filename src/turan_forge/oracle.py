@@ -114,28 +114,24 @@ def find_subgraph(host: Graph, pat: Graph, budget: int = 10 ** 8,
 
 
 @lru_cache(maxsize=64)
-def _pattern(kind: str, params: tuple) -> tuple[Graph, Mapping[str, int]]:
-    pat, labels = build_pattern(PatternSpec(kind, dict(params)))
+def _pattern(kind: str, k: Optional[int], ell: Optional[int],
+             t: Optional[int]) -> tuple[Graph, Mapping[str, int]]:
+    """The pattern graph and a read-only label map, built once per kind and
+    the parameters ``generators.pattern`` reads."""
+    params = {key: val for key, val in (("k", k), ("ell", ell), ("t", t))
+              if val is not None}
+    pat, labels = build_pattern(PatternSpec(kind, params))
     return pat, MappingProxyType(labels)
-
-
-def _built_pattern(spec: PatternSpec) -> tuple[Graph, Mapping[str, int]]:
-    """The pattern graph of ``spec`` and a read-only label map, built once
-    per kind and sorted parameters."""
-    try:
-        key = tuple(sorted(spec.params.items()))
-        hash(key)
-    except TypeError:  # unhashable or unorderable extra parameters
-        pat, labels = build_pattern(spec)
-        return pat, MappingProxyType(labels)
-    return _pattern(spec.kind, key)
 
 
 def verify_certificate(host: Graph, cert: EmbeddingCertificate,
                        ) -> tuple[bool, Optional[str]]:
     """Check injectivity and that every pattern edge maps to a host edge."""
     try:
-        pat, labels = _built_pattern(cert.pattern)
+        # a key the kind does not read may hold any value; only ints key the cache
+        ints = [v if isinstance(v, int) else None
+                for v in map(cert.pattern.params.get, ("k", "ell", "t"))]
+        pat, labels = _pattern(cert.pattern.kind, *ints)
     except InputError as exc:
         return False, f"bad pattern spec: {exc}"
     assigned: dict[int, int] = {}

@@ -207,8 +207,8 @@ def clean_subgraph(g: Graph, mode: str = "fixed") -> tuple[Graph, TransformRepor
 def _clean_block(g: Graph, mode: str, n: int, d_in: float) -> tuple[Graph, int]:
     """The deletion passes on the float32 block of ``dense_blocks``; returns
     the output graph and the number of passes."""
-    blocks = dense_blocks(g)
-    (rows, cols), square = blocks[0], len(blocks) == 1
+    rows, cols = dense_blocks(g)[0]
+    square = rows is cols  # each edge has two entries, uv and vu
     b = g.block(rows, cols)
     b0 = b > 0
     e = g.edge_count
@@ -223,7 +223,7 @@ def _clean_block(g: Graph, mode: str, n: int, d_in: float) -> tuple[Graph, int]:
         e -= int(np.count_nonzero(bad)) // (2 if square else 1)
         if e == 0:
             break
-    i, j = np.nonzero(b0 & (b == 0))
+    i, j = np.nonzero(np.triu(b0 & (b == 0)) if square else b0 & (b == 0))
     if not len(i):
         return g, passes
     return g.remove(edges=zip(rows[i].tolist(), cols[j].tolist())), passes
@@ -271,5 +271,5 @@ def is_clean(g: Graph, d: Optional[float] = None) -> bool:
     n = g.num_vertices
     if not g.dense_ok:
         return not _unclean_pairs(g, d, n)
-    blocks = dense_blocks(g)
-    return not _unclean_edges(g.block(*blocks[0]), d, n, len(blocks) == 1).any()
+    rows, cols = dense_blocks(g)[0]
+    return not _unclean_edges(g.block(rows, cols), d, n, rows is cols).any()

@@ -120,12 +120,14 @@ def a_squared(g):
 
 
 @settings(max_examples=100, deadline=None)
-@given(edge_lists, st.sampled_from(["general", "bipartite", "tombstoned",
+@given(edge_lists, st.sampled_from(["general", "bipartite", "halves", "tombstoned",
                                     "one-side-isolated", "edgeless"]),
        st.randoms(use_true_random=False))
 def test_codegree_matrix_equals_a_squared(data, kind, rnd):
     n, edges = data
-    if kind != "general":  # even ids on one side, odd ids on the other
+    if kind == "halves":  # sides {0..n/2-1} and the rest, consecutive ids
+        edges = [(u, v) for (u, v) in edges if (2 * u < n) != (2 * v < n)]
+    elif kind != "general":  # even ids on one side, odd ids on the other
         edges = [(u, v) for (u, v) in edges if (u - v) % 2]
     g = build_graph(n, [] if kind == "edgeless" else edges)
     if kind == "tombstoned":
@@ -146,6 +148,20 @@ def test_codegree_matrix_equals_a_squared(data, kind, rnd):
         (x, y), (y2, x2) = blocks
         assert (x, y) == (x2, y2) and sorted(x + y) == live
         assert all((u in x) != (v in x) for (u, v) in g.edges())
+
+
+@pytest.mark.parametrize("gap", [None, 1000])
+def test_codegree_matrix_in_several_slabs(gap):
+    # more than 2048 live rows take several slabs, written whole when the
+    # rows are consecutive and scattered when an isolated vertex splits them
+    n = 2200
+    rng = random.Random(5)
+    edges = [(v, v + 1) for v in range(n - 1)]
+    edges += [(rng.randrange(n), rng.randrange(n)) for _ in range(2 * n)]
+    g = build_graph(n, [(u, v) for (u, v) in edges
+                        if u != v and gap not in (u, v)])
+    assert two_coloring(g) is None and len(dense_blocks(g)[0][0]) == n - (gap is not None)
+    assert np.array_equal(g.codegree_matrix(), a_squared(g))
 
 
 def test_codegree_same_with_and_without_matrix():

@@ -6,7 +6,7 @@ from turan_forge.certificates import EmbeddingCertificate
 from turan_forge.errors import InputError
 from turan_forge.generators import PatternSpec, pattern, polarity_graph, random_graph
 from turan_forge.graphs import build_graph
-from turan_forge.oracle import (_built_pattern, find_subgraph, max_edges_exhaustive,
+from turan_forge.oracle import (_pattern, find_subgraph, max_edges_exhaustive,
                                verify_certificate)
 
 
@@ -82,18 +82,20 @@ def test_verify_certificate():
 
 def test_verify_certificate_builds_each_pattern_once():
     spec = PatternSpec("prism", {"ell": 2})
-    pat, labels = _built_pattern(spec)
-    again = _built_pattern(PatternSpec("prism", {"ell": 2}))
+    pat, labels = _pattern("prism", None, 2, None)
+    again = _pattern("prism", None, 2, None)
     assert again[0] is pat and again[1] is labels
     assert dict(labels) == pattern(spec)[1]
     with pytest.raises(TypeError):  # the shared label map is read-only
         labels["1,1"] = 5
-    # an unhashable extra parameter is built afresh, with the same answer
-    odd = PatternSpec("prism", {"ell": 2, "note": [1]})
-    assert dict(_built_pattern(odd)[1]) == dict(labels)
+    # parameters the kind does not read, unhashable ones too, share the build
+    odd = PatternSpec("prism", {"ell": 2, "k": [1], "note": [1]})
     host = build_graph(8, list(pattern(spec)[0].edges()))
-    cert = EmbeddingCertificate(odd, sorted(labels.items()))
-    assert verify_certificate(host, cert) == (True, None)
+    misses = _pattern.cache_info().misses
+    for s in (odd, spec):
+        cert = EmbeddingCertificate(s, sorted(labels.items()))
+        assert verify_certificate(host, cert) == (True, None)
+    assert _pattern.cache_info().misses == misses
 
 
 def brute_max_edges(n, pat):

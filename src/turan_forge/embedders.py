@@ -464,8 +464,9 @@ def find_prism_path(h: Graph, t: int,
                 or any(not 0 <= v < h.n for v in xset0 | yset0)):
             raise InputError("parts must be disjoint lists of distinct "
                              "vertex ids")
-        if any((u in xset0) == (v in xset0) or (u in yset0) == (v in yset0)
-               for (u, v) in h.edges()):
+        side = np.zeros(h.n, dtype=np.int64)  # 1 in X, 2 in Y, 0 in neither
+        side[xs0], side[ys0] = 1, 2
+        if (side[h._sources()] * side[h.indices] != 2).any():
             raise InputError("every edge of the host must join the two parts")
         orientations = [(xs0, ys0)]
 

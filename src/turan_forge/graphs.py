@@ -300,10 +300,20 @@ def dense_blocks(g: Graph) -> list[tuple[np.ndarray, np.ndarray]]:
 # (otherwise n = max id + 1).  Tombstone flags do not survive a round-trip.
 
 # the layout edge_list_text writes is the header, then "u v" lines of ASCII
-# digits; _OTHER finds a line that is not such an edge (a repeated group
-# instead would keep a backtracking stack of 16 MB for 65k lines)
+# digits (_edge_lines)
 _HEADER = re.compile(r"n ([0-9]{1,18})\n")
-_OTHER = re.compile(r"(?m)^(?!\Z)(?![0-9]{1,18} [0-9]{1,18}$)")
+
+
+def _edge_lines(body: bytes) -> bool:
+    """Whether ``body`` is lines of 1-18 ASCII digits, one space and 1-18
+    digits, each ended by "\n" but the last, which may end the text."""
+    c = np.frombuffer(body + b"\n" * (body[-1:] not in (b"", b"\n")), np.uint8)
+    sep = np.flatnonzero(c < ord("0"))  # then " ", "\n", " ", "\n", ...
+    run = np.diff(sep, prepend=-1) - 1  # the digits before each
+    return bool((c <= ord("9")).all() and len(sep) % 2 == 0
+                and (c[sep[0::2]] == ord(" ")).all()
+                and (c[sep[1::2]] == ord("\n")).all()
+                and ((run >= 1) & (run <= 18)).all())
 
 
 def read_edge_list(path_or_lines) -> Graph:
@@ -317,11 +327,12 @@ def read_edge_list(path_or_lines) -> Graph:
     if isinstance(path_or_lines, (str, os.PathLike)):
         try:
             with open(path_or_lines, "rb") as fh:
-                text = fh.read().decode("utf-8")
+                data = fh.read()
+            text = data.decode("utf-8")
         except (OSError, UnicodeDecodeError) as exc:
             raise InputError(f"cannot read edge list: {exc}") from None
-        head = _HEADER.match(text)
-        if head and not _OTHER.search(text, head.end()):
+        head = _HEADER.match(text)  # ASCII: its end is a byte offset too
+        if head and _edge_lines(data[head.end():]):
             return _from_ids(int(head[1]), np.fromstring(
                 text[head.end():], dtype=np.int64, sep=" "))
         lines = text.splitlines()

@@ -11,6 +11,7 @@ on dense hosts where exhaustive enumeration cannot fit any cap.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from bisect import bisect_left
@@ -58,7 +59,9 @@ def _cycle_sig(member: Sequence[int], pos: int) -> tuple[int, ...]:
 def _canon_cycles_np(rows: np.ndarray) -> np.ndarray:
     """Vectorised cycle canonicalisation (min over rotations/reflections) of
     rows of distinct vertices: the least vertex first, then the smaller of
-    its two neighbours."""
+    its two neighbours.  Rows already so come back as they are."""
+    if (rows[:, :1] < rows[:, 1:]).all() and (rows[:, 1] < rows[:, -1]).all():
+        return rows
     at = rows.argmin(axis=1)
     rows = rows.copy()
     for r in range(1, rows.shape[1]):
@@ -71,26 +74,36 @@ def _canon_cycles_np(rows: np.ndarray) -> np.ndarray:
 _PACK_LIMIT = 2 ** 63  # packed row codes are int64
 
 
-def _sorted_keys(rows: np.ndarray, base: int, argsort: bool = True,
-                 ) -> tuple[Optional[np.ndarray], np.ndarray]:
-    """Rows with entries in [0, base) sorted lexicographically, as search
-    keys: an order that sorts them (None unless ``argsort``; rows that are
-    equal come in no set order) and the keys in that order.
-
-    While base**width < _PACK_LIMIT a key is the row packed into one int64
-    code, its columns the digits in base ``base``, so that codes order as
-    rows do and one sort of the codes sorts the rows.  Above the limit
-    the keys are the lexsorted rows transposed (contiguous columns).
-    """
-    if base ** rows.shape[1] >= _PACK_LIMIT:
-        order = np.lexsort(rows.T[::-1])
-        return order, np.ascontiguousarray(rows[order].T)
+def _codes(rows: np.ndarray, base: int) -> np.ndarray:
+    """Each row packed into one int64 code, its columns the digits in base
+    ``base`` (exact while base**width < _PACK_LIMIT)."""
     code = np.zeros(len(rows), dtype=np.int64)
     for c in range(rows.shape[1]):
         code *= base
         code += rows[:, c]
-    if not argsort:
-        return None, np.sort(code)
+    return code
+
+
+def _sorted_keys(rows: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows with entries in [0, base) sorted lexicographically, as search
+    keys: an order that sorts them and the keys in that order.
+
+    While base**width < _PACK_LIMIT a key is the row packed into one int64
+    code (``_codes``), so that one sort of the codes sorts the rows; the
+    row number rides along in the bits left over, if any, which orders
+    equal rows by row.  Above the limit the keys are the lexsorted rows
+    transposed (contiguous columns).
+    """
+    if base ** rows.shape[1] >= _PACK_LIMIT:
+        order = np.lexsort(rows.T[::-1])
+        return order, np.ascontiguousarray(rows.T[:, order])
+    code = _codes(rows, base)
+    bits = len(rows).bit_length()
+    if base ** rows.shape[1] << bits < _PACK_LIMIT:
+        code <<= bits
+        code |= np.arange(len(rows))
+        code.sort()
+        return code & ((1 << bits) - 1), code >> bits
     order = np.argsort(code)
     return order, code[order]
 
@@ -101,6 +114,19 @@ def _boundaries(keys: np.ndarray) -> np.ndarray:
     diff = keys[..., 1:] != keys[..., :-1]
     new[1:] = diff if diff.ndim == 1 else diff.any(axis=0)
     return new
+
+
+def _group_ids(order: np.ndarray, keys: np.ndarray, base: int,
+               tail: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows grouped by their sorted keys (from ``_sorted_keys``) without the
+    last ``tail`` digits, groups numbered in sorted order: each row's group
+    id, and where each group starts in the sorted order (plus the end), so
+    that the rows of group g are order[start[g]:start[g + 1]]."""
+    new = _boundaries(keys[:keys.shape[0] - tail] if keys.ndim == 2
+                      else keys // base ** tail)
+    gid = np.empty(len(order), dtype=np.int64)
+    gid[order] = np.cumsum(new) - 1
+    return gid, np.append(np.flatnonzero(new), len(order))
 
 
 def _span(keys: np.ndarray, prefix: Sequence[int], base: int,
@@ -125,9 +151,42 @@ def _span(keys: np.ndarray, prefix: Sequence[int], base: int,
 
 
 def _sorted_unique(rows: np.ndarray) -> np.ndarray:
-    """Rows in lexicographic order without repeats."""
-    order, keys = _sorted_keys(rows, int(rows.max(initial=0)) + 1)
+    """Rows in lexicographic order without repeats (as they are, when their
+    packed codes already increase)."""
+    base = int(rows.max(initial=0)) + 1
+    if base ** rows.shape[1] < _PACK_LIMIT and (np.diff(_codes(rows, base)) > 0).all():
+        return rows
+    order, keys = _sorted_keys(rows, base)
     return rows[order[_boundaries(keys)]]
+
+
+def _distinct(rows: np.ndarray) -> np.ndarray:
+    """Whether the entries of each row are distinct."""
+    ok = np.ones(len(rows), dtype=bool)
+    for i, j in itertools.combinations(range(rows.shape[1]), 2):
+        ok &= rows[:, i] != rows[:, j]
+    return ok
+
+
+def _index_rows(members: np.ndarray, kind: str, pos: int,
+                tail: int) -> np.ndarray:
+    """The rows of the (signature, fill) index at position ``pos``, with
+    contiguous columns: on paths each member without columns pos .. pos +
+    tail - 1, then those columns; on cycles (one index, at 0), position-major,
+    the canonical open path left by each blank, then the blanked vertex."""
+    m, L = members.shape
+    cols = np.ascontiguousarray(members.T)
+    if kind == "path":
+        blank = list(range(pos, pos + tail))
+        return cols[[c for c in range(L) if c not in blank] + blank].T
+    out = np.empty((L, L * m), dtype=members.dtype)
+    for p in range(L):
+        ring = [(p + 1 + i) % L for i in range(L)]  # the open path, then p
+        part = out[:, p * m:(p + 1) * m]
+        part[:] = cols[ring]
+        flip = part[-2] < part[0]  # distinct vertices: the ends decide
+        part[:-1] = np.where(flip, part[-2::-1], part[:-1])
+    return out.T
 
 
 # ---------------------------------------------------------------------------
@@ -144,12 +203,13 @@ class LabeledCollection:
     replaceable position (per pair position on good collections), or a
     single array for cycles, whose signature is the canonical open path
     left by the blank.  A code packs the signature's vertices and then the
-    fill (or fill pair) as digits in base n, n the largest member vertex
-    plus one.  Each array is sorted on its first query; a lookup is then
-    two ``searchsorted`` calls, and the fills of a signature are its codes
-    mod n (n**2 for pairs), ascending.  Packing needs n**length < 2**63;
-    above that the index keeps the sorted rows column by column, searched
-    with two ``searchsorted`` calls per column.
+    fill (or fill pair) as digits in base n, any n above every member
+    vertex.  A builder hands over the index its prune sorted; any other
+    collection sorts each array on its first query.  A lookup is two
+    ``searchsorted`` calls, and the fills of a signature are its codes mod
+    n (n**2 for pairs), ascending.  Packing needs n**length < 2**63; above
+    that the index keeps the sorted rows column by column, searched with
+    two ``searchsorted`` calls per column.
     """
 
     def __init__(self, kind: str, length: int, members: np.ndarray,
@@ -170,13 +230,8 @@ class LabeledCollection:
         if kind == "cycle" and len(members):
             members = _canon_cycles_np(members)
         members = _sorted_unique(members)
-        if len(members):
-            distinct = np.ones(len(members), dtype=bool)
-            for i in range(length):
-                for j in range(i + 1, length):
-                    distinct &= members[:, i] != members[:, j]
-            if not distinct.all():
-                raise InputError("members must consist of distinct vertices")
+        if not _distinct(members).all():
+            raise InputError("members must consist of distinct vertices")
         self.members = members
         self._base = int(members.max(initial=0)) + 1
         self._keys: dict[int, np.ndarray] = {}  # position -> sorted keys
@@ -192,24 +247,25 @@ class LabeledCollection:
                else np.zeros((0, length), dtype=np.uint32))
         return cls(kind, length, arr, good=good, alpha=alpha)
 
+    @classmethod
+    def _indexed(cls, kind: str, length: int, members: np.ndarray, keys: dict,
+                 base: int, **kw) -> "LabeledCollection":
+        """A builder's collection with the index its prune sorted."""
+        coll = cls(kind, length, members, **kw)
+        coll._keys, coll._base = keys, base
+        return coll
+
     def _lookup(self, pos: int, sig: Sequence[int], tail: int) -> list[int]:
         """The fills of ``tail`` vertices, packed as in ``_span``, completing
         ``sig`` at position ``pos`` (cycles have one index, at 0)."""
         sig = [int(v) for v in sig]
-        if len(sig) + tail != self.length or not all(
+        if len(sig) + tail != self.length or not len(self) or not all(
                 0 <= v < self._base for v in sig):
             return []
         keys = self._keys.get(pos)
         if keys is None:
-            m = self.members
-            if self.kind == "cycle":
-                rows = np.column_stack([_signature_rows(m, "cycle")[0],
-                                        m.T.reshape(-1)])
-            else:
-                blank = range(pos, pos + tail)
-                rows = m[:, [c for c in range(self.length) if c not in blank]
-                         + list(blank)]
-            _, keys = _sorted_keys(rows, self._base, argsort=False)
+            _, keys = _sorted_keys(_index_rows(self.members, self.kind, pos,
+                                               tail), self._base)
             self._keys[pos] = keys
         return _span(keys, sig, self._base, tail).tolist()
 
@@ -477,47 +533,6 @@ def _enumerate_cycles(g: Graph, ell: int, cap: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # the deletion process on signature groups
 
-def _signature_rows(members: np.ndarray, kind: str) -> tuple[np.ndarray, int]:
-    """One signature row per (member, replaceable position), position-major,
-    and the base their entries lie below.
-
-    A path signature is the member with the blank position written 0 and
-    every vertex v written v + 1, so the rows sort as replay_audit's
-    signatures do with None first, in base n + 1 (n the largest vertex plus
-    one).  A cycle signature is the canonical open path left by the blank,
-    shared across positions, in base n.
-    """
-    L = members.shape[1]
-    n = int(members.max(initial=0)) + 1
-    sig_rows: list[np.ndarray] = []
-    if kind == "path":
-        for j in range(1, L - 1):
-            sig = members + np.uint32(1)
-            sig[:, j] = 0
-            sig_rows.append(sig)
-    else:
-        for pos in range(L):
-            fwd = members[:, [(pos + 1 + i) % L for i in range(L - 1)]]
-            flip = fwd[:, -1] < fwd[:, 0]  # distinct vertices: the ends decide
-            sig_rows.append(np.where(flip[:, None], fwd[:, ::-1], fwd))
-    return np.vstack(sig_rows), n + 1 if kind == "path" else n
-
-
-def _group_ids(sig: np.ndarray, base: int,
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Signature rows (entries below ``base``) grouped by equal value,
-    groups numbered in sorted signature order: each row's group id, the
-    sorting order of the rows, and where each group starts in that order
-    (plus the end), so that the rows of group g are
-    order[start[g]:start[g + 1]]."""
-    order, keys = _sorted_keys(sig, base)
-    new = _boundaries(keys)
-    del keys
-    gid = np.empty(len(sig), dtype=np.int64)
-    gid[order] = np.cumsum(new) - 1
-    return gid, order, np.append(np.flatnonzero(new), len(order))
-
-
 def _fixpoint(m: int, rules: list[tuple]) -> tuple[np.ndarray, list]:
     """Greatest fixpoint of deletion rules over m members.
 
@@ -533,13 +548,13 @@ def _fixpoint(m: int, rules: list[tuple]) -> tuple[np.ndarray, list]:
     groups that failed.
     """
     alive = np.ones(m, dtype=bool)
+    sizes = [np.bincount(gid, minlength=len(first)) for gid, first, _ in rules]
     rounds: list[list[tuple[np.ndarray, np.ndarray]]] = []
     while alive.any():
         doomed = np.zeros(m, dtype=bool)
         failed = []
-        for gid, first, fails in rules:
+        for (gid, _, fails), size in zip(rules, sizes):
             row_alive = np.tile(alive, len(gid) // m)
-            size = np.bincount(gid[row_alive], minlength=len(first))
             bad = (size > 0) & fails(row_alive, size)
             ids = np.flatnonzero(bad)
             failed.append((ids, size[ids]))
@@ -549,38 +564,62 @@ def _fixpoint(m: int, rules: list[tuple]) -> tuple[np.ndarray, list]:
             break
         rounds.append(failed)
         alive &= ~doomed
+        for (gid, _, _), size in zip(rules, sizes):  # the doomed rows leave
+            size -= np.bincount(gid.reshape(-1, m)[:, doomed].ravel(),
+                                minlength=len(size))
     return alive, rounds
 
 
-def _np_prune_rich(members: np.ndarray, kind: str, alpha: int,
-                   ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+def _count_rule(members: np.ndarray, kind: str, pos: int, base: int,
+                threshold: float) -> tuple:
+    """The rule that a signature group of the (signature, fill) index at
+    ``pos`` fails with at most ``threshold`` live members (its live fills),
+    and that index as (order, keys)."""
+    order, keys = _sorted_keys(_index_rows(members, kind, pos, 1), base)
+    gid, start = _group_ids(order, keys, base, 1)
+    return (gid, order[start[:-1]], lambda _, size: size <= threshold), (
+        order, keys)
+
+
+def _np_prune_rich(members: np.ndarray, kind: str, length: int,
+                   alpha: int) -> tuple[LabeledCollection, list]:
     """Fixpoint of the rich deletion process: drop the members of every
     signature group with fewer than alpha live members until none is left.
 
-    Returns the surviving rows and, per round, the signature rows of the
-    groups it deleted (in sorted order) with their live sizes.
+    A position's groups are the signatures of its sorted index, and each
+    position is a rule.  Returns the collection of the survivors and, per
+    round, per position, a row of each group it deleted and their live
+    sizes.  The collection keeps the live part of each sorted key array,
+    still sorted, in base n, the seed's largest vertex plus one.
     """
     if len(members) == 0:  # a layered seed that ran dry may be narrower
-        return members, []
-    sig, base = _signature_rows(members, kind)
-    gid, order, start = _group_ids(sig, base)
-    first = order[start[:-1]]
-    del order
-    alive, rounds = _fixpoint(len(members),
-                              [(gid, first, lambda _, size: size < alpha)])
-    return members[alive], [(sig[first[ids]], sizes)
-                            for ((ids, sizes),) in rounds]
+        return LabeledCollection(kind, length, members, alpha=alpha), []
+    m, base = len(members), int(members.max()) + 1
+    positions = [0] if kind == "cycle" else range(1, members.shape[1] - 1)
+    rules, index = zip(*[_count_rule(members, kind, pos, base, alpha - 1)
+                         for pos in positions])
+    alive, rounds = _fixpoint(m, rules)
+    failed = [[(pos, first[ids], sizes) for pos, (_, first, _), (ids, sizes)
+               in zip(positions, rules, r)] for r in rounds]
+    return LabeledCollection._indexed(kind, length, members[alive], {
+        pos: keys[..., np.tile(alive, len(order) // m)[order]]
+        for pos, (order, keys) in zip(positions, index)}, base,
+        alpha=alpha), failed
 
 
-def _rich_audit(kind: str, rounds: list, seed: int,
+def _rich_audit(seed: np.ndarray, kind: str, rounds: list,
                 final: int) -> PruneAudit:
-    """The deletion rounds as replayable ("rich", signature, count) entries."""
-    audit = PruneAudit(diagnostics={"seed": seed, "final": final})
-    for keys, sizes in rounds:
-        for key, cnt in zip(keys.tolist(), sizes.tolist()):
-            if kind == "path":
-                key = [None if x == 0 else x - 1 for x in key]
-            audit.entries.append(("rich", tuple(key), cnt))
+    """The deletion rounds as replayable ("rich", signature, count) entries,
+    each round's in sorted signature order (a path's blank first)."""
+    audit = PruneAudit(diagnostics={"seed": len(seed), "final": final})
+    m = len(seed)
+    for failed in rounds:
+        entries = [("rich", _cycle_sig(mem, r // m) if kind == "cycle" else
+                    tuple(mem[:pos]) + (None,) + tuple(mem[pos + 1:]), cnt)
+                   for pos, rows, sizes in failed for r, mem, cnt in zip(
+                       rows.tolist(), seed[rows % m].tolist(), sizes.tolist())]
+        audit.entries += sorted(entries, key=lambda e: [
+            -1 if v is None else v for v in e[1]])
     return audit
 
 
@@ -616,9 +655,8 @@ def build_rich_paths(g: Graph, k: int, alpha: int,
     if alpha < 1:
         raise InputError("need alpha >= 1")
     seed = _enumerate_paths(g, k, cap)
-    members, rounds = _np_prune_rich(seed, "path", alpha)
-    return (LabeledCollection("path", k, members, alpha=alpha),
-            _rich_audit("path", rounds, len(seed), len(members)))
+    coll, rounds = _np_prune_rich(seed, "path", k, alpha)
+    return coll, _rich_audit(seed, "path", rounds, len(coll))
 
 
 def build_rich_cycles(g: Graph, ell: int, alpha: int,
@@ -629,9 +667,8 @@ def build_rich_cycles(g: Graph, ell: int, alpha: int,
     if alpha < 1:
         raise InputError("need alpha >= 1")
     seed = _enumerate_cycles(g, ell, cap)
-    members, rounds = _np_prune_rich(seed, "cycle", alpha)
-    return (LabeledCollection("cycle", 2 * ell, members, alpha=alpha),
-            _rich_audit("cycle", rounds, len(seed), len(members)))
+    coll, rounds = _np_prune_rich(seed, "cycle", 2 * ell, alpha)
+    return coll, _rich_audit(seed, "cycle", rounds, len(coll))
 
 
 # ---------------------------------------------------------------------------
@@ -675,43 +712,43 @@ def _max_pair_matching(pairs: np.ndarray) -> list[tuple[int, int]]:
     return max_disjoint_edges(pairs, left, right)
 
 
-def _combination_ids(gid: np.ndarray, fill: np.ndarray, n: int):
-    """The distinct (group, fill vertex) combinations as packed int64 keys
-    in ascending order, each row's combination id, and each combination's
-    group.  Packing is exact: groups <= rows < 2^31 and n <= 2^32."""
-    keys, ids = np.unique(gid * n + fill, return_inverse=True)
-    return keys, ids, keys // n
-
-
 class _PairGroups:
     """The rows of a path array grouped by their pair signature at pair
     position j (the row without columns j and j+1), with the goodness
     predicate over the groups.
 
-    Group ids come from one sort of the signatures, groups numbered in
-    sorted signature order.  Each (group, first fill) and (group, second
-    fill) combination gets an id too, so that one round's counts over the
-    live rows are bincounts.
+    The groups, in sorted signature order, and the (group, first fill)
+    combinations are the runs of the sorted pair index (signature, first,
+    second) in base n (by default the largest vertex plus one); the (group,
+    second fill) combinations take one more sort.  With an id for each
+    combination, one round's counts over the live rows are bincounts.
     """
 
-    def __init__(self, members: np.ndarray, j: int):
-        n = int(members.max(initial=0)) + 1
-        self.gid, self.order, self.start = _group_ids(
-            np.delete(members, (j, j + 1), axis=1), n)
+    def __init__(self, members: np.ndarray, j: int,
+                 base: Optional[int] = None):
+        base = base or int(members.max(initial=0)) + 1
+        self.order, self.keys = _sorted_keys(
+            _index_rows(members, "path", j, 2), base)
+        self.gid, self.start = _group_ids(self.order, self.keys, base, 2)
         self.first = self.order[self.start[:-1]]
         self.groups = len(self.first)
         self.pairs = members[:, (j, j + 1)]
-        f_keys, self.fid, self.f_owner = _combination_ids(self.gid,
-                                                          self.pairs[:, 0], n)
-        s_keys, self.sid, self.s_owner = _combination_ids(self.gid,
-                                                          self.pairs[:, 1], n)
-        every = np.arange(self.groups)
-        self.f_start = np.searchsorted(self.f_owner, every)
-        self.s_start = np.searchsorted(self.s_owner, every)
+        self.fid, f_start = _group_ids(self.order, self.keys, base, 1)
+        f_rows = self.order[f_start[:-1]]
+        s_base = max(self.groups, base)
+        s_order, s_keys = _sorted_keys(
+            np.column_stack([self.gid, self.pairs[:, 1]]), s_base)
+        self.sid, s_start = _group_ids(s_order, s_keys, s_base, 0)
+        s_rows = s_order[s_start[:-1]]
+        self.f_owner, self.s_owner = self.gid[f_rows], self.gid[s_rows]
+        self.f_start, self.s_start = (np.searchsorted(
+            owner, np.arange(self.groups)) for owner in (self.f_owner, self.s_owner))
         # a group whose first and second fills are disjoint vertex sets has
         # a bipartite fill graph (the only kind a bipartite host gives)
         self.bipartite = np.ones(self.groups, dtype=bool)
-        self.bipartite[self.f_owner[np.isin(f_keys, s_keys)]] = False
+        self.bipartite[self.f_owner[np.isin(
+            self.f_owner * base + self.pairs[f_rows, 0],
+            self.s_owner * base + self.pairs[s_rows, 1])]] = False
 
     def rows(self, g: int, alive: np.ndarray) -> np.ndarray:
         grp = self.order[self.start[g]:self.start[g + 1]]
@@ -751,15 +788,21 @@ class _PairGroups:
         return live & fail
 
 
-def _first_bad_pair(members: np.ndarray, alpha: int):
-    """None if every pair signature of the sorted rows supports an
-    alpha-matching, else the first counterexample in row, then position,
-    order: (member, pair position, matching size)."""
-    alive = np.ones(len(members), dtype=bool)
+def _pair_groups(members: np.ndarray, base: Optional[int] = None) -> dict:
+    """Pair position -> the rows' ``_PairGroups`` there."""
+    return {j: _PairGroups(members, j, base)
+            for j in _pair_positions(members.shape[1])}
+
+
+def _first_bad_pair(members: np.ndarray, alpha: int, groups: dict,
+                    alive: np.ndarray):
+    """None if every pair signature of the live sorted rows (``groups``:
+    their ``_pair_groups``) supports an alpha-matching, else the first
+    counterexample in row, then position, order: (member, pair position,
+    matching size)."""
     first = None
-    for j in _pair_positions(members.shape[1]):
-        grp = _PairGroups(members, j)
-        bad = np.flatnonzero(grp.failing(alive, alpha)[grp.gid])
+    for j, grp in groups.items():
+        bad = np.flatnonzero(grp.failing(alive, alpha)[grp.gid] & alive)
         if len(bad) and (first is None or bad[0] < first[0]):
             first = (bad[0], j, grp)
     if first is None:
@@ -769,43 +812,36 @@ def _first_bad_pair(members: np.ndarray, alpha: int):
     return tuple(members[i].tolist()), j, size
 
 
-def _count_rule(members: np.ndarray, cols, threshold: float) -> tuple:
-    """The members equal outside columns ``cols`` form a class, which fails
-    with at most ``threshold`` live members: its live fills, since the
-    members of a class differ only in those columns."""
-    gid, order, start = _group_ids(np.delete(members, cols, axis=1),
-                                   int(members.max(initial=0)) + 1)
-    return gid, order[start[:-1]], lambda _, size: size <= threshold
-
-
-def _distinct_rule(members: np.ndarray, j: int, second: bool,
-                   threshold: float) -> tuple:
-    """Pair position j fails with at most ``threshold`` distinct live second
+def _distinct_rule(grp: _PairGroups, second: bool, threshold: float) -> tuple:
+    """A pair class fails with at most ``threshold`` distinct live second
     (or first) fills."""
-    grp = _PairGroups(members, j)
     cid, owner = (grp.sid, grp.s_owner) if second else (grp.fid, grp.f_owner)
     return (grp.gid, grp.first,
             lambda alive, _: grp.distinct(cid, owner, alive)[1] <= threshold)
 
 
-def _case1_rules(members: np.ndarray, threshold: float) -> list[tuple]:
+def _case1_rules(members: np.ndarray, threshold: float,
+                 groups: Optional[dict] = None) -> list[tuple]:
     """Case 1 as (tag, position, rule): a pair class with at most
-    ``threshold`` fill edges."""
-    return [("pair", j, _count_rule(members, (j, j + 1), threshold))
-            for j in _pair_positions(members.shape[1])]
+    ``threshold`` fill edges.  ``groups``: the ``_pair_groups`` of the rows."""
+    groups = groups or _pair_groups(members)
+    return [("pair", j, (grp.gid, grp.first, lambda _, size: size <= threshold))
+            for j, grp in groups.items()]
 
 
-def _case2_rules(members: np.ndarray, threshold: float) -> list[tuple]:
+def _case2_rules(members: np.ndarray, threshold: float,
+                 groups: Optional[dict] = None) -> list[tuple]:
     """Case 2 as (tag, position, rule).  type 1: odd position 2i-1 with at
     most ``threshold`` fills; type 2: pair (2i+1, 2i+2) with at most
     ``threshold`` distinct second fills; type 3: pair (2i, 2i+1) with at most
     ``threshold`` distinct first fills."""
-    L = members.shape[1]
-    return ([("type1", j, _count_rule(members, j, threshold))
+    L, base = members.shape[1], int(members.max(initial=0)) + 1
+    groups = groups or _pair_groups(members, base)
+    return ([("type1", j, _count_rule(members, "path", j, base, threshold)[0])
              for j in range(1, L - 1, 2)]
-            + [("type2", j, _distinct_rule(members, j, True, threshold))
+            + [("type2", j, _distinct_rule(groups[j], True, threshold))
                for j in range(1, L - 2, 2)]
-            + [("type3", j, _distinct_rule(members, j, False, threshold))
+            + [("type3", j, _distinct_rule(groups[j], False, threshold))
                for j in range(2, L - 2, 2)])
 
 
@@ -878,15 +914,17 @@ def build_good_paths(g: Graph, k: int, alpha: int, c_thresh: float,
     if cherries <= n * d * d / l_factor:
         case = 1
         seed = _enumerate_paths(g, length, cap, second_codegree_max=c_thresh)
-        rules = _case1_rules(seed, c_thresh ** 2)
     else:
         case = 2
         pivot = min(per_center, key=lambda v: (-per_center[v], v))
         audit.diagnostics["pivot"] = pivot
         seed = _enumerate_pivot_paths(g, pivot, k, c_thresh, cap)
-        rules = _case2_rules(seed, 2 * alpha)
     audit.diagnostics["seed"] = len(seed)
-    alive, audit.entries = _prune_case(seed, rules)
+    base = int(seed.max(initial=0)) + 1
+    groups = _pair_groups(seed, base)
+    alive, audit.entries = _prune_case(seed, _case1_rules(
+        seed, c_thresh ** 2, groups) if case == 1 else _case2_rules(
+        seed, 2 * alpha, groups))
     if case == 2:
         # each member weighs prod_i 1 / d(x_{2i-2}, x_{2i}); fsum rounds the
         # exact sum, so it does not depend on the member order
@@ -898,13 +936,14 @@ def build_good_paths(g: Graph, k: int, alpha: int, c_thresh: float,
         audit.diagnostics["final_weight"] = math.fsum(weight[alive].tolist())
     rows = seed[alive]
     audit.diagnostics["final"] = len(rows)
-    bad = _first_bad_pair(rows, alpha) if len(rows) else None
+    bad = _first_bad_pair(seed, alpha, groups, alive) if len(rows) else None
     if bad is not None:
         raise IntegrityError(
             f"good-path fixpoint is not {alpha}-good: member {bad[0]} "
             f"pair position {bad[1]} only supports {bad[2]} disjoint fills")
-    coll = LabeledCollection("path", length, rows, good=True, alpha=alpha)
-    return coll, audit, case
+    keys = {j: grp.keys[..., alive[grp.order]] for j, grp in groups.items()}
+    return (LabeledCollection._indexed("path", length, rows, keys, base,
+                                       good=True, alpha=alpha), audit, case)
 
 
 # ---------------------------------------------------------------------------
@@ -922,24 +961,18 @@ def verify_collection(coll: LabeledCollection, g: Graph, alpha: int,
         for a, b in zip(seq, seq[1:]):
             if not g.has_edge(a, b):
                 return False, {"member": m, "reason": f"missing edge ({a},{b})"}
-    if coll.kind == "cycle":
-        positions = range(L)
-        for m in coll.iter_members():
-            for j in positions:
-                got = len(coll.fills(m, j))
-                if got < alpha:
-                    return False, {"member": m, "position": j, "fills": got}
-    elif coll.good:
-        bad = _first_bad_pair(coll.members, alpha) if len(coll) else None
+    if coll.good:
+        bad = _first_bad_pair(coll.members, alpha, _pair_groups(
+            coll.members), np.ones(len(coll), dtype=bool)) if len(coll) else None
         if bad is not None:
             return False, {"member": bad[0], "pair_position": bad[1],
                            "matching": bad[2]}
-    else:
-        for m in coll.iter_members():
-            for j in range(1, L - 1):
-                got = len(coll.fills(m, j))
-                if got < alpha:
-                    return False, {"member": m, "position": j, "fills": got}
+        return True, None
+    for m in coll.iter_members():
+        for j in range(L) if coll.kind == "cycle" else range(1, L - 1):
+            got = len(coll.fills(m, j))
+            if got < alpha:
+                return False, {"member": m, "position": j, "fills": got}
     return True, None
 
 
@@ -977,33 +1010,31 @@ def _layer_transversals(g: Graph, layers: list[np.ndarray], closed: bool,
     a = g.adjacency_matrix()
     rows = layers[0].reshape(-1, 1)
     for i, nxt in enumerate(layers[1:], start=1):
-        adj = a[rows[:, -1]][:, nxt]
+        block = a[:, nxt]  # the layer's columns first: |rows| x |nxt| reads
+        adj = block[rows[:, -1]]
         if closed and i == len(layers) - 1:
-            adj &= a[rows[:, 0]][:, nxt]
+            adj &= block[rows[:, 0]]
         src, dst = np.nonzero(adj)
         if len(src) > cap:
             raise ResourceError("layered enumeration exceeded hard cap")
         rows = np.hstack([rows[src], nxt[dst].reshape(-1, 1)])
         if len(rows) == 0:
             break
-    if len(rows):
-        distinct = np.ones(len(rows), dtype=bool)
-        for i in range(rows.shape[1]):
-            for j in range(i + 1, rows.shape[1]):
-                distinct &= rows[:, i] != rows[:, j]
-        rows = rows[distinct]
-    return rows.astype(np.uint32)
+    return rows[_distinct(rows)].astype(np.uint32)
 
 
-def _np_prune_good(members: np.ndarray, alpha: int) -> np.ndarray:
+def _np_prune_good(members: np.ndarray, alpha: int) -> tuple:
     """Fixpoint of the good deletion process: drop the members of every
     pair-signature group whose live fill edges admit no alpha pairwise
-    disjoint edges (``_PairGroups.failing``), until none is left."""
-    groups = [_PairGroups(members, j) for j in _pair_positions(members.shape[1])]
+    disjoint edges (``_PairGroups.failing``), until none is left.  Returns
+    the survivors and their pair index, as ``_np_prune_rich`` keeps it."""
+    base = int(members.max(initial=0)) + 1
+    groups = _pair_groups(members, base)
     alive, _ = _fixpoint(len(members), [
         (grp.gid, grp.first, lambda alive, _, grp=grp: grp.failing(alive, alpha))
-        for grp in groups])
-    return members[alive]
+        for grp in groups.values()])
+    return members[alive], {j: grp.keys[..., alive[grp.order]]
+                            for j, grp in groups.items()}, base
 
 
 def _sample_layers(g: Graph, count: int, size: int, rng: random.Random,
@@ -1058,6 +1089,21 @@ def _estimate_pair_density(g: Graph, rng: random.Random) -> float:
     return max(hits / max(done, 1), 1e-3)
 
 
+def _layered_seed(g: Graph, count: int, alpha: int, seed: int,
+                  part_size: Optional[int], squared: bool, endpoints: bool,
+                  closed: bool) -> np.ndarray:
+    """The transversals of ``count`` sampled layers of ``part_size``, by
+    default (alpha + 3 + 1.5 sqrt(alpha)) / q**2 (/ q unless ``squared``)."""
+    rng = random.Random(seed)
+    q = _estimate_pair_density(g, rng)
+    if part_size is None:
+        target = alpha + 3 + int(1.5 * alpha ** 0.5)
+        part_size = max(int(np.ceil(target / (q * q if squared else q))),
+                        alpha + 2)
+    layers = _sample_layers(g, count, part_size, rng, endpoints)
+    return _layer_transversals(g, layers, closed)
+
+
 def layered_rich_paths(g: Graph, k: int, alpha: int, seed: int,
                        part_size: Optional[int] = None) -> LabeledCollection:
     """Alpha-rich path collection from a layered seed: fixed high-degree
@@ -1065,15 +1111,8 @@ def layered_rich_paths(g: Graph, k: int, alpha: int, seed: int,
     usual fixpoint prune (vectorised)."""
     if k < 3:
         raise InputError("need k >= 3")
-    rng = random.Random(seed)
-    q = _estimate_pair_density(g, rng)
-    if part_size is None:
-        target = alpha + 3 + int(1.5 * alpha ** 0.5)
-        part_size = max(int(np.ceil(target / (q * q))), alpha + 2)
-    layers = _sample_layers(g, k, part_size, rng, endpoints=True)
-    rows = _layer_transversals(g, layers, closed=False)
-    rows, _ = _np_prune_rich(rows, "path", alpha)
-    return LabeledCollection("path", k, rows, alpha=alpha)
+    rows = _layered_seed(g, k, alpha, seed, part_size, True, True, False)
+    return _np_prune_rich(rows, "path", k, alpha)[0]
 
 
 def layered_rich_cycles(g: Graph, ell: int, alpha: int, seed: int,
@@ -1081,17 +1120,10 @@ def layered_rich_cycles(g: Graph, ell: int, alpha: int, seed: int,
     """Alpha-rich cycle collection from 2*ell sampled layers."""
     if ell < 2:
         raise InputError("need ell >= 2")
-    rng = random.Random(seed)
-    q = _estimate_pair_density(g, rng)
-    if part_size is None:
-        target = alpha + 3 + int(1.5 * alpha ** 0.5)
-        part_size = max(int(np.ceil(target / (q * q))), alpha + 2)
-    layers = _sample_layers(g, 2 * ell, part_size, rng, endpoints=False)
-    rows = _layer_transversals(g, layers, closed=True)
+    rows = _layered_seed(g, 2 * ell, alpha, seed, part_size, True, False, True)
     if len(rows):
         rows = _sorted_unique(_canon_cycles_np(rows))
-    rows, _ = _np_prune_rich(rows, "cycle", alpha)
-    return LabeledCollection("cycle", 2 * ell, rows, alpha=alpha)
+    return _np_prune_rich(rows, "cycle", 2 * ell, alpha)[0]
 
 
 def layered_good_paths(g: Graph, k: int, alpha: int, seed: int,
@@ -1101,17 +1133,12 @@ def layered_good_paths(g: Graph, k: int, alpha: int, seed: int,
     if k < 1:
         raise InputError("need k >= 1")
     length = 2 * k
-    rng = random.Random(seed)
-    q = _estimate_pair_density(g, rng)
-    if part_size is None:
-        target = alpha + 3 + int(1.5 * alpha ** 0.5)
-        part_size = max(int(np.ceil(target / q)), alpha + 2)
     if length == 2:
         e = next(iter(g.edges()), None)
         members = [e] if e else []
         return LabeledCollection.from_members("path", 2, members, good=True,
                                               alpha=alpha)
-    layers = _sample_layers(g, length, part_size, rng, endpoints=True)
-    rows = _layer_transversals(g, layers, closed=False)
-    rows = _np_prune_good(rows, alpha)
-    return LabeledCollection("path", length, rows, good=True, alpha=alpha)
+    rows = _layered_seed(g, length, alpha, seed, part_size, False, True, False)
+    rows, keys, base = _np_prune_good(rows, alpha)
+    return LabeledCollection._indexed("path", length, rows, keys, base,
+                                      good=True, alpha=alpha)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -8,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from turan_forge.cli import _tuple_estimate, main, run_pipeline
 from turan_forge.graphs import build_graph
 from turan_forge.errors import InputError
-from turan_forge.graphs import read_edge_list
+from turan_forge.generators import random_graph
+from turan_forge.graphs import read_edge_list, write_edge_list
 
 
 def test_gen_pattern_and_labels(tmp_path):
@@ -165,3 +167,43 @@ def test_closed_estimate_equals_walk_trace(n, p, bipartite, tuple_len, seed):
     a = g.adjacency_matrix().astype(np.float64)
     old = float(np.trace(np.linalg.matrix_power(a, tuple_len))) / (2 * tuple_len)
     assert _tuple_estimate(g, tuple_len, closed=True) == old
+
+
+# SHA-256 of the audit and collection files that `build` writes on fixed
+# hosts.  The audit lists each round's failing signatures in sorted order and
+# replays against the seed, so its bytes are a contract like the reports'.
+_BUILD_DIGESTS = [
+    ((14, 0.5, 1, False), ["rich-paths", "--k", "4", "--alpha", "3"],
+     "ae5a5f495eaeacabd616ebb4ff0272b3426849da1ec483bd5bcf3cbf032bda24",
+     "43515c988f38e3dcf3a783ebf7197ab00ecece00d0d06e962c7ac12971a64ca0"),
+    ((18, 0.4, 2, True), ["rich-paths", "--k", "5", "--alpha", "2"],
+     "68d7d383b174290a33f297bce29c9e0c24754ac52aeff7e1de00a097c2dc768d",
+     "875ca376508e9fd07066cb165cab9cce7ba01da63e35c2e60c2b11478c5dd812"),
+    ((14, 0.6, 4, False), ["rich-cycles", "--ell", "2", "--alpha", "3"],
+     "29f8e2ca6dee6a56a614329b50b0fd16f134ddd0ace6882319f17b3f63f1bb5a",
+     "c4593caf35a94c5babc251b9aa1314b259b90103328c4d418ed504639f9ac5fa"),
+    ((14, 0.6, 4, False), ["rich-cycles", "--ell", "3", "--alpha", "2"],
+     "e218d4840af2e4b5d8b7a754f8c6c1e56265f213a64ee1ff2df2f2f7908aaa3c",
+     "1ec3aff40ebd76bf7981f4ab7c63492babb6371e05213160e89ddbe77e4858f7"),
+    ((16, 0.8, 1, True), ["good-paths", "--k", "2", "--alpha", "2",
+                          "--C", "5", "--L", "1"],  # case 1
+     "33351c53708505c10c51b3cba000188655e0194aee513daa6d72478fed14c151",
+     "35222870d5281dee38abfe2ef127ab78225577c12152cdd99e5e98b68f356e63"),
+    ((14, 0.7, 1, False), ["good-paths", "--k", "2", "--alpha", "1",
+                           "--C", "2", "--L", "1000"],  # case 2
+     "0361c3b89102681a8df11b170f1f222445631254ef39cd15868d49e71e413581",
+     "f2bd7bf5ed250365aaee93fcfc7296287a43f61b6a51eb6070f93bdc74591bd1"),
+]
+
+
+@pytest.mark.parametrize("host, args, audit_sha, coll_sha", _BUILD_DIGESTS)
+def test_build_audit_and_collection_bytes_are_pinned(tmp_path, host, args,
+                                                     audit_sha, coll_sha):
+    n, p, seed, bipartite = host
+    path = tmp_path / "h.el"
+    write_edge_list(random_graph(n, p, seed, bipartite=bipartite), path)
+    audit, coll = tmp_path / "audit.json", tmp_path / "coll.txt"
+    assert main(["build", *args, "--in", str(path), "--audit", str(audit),
+                 "--out", str(coll)]) == 0
+    assert hashlib.sha256(audit.read_bytes()).hexdigest() == audit_sha
+    assert hashlib.sha256(coll.read_bytes()).hexdigest() == coll_sha

@@ -521,7 +521,7 @@ def test_good_prune_matches_naive_fixpoint_and_verify(g, alpha):
         rows = _enumerate_paths(g, k, 10 ** 6)
         seed = set(map(tuple, rows.tolist()))
         final = naive_good_fixpoint(seed, k, alpha)
-        pruned = rich_collections._np_prune_good(rows, alpha)
+        pruned = rich_collections._np_prune_good(rows, alpha)[0]
         assert np.array_equal(pruned, _rows(final, k))
         coll = LabeledCollection("path", k, rows, good=True, alpha=alpha)
         ok, ce = verify_collection(coll, g, alpha)
@@ -725,16 +725,27 @@ def test_grouping_same_packed_and_lexsorted(data):
     for limit in (2 ** 63, 1):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(rich_collections, "_PACK_LIMIT", limit)
-            gid, order, start = rich_collections._group_ids(rows, 8)
+            order, keys = rich_collections._sorted_keys(rows, 8)
+            gid, start = rich_collections._group_ids(order, keys, 8, 0)
+            head_gid, head_start = rich_collections._group_ids(order, keys, 8, 1)
             out[limit] = (gid, rows[order], start,
-                          rich_collections._sorted_unique(rows))
+                          rich_collections._sorted_unique(rows),
+                          head_gid, head_start)
+            if limit > 1:  # the row number rides along: equal rows in row order
+                same = ~rich_collections._boundaries(keys)[1:]
+                assert (np.diff(order)[same] > 0).all()
     for a, b in zip(out[2 ** 63], out[1]):
         assert np.array_equal(a, b)
-    gid, ordered, start, unique = out[1]
+    gid, ordered, start, unique, head_gid, head_start = out[1]
     assert list(map(tuple, ordered.tolist())) == sorted(map(tuple, rows.tolist()))
     assert list(map(tuple, unique.tolist())) == sorted(set(map(tuple, rows.tolist())))
     assert np.array_equal(unique[gid], rows)
     assert np.array_equal(start[1:] - start[:-1], np.bincount(gid))
+    # without the last digit: groups of rows equal in all other columns
+    heads = sorted({tuple(r[:-1]) for r in rows.tolist()})
+    assert head_gid.tolist() == [heads.index(tuple(r[:-1])) for r in rows.tolist()]
+    assert np.array_equal(head_start[1:] - head_start[:-1],
+                          np.bincount(head_gid, minlength=len(heads)))
 
 
 def test_packing_limit_is_exclusive():
@@ -766,3 +777,116 @@ def test_replay_of_a_large_good_path_audit():
     assert case == 2 and len(seed) == 55560 and len(audit.entries) == 24248
     final = replay_audit(map(tuple, seed.tolist()), audit, "path", 5)
     assert final == set(coll.iter_members())
+
+
+# -- the builders hand their prune's sorted index to the collection
+
+# K_{3,3} on {0, 1, 2} x {3, 4, 5} with a pendant 4-cycle 0-3-6-7 and a
+# pendant path 5-8: the prunes drop every member through 6, 7 and 8, so the
+# survivors' largest vertex (5) is below the seed's (8)
+_PRUNED_TOP = build_graph(9, [(a, b) for a in range(3) for b in range(3, 6)]
+                          + [(3, 6), (6, 7), (7, 0), (5, 8)])
+
+_HANDOVER_BUILDERS = {
+    "rich paths": lambda g, alpha: build_rich_paths(g, 4, alpha)[0],
+    "rich cycles": lambda g, alpha: build_rich_cycles(g, 2, alpha)[0],
+    "layered rich paths": lambda g, alpha: layered_rich_paths(g, 4, alpha, 1),
+    "layered rich cycles": lambda g, alpha: layered_rich_cycles(g, 2, alpha, 1),
+    "layered good paths": lambda g, alpha: layered_good_paths(g, 2, alpha, 1),
+    "good paths, case 1": lambda g, alpha: build_good_paths(
+        g, 2, alpha, 4.0, 1.0)[0],
+    "good paths, case 2": lambda g, alpha: build_good_paths(
+        g, 2, alpha, 2.0, 1000.0)[0],
+}
+
+
+def _index_positions(coll):
+    """The positions a collection is indexed at, and the fill width."""
+    if coll.kind == "cycle":
+        return [0], 1
+    if coll.good:
+        return list(range(1, coll.length - 2)), 2
+    return list(range(1, coll.length - 1)), 1
+
+
+def _index_digits(coll, pos):
+    """The sorted (signature, fill) rows of a collection's index, whatever
+    base its codes were packed in."""
+    keys = coll._keys[pos]
+    if keys.ndim == 2:
+        return keys.T.astype(np.int64)
+    powers = coll._base ** np.arange(coll.length, dtype=np.int64)[::-1]
+    return keys[:, None] // powers % coll._base
+
+
+def _answers(coll, probes):
+    if coll.kind == "cycle":
+        return [coll.fills(m, j) for m in probes for j in range(coll.length)]
+    if coll.good:
+        return [coll.pair_fills(m, j) for m in probes
+                for j in range(1, coll.length - 2)]
+    return [coll.fills(m, j) for m in probes for j in range(1, coll.length - 1)]
+
+
+@pytest.mark.parametrize("lexsorted", [False, True])
+@pytest.mark.parametrize("builder", sorted(_HANDOVER_BUILDERS))
+@settings(max_examples=25, deadline=None)
+@given(good_hosts, st.integers(1, 3))
+@example(_PRUNED_TOP, 2)
+@example(complete_bipartite(5, 5), 1)  # 720 good paths survive case 2
+@example(random_graph(10, 0.85, 6), 1)  # case 2 keeps 8766 of 9246
+def test_builders_hand_over_the_fresh_index(builder, lexsorted, g, alpha):
+    with pytest.MonkeyPatch.context() as mp:
+        if lexsorted:  # every base**width passes the limit: the lexsort keys
+            mp.setattr(rich_collections, "_PACK_LIMIT", 1)
+        coll = _HANDOVER_BUILDERS[builder](g, alpha)
+        positions, tail = _index_positions(coll)
+        probes = list(coll.iter_members())[:6]
+        probes += [tuple(v % g.n for v in range(s, s + coll.length))
+                   for s in range(3)]
+        fresh = LabeledCollection(coll.kind, coll.length, coll.members,
+                                  good=coll.good, alpha=coll.alpha)
+        with pytest.MonkeyPatch.context() as lazy:  # no lookup sorts anew
+            lazy.setattr(rich_collections, "_index_rows", None)
+            got = _answers(coll, probes)
+        assert got == _answers(fresh, probes)
+        if not len(coll):
+            return
+        assert sorted(coll._keys) == positions
+        assert coll._base > int(coll.members.max())
+        for pos in positions:
+            assert coll._keys[pos].ndim == (2 if lexsorted else 1)
+            assert np.array_equal(_index_digits(coll, pos),
+                                  _index_digits(fresh, pos))
+            assert fresh._base == int(coll.members.max()) + 1
+
+
+def test_handover_keeps_the_seed_base():
+    for coll, base in ((build_rich_cycles(_PRUNED_TOP, 2, 2)[0], 8),
+                       (build_rich_paths(_PRUNED_TOP, 3, 3)[0], 9),
+                       (build_rich_paths(_PRUNED_TOP, 4, 2)[0], 9),
+                       (layered_rich_cycles(_PRUNED_TOP, 2, 2, 1), 8)):
+        assert len(coll) and int(coll.members.max()) == 5 and coll._base == base
+        fresh = LabeledCollection(coll.kind, coll.length, coll.members)
+        assert fresh._base == 6
+        probes = list(coll.iter_members()) + [(6, 7, 0, 3), (0, 3, 6, 7),
+                                              (3, 0, 8), (8, 5, 0)]
+        probes = [p[:coll.length] for p in probes]
+        assert _answers(coll, probes) == _answers(fresh, probes)
+
+
+def test_public_constructor_skips_the_sort_of_sorted_rows(monkeypatch):
+    rows = _enumerate_paths(K44, 4, 10 ** 6)
+    shuffled = rows[np.random.default_rng(1).permutation(len(rows))]
+    calls = []
+    sorted_keys = rich_collections._sorted_keys
+    monkeypatch.setattr(rich_collections, "_sorted_keys",
+                        lambda *a, **k: calls.append(1) or sorted_keys(*a, **k))
+    assert LabeledCollection("path", 4, rows).members is rows
+    assert not calls
+    again = LabeledCollection("path", 4, np.vstack([shuffled, shuffled]))
+    assert calls and np.array_equal(again.members, rows)
+    with pytest.raises(InputError, match="distinct vertices"):
+        LabeledCollection("path", 4, np.array([[0, 4, 0, 5]], dtype=np.uint32))
+    cycles = _enumerate_cycles(K44, 2, 10 ** 6)
+    assert LabeledCollection("cycle", 4, cycles).members is cycles

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from turan_forge import graphs
-from turan_forge.embedders import find_prism, find_prism_path
+from turan_forge.embedders import (_thick_extension_counts, find_prism,
+                                   find_prism_path)
 from turan_forge.errors import InputError
 from turan_forge.generators import random_graph
 from turan_forge.graphs import build_graph
@@ -181,3 +182,31 @@ def test_find_prism_path_rejects_bad_parts():
         find_prism_path(h, 1, parts=([0, 1, 2, 6], [3, 4, 5]))
     # valid parts; no two vertices of X share two neighbors, so no ladder
     assert find_prism_path(h, 1, parts=([0, 1, 2], [3, 4, 5])) is None
+
+
+@settings(max_examples=80, deadline=None)
+@given(hosts, st.lists(st.integers(0, 2), min_size=18, max_size=18))
+def test_find_prism_path_checks_parts_like_the_edge_loop(data, labels):
+    # label 0 puts a vertex in X, 1 in Y, 2 in neither part
+    g = _general(data)
+    xs = [v for v in range(g.n) if labels[v] == 0]
+    ys = [v for v in range(g.n) if labels[v] == 1]
+    joins = all((u in xs) != (v in xs) and (u in ys) != (v in ys)
+                for u, v in g.edges())
+    if joins:
+        find_prism_path(g, 1, parts=(xs, ys))
+    else:
+        with pytest.raises(InputError, match="^every edge of the host must "
+                                             "join the two parts$"):
+            find_prism_path(g, 1, parts=(xs, ys))
+
+
+@settings(max_examples=60, deadline=None)
+@given(hosts, bipartite_hosts, st.booleans(), st.sampled_from([0, 0.5, 1, 2, 3.5]))
+def test_thick_extension_counts_match_the_definition(general, two_sided, bip,
+                                                     tau):
+    g = _bipartite(two_sided)[0] if bip else _general(general)
+    pairs = [(u, v) for (p, q) in g.edges() for (u, v) in ((p, q), (q, p))]
+    assert _thick_extension_counts(g, g.codegree_matrix(), tau, pairs).tolist() == [
+        sum(g.codegree(u, w) - 1 for w in g.neighbors(v)
+            if w != u and g.codegree(u, w) > tau) for u, v in pairs]

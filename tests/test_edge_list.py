@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from turan_forge import cli
+from turan_forge import cli, graphs
 from turan_forge.errors import InputError, ResourceError
 from turan_forge.graphs import (build_graph, edge_list_text, read_edge_list,
                                 write_edge_list)
@@ -265,3 +265,49 @@ def test_cli_writes_the_same_bytes(tmp_path, capsys):
     assert cli.main(["gen", "pattern", "--kind", "grid", "--t", "3"]) == 0
     g = read_edge_list(out)
     assert out.read_text() == capsys.readouterr().out == old_text(9, g.edges())
+
+
+# the regular expression that once found the first line of a text that is
+# not an edge of the written layout; graphs._edge_lines must accept exactly
+# the texts in which it finds none
+_NON_EDGE = re.compile(r"(?m)^(?!\Z)(?![0-9]{1,18} [0-9]{1,18}$)")
+_ids = st.integers(1, 20).map(lambda w: "9" * w)
+layout_lines = st.one_of(
+    st.builds("{} {}".format, _ids, _ids), st.builds("{} {}".format,
+                                                     st.integers(0, 99),
+                                                     st.integers(0, 99)),
+    st.text(st.sampled_from(list("0123456789 \t\r\n\xa0٣x")), max_size=8))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(layout_lines, max_size=8),
+       st.sampled_from(["\n", "\r\n", " \n", "\n\n", "\r"]), st.booleans())
+@example(["1 2", "3 4"], "\n", False)
+@example([], "\n", False)
+@example([""], "\n", True)
+def test_edge_line_check_matches_the_line_pattern(lines, eol, trailing):
+    body = eol.join(lines) + (eol if trailing else "")
+    assert graphs._edge_lines(body.encode("utf-8")) == (
+        _NON_EDGE.search(body) is None)
+
+
+@pytest.mark.parametrize("body, one_call", [
+    ("0 1\n2 3\n", True),
+    ("0 1\n2 3", True),  # a missing final newline
+    ("", True),
+    ("0 1\r\n2 3\r\n", False),
+    ("0 1 \n2 3\n", False),  # a trailing space
+    ("0 1\n2 " + "0" * 18 + "3\n", False),  # a 19-digit id
+    ("0 1\n\n2 3\n", False),  # an empty middle line
+    ("0 1\n2 3\n\n", False),  # an empty last line
+])
+def test_one_call_path_takes_exactly_the_written_layout(tmp_path, body,
+                                                        one_call):
+    path = tmp_path / "g.el"
+    path.write_bytes(("n 4\n" + body).encode("utf-8"))
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "fromstring",
+                   lambda *a, **k: calls.append(a) or fromstring(*a, **k))
+        assert outcome(read_edge_list, path) == outcome(reference_read, path)
+    assert bool(calls) == one_call

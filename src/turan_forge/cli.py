@@ -333,13 +333,11 @@ def _tuple_estimate(g: Graph, tuple_len: int, closed: bool) -> float:
     return est / (2 * tuple_len)
 
 
-def run_pipeline(config: dict, threads: int = 1) -> tuple[int, dict]:
+def run_pipeline(config: dict) -> tuple[int, dict]:
     """generate -> transform -> build collection -> embed -> verify.
 
     Returns (exit status, report).  The report carries every intermediate
     statistic plus the exact seeds and is byte-stable across reruns.
-    ``threads`` is accepted for compatibility; every search runs in one
-    thread, so it changes neither the report nor the speed.
     """
     report: dict = {"config": config}
     try:
@@ -474,7 +472,7 @@ def cmd_pipeline(args) -> int:
         config.setdefault("out", {})["report"] = args.report
     if args.cert:
         config.setdefault("out", {})["certificate"] = args.cert
-    code, report = run_pipeline(config, threads=args.threads)
+    code, report = run_pipeline(config)
     if args.json or not config.get("out", {}).get("report"):
         sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
     return code
@@ -487,9 +485,6 @@ def _common(sub):
     sub.add_argument("--json", action="store_true",
                      help="print the JSON report to stdout")
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--threads", type=int, default=1,
-                     help="accepted for compatibility; changes neither "
-                          "results nor speed")
     return sub
 
 

@@ -172,7 +172,7 @@ def _interleave(xs: Sequence[int], ys: Sequence[int]) -> tuple[int, ...]:
 
 
 def embed_torus(host: Graph, coll: LabeledCollection, k: int, ell: int,
-                budget: int = 10 ** 6, seed: int = 0, threads: int = 1,
+                budget: int = 10 ** 6, seed: int = 0,
                 ) -> Optional[EmbeddingCertificate]:
     """Randomized DFS for a conflict-free k-cycle of ell-tuples in the
     implicit auxiliary graph over the cycle collection, expanded to a
@@ -180,8 +180,6 @@ def embed_torus(host: Graph, coll: LabeledCollection, k: int, ell: int,
 
     The richness threshold sufficient in theory is reported in the method
     metadata but not enforced; budget exhaustion is an honest not-found.
-    ``threads`` is accepted for compatibility; the attempts run in order in
-    one thread, so it changes neither the result nor the speed.
     """
     spec = PatternSpec("torus", {"k": k, "ell": ell})
     if len(coll) == 0:
@@ -382,15 +380,13 @@ def _prism_path_residue(h: Graph, xs: Sequence[int], ys: Sequence[int],
     """Run the two-type deletion process; thresholds are fixed from the
     input graph.  Every edge of h joins xs and ys.
 
-    Below the dense cap the process runs on the live |X|-by-|Y| biadjacency
-    block: each pass kills the y of degree in [1, tau1], then deletes the
-    edges xy whose y has fewer than tau2 neighbors z with codeg(x, z) >= 2t;
-    the residue graph is built once at the fixpoint.
+    The process runs on the live |X|-by-|Y| biadjacency block: each pass
+    kills the y of degree in [1, tau1], then deletes the edges xy whose y
+    has fewer than tau2 neighbors z with codeg(x, z) >= 2t; the residue
+    graph is built once at the fixpoint.
     """
     tau1 = h.edge_count / (4 * len(ys))
     tau2 = h.edge_count / (8 * len(ys))
-    if not h.dense_ok:
-        return _prism_path_residue_pairs(h, ys, t, tau1, tau2), tau1, tau2
     b = h.block(xs, ys)
     b0 = b > 0
     killed = np.zeros(len(ys), dtype=bool)
@@ -410,31 +406,6 @@ def _prism_path_residue(h: Graph, xs: Sequence[int], ys: Sequence[int],
     residue = h.remove(vertices=[ys[j] for j in np.flatnonzero(killed)],
                        edges=[(xs[i], ys[j]) for i, j in gone])
     return residue, tau1, tau2
-
-
-def _prism_path_residue_pairs(h: Graph, ys: Sequence[int], t: int,
-                              tau1: float, tau2: float) -> Graph:
-    """The same deletion process by per-pair codegrees, for hosts above the
-    dense cap."""
-    cur = h
-    while True:
-        kill = [y for y in ys
-                if cur.is_alive(y) and 1 <= cur.degree(y) <= tau1]
-        if kill:
-            cur = cur.remove(vertices=kill)
-        bad = [(x, y) for y in ys if cur.is_alive(y)
-               for x in _short_neighbors(cur, cur.neighbors(y), t, tau2)]
-        if not kill and not bad:
-            return cur
-        if bad:
-            cur = cur.remove(edges=bad)
-
-
-def _short_neighbors(g: Graph, nb: Sequence[int], t: int,
-                     tau2: float) -> list[int]:
-    """The x in nb with fewer than tau2 z in nb - x of codeg(x, z) >= 2t."""
-    return [x for x in nb
-            if sum(1 for z in nb if z != x and g.codegree(x, z) >= 2 * t) < tau2]
 
 
 def find_prism_path(h: Graph, t: int,
@@ -501,13 +472,8 @@ def find_prism_path(h: Graph, t: int,
 
     # residue property, asserted directly from the residue's own codegrees
     codeg = residue.codegree_matrix()
-    if codeg is not None:
-        short = _short_edges(residue.block(xs, ys),
-                             codeg[np.ix_(xs, xs)] >= 2 * t, tau2).any()
-    else:
-        short = any(_short_neighbors(residue, residue.neighbors(y), t, tau2)
-                    for y in ys if residue.is_alive(y))
-    if short:
+    if _short_edges(residue.block(xs, ys), codeg[np.ix_(xs, xs)] >= 2 * t,
+                    tau2).any():
         raise IntegrityError("residue lost its qualifying-neighbor property")
 
     start = None
@@ -686,13 +652,7 @@ def _thick_branch(h: Graph, ell: int, tau: float, seed: int,
                  sorted(rng.sample(range(len(edges)), 4000))]
         diag["sampled_edges"] = len(edges)
     pairs = [(u, v) for (p, q) in edges for (u, v) in ((p, q), (q, p))]
-    codeg = h.codegree_matrix()
-    if codeg is not None:
-        counts = _thick_extension_counts(h, codeg, tau, pairs)
-    else:
-        counts = [sum(h.codegree(u, w) - 1 for w in h.neighbors(v)
-                      if w != u and h.codegree(u, w) > tau)
-                  for (u, v) in pairs]
+    counts = _thick_extension_counts(h, h.codegree_matrix(), tau, pairs)
     best = int(np.argmax(counts))  # the first maximum, in edge order
     cnt = int(counts[best])
     u, v = pairs[best]
@@ -740,13 +700,12 @@ def _thick_branch(h: Graph, ell: int, tau: float, seed: int,
 
 
 def find_prism(g: Graph, ell: int, t_factor: float = 8.0,
-               budget: int = 10 ** 7, seed: int = 0, threads: int = 1,
+               budget: int = 10 ** 7, seed: int = 0,
                ) -> tuple[Optional[EmbeddingCertificate], dict]:
     """Full prism search: bipartite half + peel, thin/thick classification by
     sampling, then the thin-majority auxiliary-graph DFS with the thick
-    high-codegree branch as fallback (or vice versa).  ``threads`` is
-    accepted for compatibility and changes neither the result nor the
-    speed."""
+    high-codegree branch as fallback (or vice versa).  ``ResourceError``
+    above ``graphs.DENSE_LIMIT`` ids."""
     if ell < 2:
         raise InputError("need ell >= 2")
     if t_factor <= 0:
@@ -763,8 +722,8 @@ def find_prism(g: Graph, ell: int, t_factor: float = 8.0,
     tau = t_factor * math.sqrt(d)
     diagnostics["prepared"] = {"n": h.num_vertices, "e": h.edge_count,
                                "avg_degree": d, "tau": tau}
-    # below the dense cap the sampler reads codegrees from the matrix, which
-    # the thick branch then reuses
+    # built before the sampler, so that it reads codegrees from the matrix,
+    # which the thick branch then reuses
     h.codegree_matrix()
     rng = _derive_rng(seed, "classify")
     thin_frac = _sample_thin_fraction(h, tau, side, rng)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import os
 import re
-import tempfile
 from bisect import bisect_left
 from typing import Iterable, Iterator, Optional
 
@@ -12,9 +11,10 @@ import numpy as np
 
 from .errors import InputError, ResourceError
 
-# Dense adjacency/codegree matrices are only materialised below this id count.
-DENSE_CACHE_CAP = 5000
-CACHE_DIR_ENV = "TURAN_FORGE_CACHE_DIR"
+# The most ids (tombstones included) a graph may have for its dense blocks and
+# codegree matrix: the int32 matrix is then at most 1 GiB, and every float32
+# product entry, a count of at most n < 2**24, is exact.
+DENSE_LIMIT = 16384
 
 
 class Graph:
@@ -23,14 +23,14 @@ class Graph:
     Stored as read-only CSR arrays: v's neighbours are ``indices[indptr[v]:
     indptr[v + 1]]``, ascending, and ``alive`` masks the live vertices.
     ``neighbors(v)`` makes its tuple on first request; the 2-coloring and
-    the dense matrices are computed at most once.  Deleted vertices stay in
+    the codegree matrix are computed at most once.  Deleted vertices stay in
     the id space as isolated tombstones, so that collections and
     certificates built before a deletion remain interpretable.
     ``num_vertices`` and ``average_degree`` count live vertices only.
     """
 
     __slots__ = ("n", "edge_count", "indptr", "indices", "alive", "_deg",
-                 "_num_alive", "_rows", "_side", "_adj_matrix", "_codeg_matrix")
+                 "_num_alive", "_rows", "_side", "_codeg_matrix")
 
     def __init__(self, n: int, src: np.ndarray, indices: np.ndarray,
                  alive: np.ndarray):
@@ -44,7 +44,7 @@ class Graph:
         self._num_alive = int(np.count_nonzero(alive))
         self._rows: dict[int, tuple[int, ...]] = {}
         self._side = None  # two_coloring's sides, False for an odd cycle
-        self._adj_matrix = self._codeg_matrix = None  # dense, built on demand
+        self._codeg_matrix = None  # dense, built on demand
 
     # -- basic accessors ---------------------------------------------------
 
@@ -74,6 +74,12 @@ class Graph:
 
     def _row(self, v: int) -> np.ndarray:
         return self.indices[self.indptr[v]:self.indptr[v + 1]]
+
+    def _row_entries(self, vs: np.ndarray) -> np.ndarray:
+        """The CSR rows of the vertices ``vs``, concatenated in that order."""
+        cnt = self._deg[vs]
+        return self.indices[np.repeat(self.indptr[vs] - np.cumsum(cnt) + cnt, cnt)
+                            + np.arange(int(cnt.sum()))]
 
     def _sources(self) -> np.ndarray:
         """The vertex each entry of ``indices`` belongs to."""
@@ -119,33 +125,26 @@ class Graph:
 
     def codegree(self, u: int, v: int) -> int:
         """Number of common neighbors, deg(v) on the diagonal u == v as in
-        ``codegree_matrix``; the same answer with or without the cached
-        matrix."""
+        ``codegree_matrix``: read from that matrix once it is built, else
+        from the sorted neighbour slices, with the same answer."""
         self._check(u)
         self._check(v)
         if self._codeg_matrix is not None:
             return int(self._codeg_matrix[u, v])
         return self.degree(u) if u == v else len(self.common_neighbors(u, v))
 
-    @property
-    def dense_ok(self) -> bool:
-        """Whether dense matrices are built for this graph (n <= DENSE_CACHE_CAP);
-        above the cap every codegree comes from the sorted neighbour slices."""
-        return self.n <= DENSE_CACHE_CAP
+    def _dense_check(self) -> None:
+        """Refuse, before allocating, a dense array of a graph above
+        ``DENSE_LIMIT`` ids."""
+        if self.n > DENSE_LIMIT:
+            raise ResourceError(
+                f"{self.n} vertex ids would need {4 * self.n * self.n} bytes "
+                f"for the codegree matrix; dense codegree kernels take at most "
+                f"{DENSE_LIMIT} ids")
 
-    def adjacency_matrix(self) -> np.ndarray:
-        """Boolean adjacency matrix; only available for n <= DENSE_CACHE_CAP."""
-        if not self.dense_ok:
-            raise ResourceError(f"adjacency matrix disabled for n={self.n}")
-        if self._adj_matrix is None:
-            m = np.zeros((self.n, self.n), dtype=bool)
-            m[self._sources(), self.indices] = True
-            self._adj_matrix = m
-        return self._adj_matrix
-
-    def codegree_matrix(self) -> Optional[np.ndarray]:
-        """Dense int32 codegree matrix (diagonal holds degrees), or None above
-        the cap.
+    def codegree_matrix(self) -> np.ndarray:
+        """Dense int32 codegree matrix (diagonal holds degrees), built on
+        first call and cached; ``ResourceError`` above ``DENSE_LIMIT`` ids.
 
         Each block (R, C) of ``dense_blocks`` fills the R-by-R entries with
         ``B B^T``, B the float32 adjacency block; on a bipartite graph these
@@ -153,25 +152,12 @@ class Graph:
         runs in slabs of at most 2**22 entries, so a block of up to 2048
         rows is one ``B @ B.T``, which numpy computes as a symmetric rank-k
         update at half the flops.  Consecutive R is written as whole slabs.
-        float32 is exact because every entry is at most n <=
-        DENSE_CACHE_CAP < 2**24.  If TURAN_FORGE_CACHE_DIR is set and
-        n > 2000, the matrix is backed by a memmap of a temporary file in
-        that directory instead of RAM; the file is unlinked as soon as it is
-        mapped, so nothing is left behind.
+        float32 is exact because every entry is at most n <= DENSE_LIMIT
+        < 2**24.
         """
-        if not self.dense_ok:
-            return None
         if self._codeg_matrix is None:
-            shape = (self.n, self.n)
-            cache_dir = os.environ.get(CACHE_DIR_ENV)
-            if cache_dir and self.n > 2000:
-                os.makedirs(cache_dir, exist_ok=True)
-                fd, path = tempfile.mkstemp(suffix=".codeg.npy", dir=cache_dir)
-                os.close(fd)
-                out = np.memmap(path, dtype=np.int32, mode="w+", shape=shape)
-                os.unlink(path)  # the mapping outlives the directory entry
-            else:
-                out = np.zeros(shape, dtype=np.int32)
+            self._dense_check()
+            out = np.zeros((self.n, self.n), dtype=np.int32)
             for rows, cols in dense_blocks(self):
                 b = self.block(rows, cols)
                 at = _run(rows)
@@ -185,10 +171,21 @@ class Graph:
             self._codeg_matrix = out
         return self._codeg_matrix
 
-    def block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """The float32 adjacency block of ``rows`` by ``cols``."""
-        # whole rows first, then columns: several times faster than np.ix_
-        return self.adjacency_matrix()[_run(rows)][:, _run(cols)].astype(np.float32)
+    def block(self, rows, cols) -> np.ndarray:
+        """The float32 adjacency block of ``rows`` by ``cols`` (distinct ids
+        each), read from the CSR rows of ``rows``; ``ResourceError`` above
+        ``DENSE_LIMIT`` ids."""
+        rows = np.asarray(rows, dtype=np.intp)
+        cols = np.asarray(cols, dtype=np.intp)
+        self._dense_check()
+        at = np.full(self.n, -1, dtype=np.intp)
+        at[cols] = np.arange(len(cols))
+        r = np.repeat(np.arange(len(rows)), self._deg[rows])
+        c = at[self._row_entries(rows)]
+        keep = c >= 0
+        out = np.zeros((len(rows), len(cols)), dtype=np.float32)
+        out[r[keep], c[keep]] = 1
+        return out
 
     # -- deletion ------------------------------------------------------------
 
@@ -257,9 +254,7 @@ def two_coloring(g: Graph) -> Optional[list[int]]:
                 continue
             side[s], front = 0, np.array([s])
             while len(front):
-                colour, cnt = side[front[0]], g._deg[front]
-                nb = g.indices[np.repeat(g.indptr[front] - np.cumsum(cnt) + cnt, cnt)
-                               + np.arange(int(cnt.sum()))]
+                colour, nb = side[front[0]], g._row_entries(front)
                 if (side[nb] == colour).any():
                     g._side = False
                     return None

@@ -476,16 +476,6 @@ def _join(g: Graph, width: int, cap: int, what: str, keep) -> np.ndarray:
     return np.concatenate(done)
 
 
-def _codegrees(g: Graph, codeg: Optional[np.ndarray], a: np.ndarray,
-               b: np.ndarray) -> np.ndarray:
-    """d(a[i], b[i]) for vertex arrays a, b: from the codegree matrix, or
-    pair by pair above its cap (``codeg`` None)."""
-    if codeg is not None:
-        return codeg[a, b]
-    return np.fromiter((g.codegree(x, y) for x, y in zip(a.tolist(), b.tolist())),
-                       dtype=np.int64, count=len(a))
-
-
 def _enumerate_paths(g: Graph, k: int, cap: int,
                      second_codegree_max: Optional[float] = None,
                      ) -> np.ndarray:
@@ -500,8 +490,7 @@ def _enumerate_paths(g: Graph, k: int, cap: int,
             ok &= prev[:, c] != v
         if second_codegree_max is not None and prev.shape[1] >= 2:
             idx = np.flatnonzero(ok)
-            ok[idx] = _codegrees(g, codeg, prev[idx, -2],
-                                 v[idx]) <= second_codegree_max
+            ok[idx] = codeg[prev[idx, -2], v[idx]] <= second_codegree_max
         return ok
 
     return _join(g, k, cap, "path", keep)
@@ -678,25 +667,20 @@ def _count_high_codegree_cherries(g: Graph, c_thresh: float) -> tuple[int, dict[
     """Ordered paths (u, v, w), u != w, with d(u, w) > c_thresh; per-center
     tallies are returned so Case 2 can pick its pivot.
 
-    Below the dense cap the tally of v is (B M B^T)[v, v] on the
-    ``dense_blocks`` block (R, C) with v in R: B its adjacency block and
-    M = [codegree > c_thresh] on C (zero diagonal; the one float32 array of
-    that size allocated).  512-row slabs of B times M run in float32, exact
-    as entries of B M are at most n < 2**24, row sums in float64, exact past
-    deg**2 >= 2**24.  Above the cap, pair by pair."""
-    if g.dense_ok:
-        codeg = g.codegree_matrix()
-        counts = np.zeros(g.n)
-        for rows, cols in dense_blocks(g):
-            high = (codeg[np.ix_(cols, cols)] > c_thresh).astype(np.float32)
-            np.fill_diagonal(high, 0)
-            for lo in range(0, len(rows), 512):
-                slab = g.block(rows[lo:lo + 512], cols)
-                counts[rows[lo:lo + 512]] = ((slab @ high) * slab).sum(
-                    axis=1, dtype=np.float64)
-    else:
-        counts = [sum(g.codegree(u, w) > c_thresh for u in nb for w in nb
-                      if u != w) for nb in map(g.neighbors, range(g.n))]
+    The tally of v is (B M B^T)[v, v] on the ``dense_blocks`` block (R, C)
+    with v in R: B its adjacency block and M = [codegree > c_thresh] on C
+    (zero diagonal; the one float32 array of that size allocated).  512-row
+    slabs of B times M run in float32, exact as entries of B M are at most
+    n < 2**24, row sums in float64, exact past deg**2 >= 2**24."""
+    codeg = g.codegree_matrix()
+    counts = np.zeros(g.n)
+    for rows, cols in dense_blocks(g):
+        high = (codeg[np.ix_(cols, cols)] > c_thresh).astype(np.float32)
+        np.fill_diagonal(high, 0)
+        for lo in range(0, len(rows), 512):
+            slab = g.block(rows[lo:lo + 512], cols)
+            counts[rows[lo:lo + 512]] = ((slab @ high) * slab).sum(
+                axis=1, dtype=np.float64)
     per_center = {v: int(c) for v, c in enumerate(counts) if c}
     return sum(per_center.values()), per_center
 
@@ -879,7 +863,7 @@ def _enumerate_pivot_paths(g: Graph, pivot: int, k: int, c_thresh: float,
         elif prev.shape[1] % 2 == 0:  # v is at an even position
             ok &= near[v]
             idx = np.flatnonzero(ok)
-            ok[idx] = _codegrees(g, codeg, prev[idx, -2], v[idx]) > c_thresh
+            ok[idx] = codeg[prev[idx, -2], v[idx]] > c_thresh
         return ok
 
     return _join(g, 2 * k + 1, cap, "pivot path", keep)
@@ -931,7 +915,7 @@ def build_good_paths(g: Graph, k: int, alpha: int, c_thresh: float,
         codeg = g.codegree_matrix()
         weight = np.ones(len(seed))
         for i in range(1, k + 1):
-            weight /= _codegrees(g, codeg, seed[:, 2 * i - 2], seed[:, 2 * i])
+            weight /= codeg[seed[:, 2 * i - 2], seed[:, 2 * i]]
         audit.diagnostics["seed_weight"] = math.fsum(weight.tolist())
         audit.diagnostics["final_weight"] = math.fsum(weight[alive].tolist())
     rows = seed[alive]
@@ -1007,10 +991,11 @@ def _layer_transversals(g: Graph, layers: list[np.ndarray], closed: bool,
     closed tuples the wrap-around edge is enforced during the last join so
     intermediates stay small.
     """
-    a = g.adjacency_matrix()
     rows = layers[0].reshape(-1, 1)
     for i, nxt in enumerate(layers[1:], start=1):
-        block = a[:, nxt]  # the layer's columns first: |rows| x |nxt| reads
+        # all n rows by the layer's columns, read from the layer's own CSR
+        # rows (A is symmetric): a fraction of the 2e entries of all rows
+        block = np.ascontiguousarray(g.block(nxt, np.arange(g.n)).T > 0)
         adj = block[rows[:, -1]]
         if closed and i == len(layers) - 1:
             adj &= block[rows[:, 0]]

@@ -182,9 +182,9 @@ def clean_subgraph(g: Graph, mode: str = "fixed") -> tuple[Graph, TransformRepor
     mode "fixed" pins both thresholds to the input average degree, which
     keeps the process from chasing a moving target; mode "self" recomputes
     them from the current average degree at each pass and may cascade to
-    empty.  Below the dense cap the passes run on a float32 adjacency block
-    of the non-isolated vertices, |X| by |Y| on a bipartite host, and the
-    output graph is built once.
+    empty.  The passes run on a float32 adjacency block of the non-isolated
+    vertices, |X| by |Y| on a bipartite host, and the output graph is built
+    once; ``ResourceError`` above ``graphs.DENSE_LIMIT`` ids.
     """
     if mode not in ("fixed", "self"):
         raise InputError("mode must be 'fixed' or 'self'")
@@ -193,10 +193,7 @@ def clean_subgraph(g: Graph, mode: str = "fixed") -> tuple[Graph, TransformRepor
                                   extras={"mode": mode})
     n = g.num_vertices
     d_in = g.average_degree
-    if g.dense_ok:
-        h, passes = _clean_block(g, mode, n, d_in)
-    else:
-        h, passes = _clean_pairs(g, mode, n, d_in)
+    h, passes = _clean_block(g, mode, n, d_in)
     rep = TransformReport(_stats(g), _stats(h), steps_taken=passes,
                           extras={"mode": mode,
                                   "edges_deleted": g.edge_count - h.edge_count,
@@ -229,47 +226,12 @@ def _clean_block(g: Graph, mode: str, n: int, d_in: float) -> tuple[Graph, int]:
     return g.remove(edges=zip(rows[i].tolist(), cols[j].tolist())), passes
 
 
-def _clean_pairs(g: Graph, mode: str, n: int, d_in: float) -> tuple[Graph, int]:
-    """The same process by per-pair codegrees, for hosts above the dense cap."""
-    h = g
-    passes = 0
-    while True:
-        d = d_in if mode == "fixed" else h.average_degree
-        bad = _unclean_pairs(h, d, n)
-        passes += 1
-        if not bad:
-            return h, passes
-        h = h.remove(edges=bad)
-        if h.edge_count == 0:
-            return h, passes
-
-
-def _unclean_pairs(g: Graph, d: float, n: int) -> list[tuple[int, int]]:
-    need = d / 16.0
-    floor = d * d / (128.0 * n)
-    bad = []
-    for (u, v) in g.edges():
-        for a, b in ((u, v), (v, u)):
-            cnt = 0
-            for w in g.neighbors(a):
-                if w != b and g.codegree(b, w) >= floor:
-                    cnt += 1
-                    if cnt >= need:
-                        break
-            if cnt < need:
-                bad.append((u, v))
-                break
-    return bad
-
-
 def is_clean(g: Graph, d: Optional[float] = None) -> bool:
     """Check the clean condition for average degree d (default: own)."""
     if g.edge_count == 0:
         return True
     if d is None:
         d = g.average_degree
-    n = g.num_vertices
-    if not g.dense_ok:
-        return not _unclean_pairs(g, d, n)
     rows, cols = dense_blocks(g)[0]
-    return not _unclean_edges(g.block(rows, cols), d, n, rows is cols).any()
+    return not _unclean_edges(g.block(rows, cols), d, g.num_vertices,
+                              rows is cols).any()

@@ -1,9 +1,9 @@
-"""The dense BLAS paths against the per-pair codegree reference paths.
+"""The dense block kernels against the pair-by-pair reference kernels.
 
-Each test runs the same call twice on freshly built hosts: once with
-``graphs.DENSE_CACHE_CAP`` patched below n, which forces every codegree
-through the per-pair merge, and once at the default cap.  Both runs must
-give identical graphs, reports and certificates.
+Each ``_both`` test runs the same call twice on freshly built hosts: once
+with the kernels of ``tests_support_pairs`` patched in, where every codegree
+is an intersection of two sorted neighbour rows, and once as shipped.  Both
+runs must give identical graphs, reports and certificates.
 """
 
 import random
@@ -11,7 +11,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from turan_forge import graphs
+import tests_support_pairs as pairs
+from turan_forge import embedders, transforms
+from turan_forge.counting import count_c4
 from turan_forge.embedders import (_thick_extension_counts, find_prism,
                                    find_prism_path)
 from turan_forge.errors import InputError
@@ -53,11 +55,14 @@ def _bipartite(data):
 
 
 def _both(make, run):
-    """run(make()) per-pair (cap below n) and dense (default cap)."""
+    """run(make()) with the reference kernels, then with the block kernels."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(graphs, "DENSE_CACHE_CAP", 0)
-        pairs = run(make())
-    return pairs, run(make())
+        mp.setattr(transforms, "_clean_block", pairs.clean_pairs)
+        mp.setattr(embedders, "_prism_path_residue", pairs.prism_path_residue)
+        mp.setattr(embedders, "_thick_extension_counts",
+                   pairs.thick_extension_counts)
+        ref = run(make())
+    return ref, run(make())
 
 
 def _graph_key(g):
@@ -84,6 +89,9 @@ def test_clean_subgraph_dense_equals_pairs(general, two_sided, bip, mode):
         assert is_clean(h, g.average_degree)  # clean at the input degree
     else:
         assert is_clean(h)  # clean at its own final degree
+    for d in (g.average_degree / 2, g.average_degree, 2 * g.average_degree):
+        if g.edge_count:
+            assert is_clean(g, d) == (not pairs.unclean_pairs(g, d, g.num_vertices))
 
 
 @settings(max_examples=80, deadline=None)
@@ -97,8 +105,8 @@ def test_find_prism_path_dense_equals_pairs(data, t, explicit_parts):
             assert verify_certificate(g, cert)[0]
         return _cert_json(cert)
 
-    pairs, dense = _both(lambda: _bipartite(data), run)
-    assert pairs == dense
+    ref, dense = _both(lambda: _bipartite(data), run)
+    assert ref == dense
 
 
 @settings(max_examples=60, deadline=None)
@@ -108,37 +116,34 @@ def test_find_prism_dense_equals_pairs(data, t_factor, seed):
         cert, diag = find_prism(g, 2, t_factor, budget=2000, seed=seed)
         return _cert_json(cert), diag
 
-    pairs, dense = _both(lambda: _general(data), run)
-    assert pairs == dense
+    ref, dense = _both(lambda: _general(data), run)
+    assert ref == dense
 
 
 @settings(max_examples=80, deadline=None)
 @given(hosts, bipartite_hosts, st.booleans(), st.sampled_from([0, 0.5, 1, 2, 3.5]))
 def test_high_codegree_cherries_dense_equals_pairs(general, two_sided, bip,
                                                    c_thresh):
-    def make():
-        return _bipartite(two_sided)[0] if bip else _general(general)
-
-    pairs, dense = _both(make, lambda g: _count_high_codegree_cherries(
-        g, c_thresh))
-    g = make()
-    expect = {v: sum(len(g.common_neighbors(u, w)) > c_thresh
-                     for u in g.neighbors(v) for w in g.neighbors(v) if u != w)
-              for v in g.vertices()}
-    assert pairs == dense == (sum(expect.values()),
-                              {v: c for v, c in expect.items() if c})
+    g = _bipartite(two_sided)[0] if bip else _general(general)
+    assert _count_high_codegree_cherries(g, c_thresh) == \
+        pairs.high_codegree_cherries(g, c_thresh)
 
 
-def test_find_prism_path_above_dense_cap(monkeypatch):
-    def run():
-        g = random_graph(60, 0.6, 5, bipartite=True)
+@settings(max_examples=80, deadline=None)
+@given(hosts, bipartite_hosts, st.booleans())
+def test_count_c4_equals_wedge_count(general, two_sided, bip):
+    g = _bipartite(two_sided)[0] if bip else _general(general)
+    assert count_c4(g) == pairs.wedge_c4(g)
+
+
+def test_find_prism_path_matches_reference_on_gnp():
+    def run(g):
         cert = find_prism_path(g, 2)
         assert cert is not None and verify_certificate(g, cert)[0]
         return cert.to_json()
 
-    dense = run()
-    monkeypatch.setattr(graphs, "DENSE_CACHE_CAP", 10)
-    assert run() == dense
+    ref, dense = _both(lambda: random_graph(60, 0.6, 5, bipartite=True), run)
+    assert ref == dense
 
 
 def test_find_prism_thick_branch_dense_equals_pairs():
@@ -147,10 +152,10 @@ def test_find_prism_thick_branch_dense_equals_pairs():
         cert, diag = find_prism(g, 2, 0.5, budget=2000, seed=1)
         return _cert_json(cert), diag
 
-    pairs, dense = _both(
+    ref, dense = _both(
         lambda: build_graph(24, [(i, 12 + j) for i in range(12)
                                  for j in range(12)]), run)
-    assert pairs == dense
+    assert ref == dense
     assert dense[1]["branch_order"] == "thick,thin"
     assert dense[1]["thick"]["ladder_found"] and dense[0] is not None
 
@@ -206,7 +211,7 @@ def test_find_prism_path_checks_parts_like_the_edge_loop(data, labels):
 def test_thick_extension_counts_match_the_definition(general, two_sided, bip,
                                                      tau):
     g = _bipartite(two_sided)[0] if bip else _general(general)
-    pairs = [(u, v) for (p, q) in g.edges() for (u, v) in ((p, q), (q, p))]
-    assert _thick_extension_counts(g, g.codegree_matrix(), tau, pairs).tolist() == [
-        sum(g.codegree(u, w) - 1 for w in g.neighbors(v)
-            if w != u and g.codegree(u, w) > tau) for u, v in pairs]
+    oriented = [(u, v) for (p, q) in g.edges() for (u, v) in ((p, q), (q, p))]
+    assert _thick_extension_counts(g, g.codegree_matrix(), tau,
+                                   oriented).tolist() == \
+        pairs.thick_extension_counts(g, None, tau, oriented)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from turan_forge import graphs
 from turan_forge.errors import InputError
 from turan_forge.graphs import (build_graph, dense_blocks, read_edge_list, two_coloring,
                                write_edge_list)
@@ -176,30 +175,6 @@ def test_codegree_same_with_and_without_matrix():
                 g.codegree(*bad)
 
 
-def test_codegree_matrix_memmap_leaves_no_file(tmp_path, monkeypatch):
-    monkeypatch.setenv(graphs.CACHE_DIR_ENV, str(tmp_path))
-    n = 2001
-    rng = random.Random(7)
-    pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(3 * n)]
-    g = build_graph(n, [(u, v) for u, v in pairs if u != v])
-    m = g.codegree_matrix()
-    assert isinstance(m, np.memmap)
-    assert list(tmp_path.iterdir()) == []
-    # reference: every 2-path u - w - v adds one to codeg(u, v)
-    expect = np.zeros((n, n), dtype=np.int32)
-    for w in range(n):
-        nb = g.neighbors(w)
-        expect[w, w] = len(nb)
-        for i, u in enumerate(nb):
-            for v in nb[i + 1:]:
-                expect[u, v] += 1
-                expect[v, u] += 1
-    assert np.array_equal(m, expect)
-    for u, v in [(rng.randrange(n), rng.randrange(n)) for _ in range(500)]:
-        if u != v:
-            assert g.codegree(u, v) == len(g.common_neighbors(u, v))
-
-
 def test_edge_list_roundtrip(tmp_path):
     g = build_graph(6, [(0, 1), (2, 5), (3, 4)])
     path = tmp_path / "g.el"
@@ -257,7 +232,7 @@ def assert_matches_sets(g, n, adj, alive):
         [v in alive for v in range(-1, n + 1)]
     assert g.max_degree() == max((len(adj[v]) for v in range(n)), default=0)
     assert g.min_degree_alive() == min((len(adj[v]) for v in alive), default=0)
-    m = g.adjacency_matrix()
+    m = g.block(np.arange(n), np.arange(n))
     for u in range(n):
         assert g.neighbors(u) == tuple(sorted(adj[u]))
         for v in range(n):
@@ -321,16 +296,3 @@ def test_common_neighbors_match_merge(data, victims):
                 assert h.codegree(u, v) == len(common)
             for u in range(n):
                 assert h.codegree(u, u) == h.degree(u)
-
-
-def test_codegree_matrix_memmap_bipartite(tmp_path, monkeypatch):
-    # the side blocks filled into a memmap: n > 2000 with the cache dir set
-    monkeypatch.setenv(graphs.CACHE_DIR_ENV, str(tmp_path))
-    n = 2001
-    rng = random.Random(11)
-    g = build_graph(n, [(2 * rng.randrange(1000), 2 * rng.randrange(1000) + 1)
-                        for _ in range(6 * n)]).remove(vertices=[5, 8])
-    assert len(dense_blocks(g)) == 2
-    m = g.codegree_matrix()
-    assert isinstance(m, np.memmap) and list(tmp_path.iterdir()) == []
-    assert np.array_equal(m, a_squared(g))

@@ -48,6 +48,27 @@ def _parse_json(text: str, what: str):
         raise InputError(f"malformed {what}: {exc}") from None
 
 
+def _whole(value, what: str, low: Optional[int] = 0) -> int:
+    """``value`` as an int: a finite whole number, at least ``low`` unless
+    that is None, given as a number or as text such as "1e8"; an
+    ``InputError`` otherwise."""
+    if isinstance(value, str):
+        for parse in (int, float):
+            try:
+                value = parse(value)
+                break
+            except ValueError:
+                pass
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if (isinstance(value, bool) or not isinstance(value, int)
+            or (low is not None and value < low)):
+        at_least = "" if low is None else f" >= {low}"
+        raise InputError(f"{what} must be a whole number{at_least}, "
+                         f"not {value!r}")
+    return value
+
+
 def _pattern_spec_from_args(args) -> PatternSpec:
     params = {}
     for key in ("t", "k", "ell"):
@@ -122,12 +143,12 @@ def cmd_count(args) -> int:
     elif args.what == "c4":
         out = {"c4": counting.count_c4(g)}
     elif args.what == "cycles":
-        cnt, truncated = counting.count_even_cycles(g, args.ell,
-                                                    int(args.cap))
+        cnt, truncated = counting.count_even_cycles(
+            g, args.ell, _whole(args.cap, "--cap"))
         out = {"ell": args.ell, "count": cnt, "truncated": truncated}
     else:
-        rep = counting.prism_path_weight_report(g, args.ell, args.C0,
-                                                int(args.cap))
+        rep = counting.prism_path_weight_report(
+            g, args.ell, args.C0, _whole(args.cap, "--cap"))
         out = rep.to_json()
     _dump(out, args)
     return EXIT_FOUND
@@ -149,7 +170,7 @@ def _save_collection(coll: LabeledCollection, audit, args) -> None:
 
 def cmd_build(args) -> int:
     g = read_edge_list(getattr(args, "in"))
-    cap = int(args.cap)
+    cap = _whole(args.cap, "--cap")
     if args.family == "rich-paths":
         if args.strategy == "layered":
             coll, audit = rich_collections.layered_rich_paths(
@@ -202,7 +223,8 @@ def cmd_embed(args) -> int:
         cert = embedders.embed_cylinder(host, coll, args.k, args.ell)
     elif args.target == "torus":
         cert = embedders.embed_torus(host, coll, args.k, args.ell,
-                                     budget=int(args.budget), seed=args.seed)
+                                     budget=_whole(args.budget, "--budget"),
+                                     seed=args.seed)
     else:
         cert = embedders.embed_honeycomb(host, coll, args.k, args.ell)
     return _emit_certificate(cert, args)
@@ -211,9 +233,9 @@ def cmd_embed(args) -> int:
 def cmd_find(args) -> int:
     host = read_edge_list(getattr(args, "in"))
     if args.what == "prism":
-        cert, diag = embedders.find_prism(host, args.ell, args.T,
-                                          budget=int(args.budget),
-                                          seed=args.seed)
+        cert, diag = embedders.find_prism(
+            host, args.ell, args.T, budget=_whole(args.budget, "--budget"),
+            seed=args.seed)
         return _emit_certificate(cert, args, extra=diag)
     cert = embedders.find_prism_path(host, args.t)
     return _emit_certificate(cert, args)
@@ -233,7 +255,8 @@ def _load_pattern_arg(value: str) -> Graph:
 def cmd_oracle_find(args) -> int:
     host = read_edge_list(args.host)
     pat = _load_pattern_arg(args.pattern)
-    mapping, stats = oracle.find_subgraph(host, pat, budget=int(args.budget))
+    mapping, stats = oracle.find_subgraph(
+        host, pat, budget=_whole(args.budget, "--budget"))
     out = {"result": stats.result, "nodes": stats.nodes}
     if mapping is not None:
         out["mapping"] = sorted([int(k), int(v)] for k, v in mapping.items())
@@ -352,9 +375,10 @@ def run_pipeline(config: dict) -> tuple[int, dict]:
     target = PatternSpec.from_json(config.get("target", {}))
     builder = config.get("builder", {})
     embedcfg = config.get("embedder", {})
-    budget = int(embedcfg.get("budget", 10 ** 7))
-    seed = int(embedcfg.get("seed", 0))
-    cap = int(builder.get("cap", rich_collections.DEFAULT_CAP))
+    budget = _whole(embedcfg.get("budget", 10 ** 7), "embedder.budget")
+    seed = _whole(embedcfg.get("seed", 0), "embedder.seed", low=None)
+    cap = _whole(builder.get("cap", rich_collections.DEFAULT_CAP),
+                 "builder.cap")
     cert = None
     coll = None
     diagnostics: dict = {}
@@ -363,7 +387,7 @@ def run_pipeline(config: dict) -> tuple[int, dict]:
     p = target.params
     if kind == "grid":
         t = p["t"]
-        alpha = int(builder.get("alpha", t * t))
+        alpha = _whole(builder.get("alpha", t * t), "builder.alpha")
         k = 2 * t - 1
         strategy = _choose_strategy(builder, g, k, closed=False)
         if strategy == "layered":
@@ -373,7 +397,7 @@ def run_pipeline(config: dict) -> tuple[int, dict]:
         cert = embedders.embed_grid(g, coll, t) if len(coll) else None
     elif kind in ("cylinder", "torus"):
         k, ell = p["k"], p["ell"]
-        alpha = int(builder.get("alpha", k * ell))
+        alpha = _whole(builder.get("alpha", k * ell), "builder.alpha")
         strategy = _choose_strategy(builder, g, 2 * ell, closed=True)
         if strategy == "layered":
             coll = rich_collections.layered_rich_cycles(g, ell, alpha,
@@ -389,7 +413,7 @@ def run_pipeline(config: dict) -> tuple[int, dict]:
                                          seed=seed)
     elif kind == "honeycomb":
         k, ell = p["k"], p["ell"]
-        alpha = int(builder.get("alpha", k * ell))
+        alpha = _whole(builder.get("alpha", k * ell), "builder.alpha")
         strategy = _choose_strategy(builder, g, 2 * k + 1, closed=False)
         if strategy == "layered":
             coll = rich_collections.layered_good_paths(g, k, alpha, seed=seed)
@@ -465,7 +489,8 @@ def cmd_pipeline(args) -> int:
     if args.strategy:
         config.setdefault("builder", {})["strategy"] = args.strategy
     if args.budget is not None:
-        config.setdefault("embedder", {})["budget"] = int(args.budget)
+        config.setdefault("embedder", {})["budget"] = _whole(args.budget,
+                                                             "--budget")
     if args.seed is not None:
         config.setdefault("embedder", {}).setdefault("seed", args.seed)
     if args.report:
@@ -533,7 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
     ct.add_argument("--k", type=int, default=5)
     ct.add_argument("--ell", type=int, default=2)
     ct.add_argument("--C0", type=float, default=8.0)
-    ct.add_argument("--cap", type=float, default=1e8)
+    ct.add_argument("--cap", default=10 ** 8, help="a whole number, e.g. 1e8")
     _common(ct)
     ct.set_defaults(func=cmd_count)
 
@@ -546,7 +571,7 @@ def build_parser() -> argparse.ArgumentParser:
     bd.add_argument("--alpha", type=int, required=True)
     bd.add_argument("--C", type=float, default=32.0)
     bd.add_argument("--L", type=float, default=256.0)
-    bd.add_argument("--cap", type=float, default=1e8)
+    bd.add_argument("--cap", default=10 ** 8, help="a whole number, e.g. 1e8")
     bd.add_argument("--strategy", choices=["exhaustive", "layered"],
                     default="exhaustive",
                     help="layered good-paths build the 2k-vertex suffix form "
@@ -563,7 +588,7 @@ def build_parser() -> argparse.ArgumentParser:
     em.add_argument("--t", type=int, default=2)
     em.add_argument("--k", type=int, default=2)
     em.add_argument("--ell", type=int, default=2)
-    em.add_argument("--budget", type=float, default=1e6)
+    em.add_argument("--budget", default=10 ** 6)
     _common(em)
     em.set_defaults(func=cmd_embed)
 
@@ -573,7 +598,7 @@ def build_parser() -> argparse.ArgumentParser:
     fd.add_argument("--ell", type=int, default=4)
     fd.add_argument("--T", type=float, default=8.0)
     fd.add_argument("--t", type=int, default=3)
-    fd.add_argument("--budget", type=float, default=1e7)
+    fd.add_argument("--budget", default=10 ** 7)
     _common(fd)
     fd.set_defaults(func=cmd_find)
 
@@ -583,7 +608,7 @@ def build_parser() -> argparse.ArgumentParser:
     of.add_argument("--host", required=True)
     of.add_argument("--pattern", required=True,
                     help="edge-list file or shorthand like c4")
-    of.add_argument("--budget", type=float, default=1e8)
+    of.add_argument("--budget", default=10 ** 8)
     of.set_defaults(func=cmd_oracle_find)
     ov = _common(osub.add_parser("verify"))
     ov.add_argument("--host", required=True)
@@ -605,7 +630,7 @@ def build_parser() -> argparse.ArgumentParser:
                                      '\'{"kind":"cylinder","k":3,"ell":2}\'')
     pl.add_argument("--alpha", type=int)
     pl.add_argument("--strategy", choices=["auto", "exhaustive", "layered"])
-    pl.add_argument("--budget", type=float)
+    pl.add_argument("--budget")
     pl.add_argument("--report")
     pl.add_argument("--cert")
     _common(pl)

@@ -1,5 +1,5 @@
-"""Walk/homomorphism counting, cycle enumeration, codegree classification
-and the weighted ladder census."""
+"""Walk/homomorphism counting, cycle counts and enumeration, codegree
+classification and the weighted ladder census."""
 
 from __future__ import annotations
 
@@ -12,6 +12,7 @@ import numpy as np
 from .errors import InputError
 from .graphs import Graph
 from .matching import max_disjoint_edges
+from .rich_collections import _check_cap, _enumerate_cycles
 
 DEFAULT_CAP = 10 ** 8
 
@@ -61,60 +62,23 @@ def count_c4(g: Graph) -> int:
     return total // 8
 
 
-def _cycle_dfs(g: Graph, length: int) -> Iterator[tuple[int, ...]]:
-    """Yield each unlabeled cycle once: minimal vertex first, then the
-    smaller of its two cycle-neighbors."""
-    for root in g.vertices():
-        nb_root = [v for v in g.neighbors(root) if v > root]
-        path = [root]
-        used = {root}
-
-        def extend(depth: int) -> Iterator[tuple[int, ...]]:
-            # path holds depth + 1 vertices on entry
-            last = path[-1]
-            if depth == length - 2:
-                for v in g.neighbors(last):
-                    if v > path[1] and v not in used and g.has_edge(v, root):
-                        yield tuple(path) + (v,)
-                return
-            for v in g.neighbors(last):
-                if v > root and v not in used:
-                    used.add(v)
-                    path.append(v)
-                    yield from extend(depth + 1)
-                    path.pop()
-                    used.remove(v)
-
-        for first in nb_root:
-            used.add(first)
-            path.append(first)
-            yield from extend(1)
-            path.pop()
-            used.remove(first)
-
-
 def count_even_cycles(g: Graph, ell: int, cap: int = DEFAULT_CAP) -> tuple[int, bool]:
-    """Exact count of unlabeled 2*ell-cycles by canonical-rooted backtracking;
-    a host with more than ``cap`` of them gives ``(cap, True)``."""
+    """Exact count of unlabeled 2*ell-cycles, from the one cycle enumerator
+    without keeping its rows; a host with more than ``cap`` of them gives
+    ``(cap, True)``."""
     if ell < 2:
         raise InputError("need ell >= 2")
-    count = 0
-    for _ in _cycle_dfs(g, 2 * ell):
-        if count == cap:
-            return count, True
-        count += 1
-    return count, False
+    _, count = _enumerate_cycles(g, ell, cap, take=0)
+    return min(count, cap), count > cap
 
 
 def enumerate_even_cycles(g: Graph, ell: int, cap: int = DEFAULT_CAP) -> tuple[list[tuple[int, ...]], bool]:
-    """Canonical 2*ell-cycle tuples, at most ``cap`` of them; truncated only
-    when the host has more."""
-    out: list[tuple[int, ...]] = []
-    for cyc in _cycle_dfs(g, 2 * ell):
-        if len(out) == cap:
-            return out, True
-        out.append(cyc)
-    return out, False
+    """Canonical 2*ell-cycle tuples in lexicographic order, at most ``cap``
+    of them; truncated only when the host has more."""
+    if ell < 2:
+        raise InputError("need ell >= 2")
+    rows, count = _enumerate_cycles(g, ell, cap, take=cap)
+    return [tuple(r) for r in rows.tolist()], count > cap
 
 
 @dataclass
@@ -126,23 +90,22 @@ class C4Classification:
 
 
 def classify_c4(g: Graph, t_factor: float, cap: int = DEFAULT_CAP) -> C4Classification:
-    """Split 4-cycles into thin/thick at diagonal-codegree threshold
-    ``t_factor * sqrt(average degree)``."""
+    """Split the first ``cap`` 4-cycles (a, b, c, d), in the order of
+    ``enumerate_even_cycles``, into thin/thick at diagonal-codegree
+    threshold ``t_factor * sqrt(average degree)``: thin when codeg(a, c)
+    and codeg(b, d) are both at most it.  The codegrees are read from
+    ``codegree_matrix``, so a host above ``graphs.DENSE_LIMIT`` ids is
+    refused up front."""
     if t_factor <= 0:
         raise InputError("threshold factor must be positive")
     tau = t_factor * sqrt(g.average_degree)
-    thin: list[tuple[int, int, int, int]] = []
-    thick: list[tuple[int, int, int, int]] = []
-    truncated = False
-    for (a, b, c, d) in _cycle_dfs(g, 4):
-        if len(thin) + len(thick) == cap:
-            truncated = True
-            break
-        if g.codegree(a, c) <= tau and g.codegree(b, d) <= tau:
-            thin.append((a, b, c, d))
-        else:
-            thick.append((a, b, c, d))
-    return C4Classification(tau, thin, thick, truncated)
+    codeg = g.codegree_matrix()
+    rows, count = _enumerate_cycles(g, 2, cap, take=cap)
+    thin = ((codeg[rows[:, 0], rows[:, 2]] <= tau)
+            & (codeg[rows[:, 1], rows[:, 3]] <= tau))
+    return C4Classification(tau, [tuple(r) for r in rows[thin].tolist()],
+                            [tuple(r) for r in rows[~thin].tolist()],
+                            count > cap)
 
 
 def is_rich_tuple(g: Graph, w: int, z: int, wp: int, zp: int,
@@ -248,6 +211,7 @@ def prism_path_weight_report(g: Graph, ell: int, c0: float,
     """
     if ell < 2:
         raise InputError("need ell >= 2")
+    _check_cap(cap)
     n = g.num_vertices
     if n == 0:
         raise InputError("empty graph")

@@ -444,15 +444,25 @@ def _extend(rows: np.ndarray, indptr: np.ndarray,
     return np.repeat(rows, cnt, axis=0), indices[pos]
 
 
-def _join(g: Graph, width: int, cap: int, what: str, keep) -> np.ndarray:
+def _check_cap(cap: int) -> None:
+    if cap < 0:
+        raise InputError(f"cap must be at least 0, not {cap}")
+
+
+def _join(g: Graph, width: int, cap: int, what: str, keep,
+          take: Optional[int] = None) -> tuple[np.ndarray, int]:
     """Walks of ``width`` vertices from every live vertex, grown one column
     at a time and filtered by ``keep(rows, next vertices) -> mask``.
 
     Rows grow depth first, in chunks halved until one step has at most
     _JOIN_ROWS candidate rows, so memory stays bounded and the output keeps
-    the sorted row order.  Finished rows are counted as they come: a
-    resource error once there are more than ``cap``.
+    the sorted row order.  Finished rows are counted as they come: once
+    there are more than ``cap``, a resource error, or with ``take`` the
+    search stops.  Returns the rows (with ``take``, only the first ``take``)
+    and their count, which with ``take`` stops at the first chunk past cap.
     """
+    _check_cap(cap)
+    limit = cap if take is None else take
     indptr = g.indptr
     done: list[np.ndarray] = []
     total = 0
@@ -460,10 +470,13 @@ def _join(g: Graph, width: int, cap: int, what: str, keep) -> np.ndarray:
     while todo:
         rows = todo.pop()
         if rows.shape[1] == width:
+            done.append(rows[:max(limit - total, 0)].astype(np.uint32))
             total += len(rows)
             if total > cap:
-                raise ResourceError(f"{what} enumeration exceeded cap {cap}")
-            done.append(rows.astype(np.uint32))
+                if take is None:
+                    raise ResourceError(
+                        f"{what} enumeration exceeded cap {cap}")
+                break
             continue
         last = rows[:, -1]
         if len(rows) > 1 and (indptr[last + 1] - indptr[last]).sum() > _JOIN_ROWS:
@@ -473,7 +486,7 @@ def _join(g: Graph, width: int, cap: int, what: str, keep) -> np.ndarray:
         prev, v = _extend(rows, indptr, g.indices)
         ok = keep(prev, v)
         todo.append(np.column_stack([prev[ok], v[ok]]))
-    return np.concatenate(done)
+    return np.concatenate(done), total
 
 
 def _enumerate_paths(g: Graph, k: int, cap: int,
@@ -493,13 +506,109 @@ def _enumerate_paths(g: Graph, k: int, cap: int,
             ok[idx] = codeg[prev[idx, -2], v[idx]] <= second_codegree_max
         return ok
 
-    return _join(g, k, cap, "path", keep)
+    return _join(g, k, cap, "path", keep)[0]
 
 
-def _enumerate_cycles(g: Graph, ell: int, cap: int) -> np.ndarray:
-    """Each unlabeled 2*ell-cycle once, in ``counting._cycle_dfs``'s canonical
-    form and order: the minimum vertex first, every later vertex above it,
-    and the last vertex above the second."""
+def _four_cycles(g: Graph, cap: int,
+                 take: Optional[int]) -> tuple[np.ndarray, int]:
+    """``_enumerate_cycles`` for ell = 2, from pairs of wedges.
+
+    A pair of centres a < c of the wedges b-a-d and b-c-d, b < d, is the
+    cycle (a, b, c, d), canonical when a < b.  The exact count comes from
+    the (b, d) groups before any row exists.  Edges at a vertex of degree
+    1 are left out first, so a star has no wedge.  Wedges are taken in
+    chunks of consecutive b with at most _JOIN_ROWS of them (or the wedges
+    of one b, at most 2e); a single chunk is grouped once, more are grouped
+    again to make their rows.  With ``take`` below the count, only the
+    cycles whose minimum is at most the one that completes the first
+    ``take`` are made.
+    """
+    n, deg = g.n, np.diff(g.indptr)
+    # an edge with an end of degree 1 is on no cycle: its wedges start none
+    on = np.repeat(deg > 1, deg) & (deg[g.indices] > 1)
+    indptr, indices = np.append(0, np.cumsum(on))[g.indptr], g.indices[on]
+    rev = np.argsort(indices, kind="stable")  # entry q's reverse is rev[q]
+    ups = indptr[indices + 1] - rev - 1  # the wedges entry (b, x) starts
+
+    def wedges(lo: int, hi: int) -> tuple[np.ndarray, ...]:
+        """The wedges b-x-d with lo <= b < hi as columns x, b, d sorted by
+        (b, d, x), so that each (b, d) group lists its centres ascending,
+        and the cycles each starts: when x < b, the cycle (x, b, c, d) for
+        each later centre c of its group."""
+        at = slice(indptr[lo], indptr[hi])  # the entries (b, x) of rows b
+        cnt = ups[at]
+        # an entry's d run over x's row after b, which sits at rev[entry]
+        run = np.repeat(rev[at] + 1 - np.cumsum(cnt) + cnt, cnt)
+        run += np.arange(len(run))
+        rows = np.empty((len(run), 3), dtype=np.uint32)
+        rows[:, 1] = indices[run]
+        del run
+        rows[:, 0] = np.repeat(np.repeat(np.arange(lo, hi),
+                                         np.diff(indptr[lo:hi + 1])), cnt)
+        rows[:, 2] = np.repeat(indices[at], cnt)
+        rows = np.take(rows, _sorted_keys(rows, n)[0], axis=0)
+        b, d, x = rows.T
+        new = np.ones(len(b) + 1, dtype=bool)  # group starts, and the end
+        new[1:-1] = (b[1:] != b[:-1]) | (d[1:] != d[:-1])
+        start = np.flatnonzero(new)
+        cnt = np.repeat(start[1:], np.diff(start))  # the end of its group
+        cnt -= np.arange(1, len(b) + 1)
+        cnt[x > b] = 0
+        return x, b, d, cnt
+
+    cum = np.append(0, np.cumsum(ups))[indptr]  # the wedges before each b
+    spans, lo = [], 0
+    while lo < n:
+        hi = int(np.searchsorted(cum, cum[lo] + _JOIN_ROWS, side="right")) - 1
+        spans.append((lo, max(hi, lo + 1)))
+        lo = spans[-1][1]
+    kept = [wedges(*spans[0])] if len(spans) == 1 else None
+
+    def chunks():
+        return kept or (wedges(*span) for span in spans)
+
+    per_min = np.zeros(n, dtype=np.int64)
+    for x, _, _, cnt in chunks():
+        per_min += np.bincount(x, weights=cnt, minlength=n).astype(np.int64)
+        del x, cnt  # before the next chunk is grouped
+    total = int(per_min.sum())
+    if take is None and total > cap:
+        raise ResourceError(f"cycle enumeration exceeded cap {cap}")
+    need = total if take is None else min(take, total)
+    if need == 0:
+        return np.empty((0, 4), dtype=np.uint32), total
+    top = np.searchsorted(np.cumsum(per_min), need)  # the minima kept
+    out = []
+    for x, b, d, cnt in chunks():
+        cnt = np.where(x <= top, cnt, 0)
+        wedge = np.arange(len(x))
+        rows = np.column_stack([x, b, x, d])
+        rows = np.take(rows, np.repeat(wedge, cnt), axis=0)  # (a, b, -, d)
+        # the centres c after a in its group, at positions a + 1, a + 2, ..
+        run = np.repeat(wedge + 1 - np.cumsum(cnt) + cnt, cnt)
+        rows[:, 2] = x[run + np.arange(len(run))]
+        out.append(rows)
+    rows = np.concatenate(out)
+    return np.take(rows, _sorted_keys(rows, n)[0][:need], axis=0), total
+
+
+def _enumerate_cycles(g: Graph, ell: int, cap: int,
+                      take: Optional[int] = None):
+    """Each unlabeled 2*ell-cycle once, as lexicographically sorted rows in
+    canonical form: the minimum vertex first, every later vertex above it,
+    and the last vertex above the second.
+
+    More than ``cap`` cycles is a resource error.  With ``take`` (at most
+    cap) nothing is raised: the result is the first ``take`` rows and the
+    number of cycles, which is exact for ell = 2 and otherwise stops at the
+    first chunk past cap.  4-cycles come from ``_four_cycles``; longer ones
+    from ``_join``, which finds each closing edge by a searchsorted into
+    the sorted edge codes.
+    """
+    _check_cap(cap)
+    if ell == 2:
+        rows, total = _four_cycles(g, cap, take)
+        return rows if take is None else (rows, total)
     length = 2 * ell
     # edge codes u * n + v, sorted because the adjacency lists are
     codes = np.repeat(np.arange(g.n), np.diff(g.indptr)) * g.n + g.indices
@@ -516,7 +625,8 @@ def _enumerate_cycles(g: Graph, ell: int, cap: int) -> np.ndarray:
             ok[idx] = codes[at] == close
         return ok
 
-    return _join(g, length, cap, "cycle", keep)
+    rows, total = _join(g, length, cap, "cycle", keep, take)
+    return rows if take is None else (rows, total)
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +689,9 @@ def _np_prune_rich(members: np.ndarray, kind: str, length: int,
     position is a rule.  Returns the collection of the survivors and, per
     round, per position, a row of each group it deleted and their live
     sizes.  The collection keeps the live part of each sorted key array,
-    still sorted, in base n, the seed's largest vertex plus one.
+    still sorted, in base n, the seed's largest vertex plus one: packed
+    keys lose the dead members' own codes, found by searchsorted (no two
+    index rows are equal); lexsorted keys are masked by member.
     """
     if len(members) == 0:  # a layered seed that ran dry may be narrower
         return LabeledCollection(kind, length, members, alpha=alpha), []
@@ -590,9 +702,16 @@ def _np_prune_rich(members: np.ndarray, kind: str, length: int,
     alive, rounds = _fixpoint(m, rules)
     failed = [[(pos, first[ids], sizes) for pos, (_, first, _), (ids, sizes)
                in zip(positions, rules, r)] for r in rounds]
+    dead = members[~alive]
+
+    def live(pos: int, order: np.ndarray, keys: np.ndarray) -> np.ndarray:
+        if keys.ndim == 2:
+            return keys[:, np.tile(alive, len(order) // m)[order]]
+        codes = _codes(_index_rows(dead, kind, pos, 1), base)
+        return np.delete(keys, keys.searchsorted(codes))
+
     return LabeledCollection._indexed(kind, length, members[alive], {
-        pos: keys[..., np.tile(alive, len(order) // m)[order]]
-        for pos, (order, keys) in zip(positions, index)}, base,
+        pos: live(pos, *index[i]) for i, pos in enumerate(positions)}, base,
         alpha=alpha), failed
 
 
@@ -866,7 +985,7 @@ def _enumerate_pivot_paths(g: Graph, pivot: int, k: int, c_thresh: float,
             ok[idx] = codeg[prev[idx, -2], v[idx]] > c_thresh
         return ok
 
-    return _join(g, 2 * k + 1, cap, "pivot path", keep)
+    return _join(g, 2 * k + 1, cap, "pivot path", keep)[0]
 
 
 def build_good_paths(g: Graph, k: int, alpha: int, c_thresh: float,

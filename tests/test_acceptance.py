@@ -8,6 +8,7 @@ import time
 import numpy as np
 import pytest
 
+from tests_support_pairs import cycle_dfs
 from turan_forge.certificates import EmbeddingCertificate
 from turan_forge.cli import run_pipeline
 from turan_forge.counting import (check_path_inequality, count_c4,
@@ -103,14 +104,17 @@ def test_acceptance_3_counting_equivalence():
         assert hom_path_count(g, k) == _hom_matrix_oracle(g, k)
     for i in range(100):
         g = random_graph(5 + i % 21, 0.15 + (i % 4) * 0.1, 3000 + i)
-        assert count_c4(g) == count_even_cycles(g, 2)[0]
+        # the DFS shares no code with the codegree sum or the wedge pairs
+        assert count_c4(g) == count_even_cycles(g, 2)[0] == sum(
+            1 for _ in cycle_dfs(g, 4))
     for i in range(50):
         g = random_graph(8 + i % 7, 0.3 + (i % 3) * 0.1, 4000 + i)
         assert count_even_cycles(g, 3)[0] == _brute_cycles(g, 6)
     dt = time.perf_counter() - t0
     _report(3, dt < 60.0,
-            f"hom vs matrix power on 200 graphs, c4 vs backtracking on 100, "
-            f"hexagons vs permutation brute force on 50; {dt:.1f}s (< 60s)")
+            f"hom vs matrix power on 200 graphs, c4 vs wedge pairs and DFS "
+            f"on 100, hexagons vs permutation brute force on 50; {dt:.1f}s "
+            f"(< 60s)")
 
 
 def test_acceptance_4_path_inequality():

@@ -155,6 +155,63 @@ def test_bad_collection_header_is_input_error(tmp_path, capsys):
                          str(host), "--t", "2"], capsys)
 
 
+K23_EDGES = [(a, 2 + b) for a in range(2) for b in range(3)]  # 3 4-cycles
+
+
+@pytest.mark.parametrize("command", [["count", "cycles"],
+                                     ["build", "rich-cycles", "--alpha", "1"]])
+@pytest.mark.parametrize("cap", ["nan", "inf", "-inf", "-1", "1.5", "abc"])
+def test_bad_cap_flag_is_input_error(tmp_path, capsys, command, cap):
+    host = tmp_path / "h.el"
+    write_edge_list(build_graph(5, K23_EDGES), host)
+    assert _input_error([*command, "--in", str(host), f"--cap={cap}"], capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["find", "prism", "--ell", "2"],
+    ["pipeline", "--target", '{"kind": "grid", "t": 2}']])
+@pytest.mark.parametrize("budget", ["inf", "nan", "1.5", "-1", "x"])
+def test_bad_budget_flag_is_input_error(tmp_path, capsys, argv, budget):
+    host = tmp_path / "h.el"
+    write_edge_list(build_graph(5, K23_EDGES), host)
+    flag = "--in" if argv[0] == "find" else "--host-file"
+    assert _input_error([*argv, flag, str(host), f"--budget={budget}"], capsys)
+
+
+@pytest.mark.parametrize("cap, out", [("1e8", (3, False)), ("3", (3, False)),
+                                      ("2.0", (2, True)), ("0", (0, True))])
+def test_cap_flag_takes_whole_numbers(tmp_path, cap, out):
+    host, res = tmp_path / "h.el", tmp_path / "out.json"
+    write_edge_list(build_graph(5, K23_EDGES), host)
+    assert main(["count", "cycles", "--in", str(host), "--cap", cap,
+                 "--out", str(res)]) == 0
+    got = json.loads(res.read_text())
+    assert (got["count"], got["truncated"]) == out
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("builder", "cap", "abc"), ("builder", "cap", None),
+    ("builder", "cap", float("inf")), ("builder", "cap", -1),
+    ("builder", "cap", 2.5), ("builder", "alpha", "x"),
+    ("embedder", "budget", "x"), ("embedder", "seed", 0.5)])
+def test_bad_pipeline_number_is_input_error(section, key, value):
+    config = {"host": {"kind": "gnp", "n": 12, "p": 0.5, "seed": 1},
+              "target": {"kind": "cylinder", "k": 2, "ell": 2},
+              "builder": {"strategy": "exhaustive"}}
+    config.setdefault(section, {})[key] = value
+    with pytest.raises(InputError, match=f"{section}.{key} must be a whole"):
+        run_pipeline(config)
+
+
+def test_config_file_overflow_is_input_error(tmp_path, capsys):
+    # JSON's 1e400 reads as inf
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"host": {"kind": "gnp", "n": 12, "p": 0.5}, "target": '
+                   '{"kind": "cylinder", "k": 2, "ell": 2}, '
+                   '"builder": {"cap": 1e400}}')
+    assert _input_error(["pipeline", "--config", str(cfg)], capsys)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(2, 24), st.floats(0.1, 1.0), st.booleans(),
        st.sampled_from([4, 6, 8]), st.integers(0, 2 ** 20))

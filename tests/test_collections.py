@@ -7,8 +7,8 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from test_graphs import edge_lists
+from tests_support_pairs import cycle_dfs as _cycle_dfs
 from turan_forge import rich_collections
-from turan_forge.counting import _cycle_dfs
 from turan_forge.errors import InputError, IntegrityError, ResourceError
 from turan_forge.generators import polarity_graph, random_graph
 from turan_forge.graphs import build_graph

@@ -1,11 +1,18 @@
 """Counting tests with brute-force oracles (walk enumeration, permutation
-cycle enumeration) computed in this file."""
+cycle enumeration) computed in this file, and the cycle enumerator against
+the depth-first reference of ``tests_support_pairs``."""
 
 import itertools
+import math
+import tracemalloc
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from test_graphs import edge_lists
+from tests_support_pairs import cycle_dfs
+from turan_forge import rich_collections
 from turan_forge.counting import (check_path_inequality, classify_c4, count_c4,
                                   count_even_cycles, enumerate_even_cycles,
                                   hom_path_count,
@@ -14,6 +21,8 @@ from turan_forge.counting import (check_path_inequality, classify_c4, count_c4,
 from turan_forge.errors import InputError
 from turan_forge.generators import polarity_graph, random_graph
 from turan_forge.graphs import build_graph
+from turan_forge.rich_collections import (_enumerate_cycles, build_good_paths,
+                                          build_rich_cycles, build_rich_paths)
 
 
 def brute_walks(g, k):
@@ -120,6 +129,7 @@ def test_truncated_only_above_the_cap():
 def test_cycle_counts_match_brute_force(seed):
     g = random_graph(11, 0.45, seed)
     assert count_c4(g) == count_even_cycles(g, 2)[0] == len(brute_cycles(g, 4))
+    assert count_c4(g) == sum(1 for _ in cycle_dfs(g, 4))
     assert count_even_cycles(g, 3)[0] == len(brute_cycles(g, 6))
 
 
@@ -199,3 +209,107 @@ def test_weight_report_c4_free_host():
     c8 = build_graph(8, [(i, (i + 1) % 8) for i in range(8)])
     rep = prism_path_weight_report(c8, 2, 2.0)
     assert rep.copies_enumerated == 0
+
+
+# -- the one cycle enumerator against the DFS reference
+
+def _spread(args):
+    """Vertex v of the edge list becomes id v * spread, so the ids between
+    are isolated among live ones; bipartite keeps the edges between the
+    parity classes; the victims are tombstoned."""
+    (n, edges), bipartite, spread, victims = args
+    g = build_graph(n * spread, [(u * spread, v * spread) for u, v in edges
+                                 if not bipartite or (u + v) % 2])
+    return g.remove(vertices=[v * spread for v in victims if v < n])
+
+
+enum_hosts = st.one_of(
+    st.tuples(edge_lists, st.booleans(), st.integers(1, 3),
+              st.sets(st.integers(0, 11), max_size=3)).map(_spread),
+    st.tuples(st.integers(4, 16), st.floats(0.2, 0.9), st.integers(0, 999),
+              st.booleans()).map(
+        lambda a: random_graph(*a[:3], bipartite=a[3])))
+
+# K(4, 4): every (b, d) group on a side has four centres, and the least b
+# of each side has 12 wedges, more than the patched chunk limit of 8
+K44 = build_graph(8, [(a, 4 + b) for a in range(4) for b in range(4)])
+
+
+def _dfs_rows(g, length):
+    rows = np.array(list(cycle_dfs(g, length)), dtype=np.uint32)
+    return rows.reshape(-1, length)
+
+
+@settings(max_examples=80, deadline=None)
+@given(enum_hosts, st.sampled_from([8, 1 << 20]))
+@example(K44, 8)
+def test_four_cycles_equal_dfs_row_for_row(g, join_rows):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rich_collections, "_JOIN_ROWS", join_rows)
+        rows = _enumerate_cycles(g, 2, 10 ** 6)
+    assert rows.dtype == np.uint32
+    assert np.array_equal(rows, _dfs_rows(g, 4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(enum_hosts, st.integers(0, 40), st.sampled_from([8, 1 << 20]))
+@example(K44, 17, 8)
+def test_truncation_keeps_the_first_cap_rows(g, cap, join_rows):
+    for ell in (2, 3):
+        expect = list(cycle_dfs(g, 2 * ell))
+        over = len(expect) > cap
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rich_collections, "_JOIN_ROWS", join_rows)
+            assert enumerate_even_cycles(g, ell, cap) == (expect[:cap], over)
+            assert count_even_cycles(g, ell, cap) == (min(len(expect), cap),
+                                                      over)
+
+
+@settings(max_examples=60, deadline=None)
+@given(enum_hosts, st.floats(0.05, 2.0),
+       st.one_of(st.integers(0, 40), st.just(10 ** 8)))
+def test_classify_c4_equals_per_cycle_codegrees(g, t_factor, cap):
+    tau = t_factor * math.sqrt(g.average_degree)
+    cycles = list(cycle_dfs(g, 4))
+    thin = [len(g.common_neighbors(a, c)) <= tau
+            and len(g.common_neighbors(b, d)) <= tau for a, b, c, d in cycles]
+    cls = classify_c4(g, t_factor, cap)
+    assert cls.threshold == tau and cls.truncated == (len(cycles) > cap)
+    assert cls.thin == [c for c, ok in zip(cycles[:cap], thin) if ok]
+    assert cls.thick == [c for c, ok in zip(cycles[:cap], thin) if not ok]
+
+
+@pytest.mark.parametrize("pendants", [False, True])
+def test_star_is_counted_in_bounded_memory(pendants):
+    # K(1, 4000) has C(4000, 2) wedges and no 4-cycle; with a pendant edge
+    # at every leaf, the leaves have degree 2 and the wedges stay
+    edges = [(0, v) for v in range(1, 4001)]
+    if pendants:
+        edges += [(v, 4000 + v) for v in range(1, 4001)]
+    star = build_graph(8001, edges)
+    tracemalloc.start()
+    try:
+        assert count_even_cycles(star, 2) == (0, False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 20
+
+
+K23 = build_graph(5, [(a, 2 + b) for a in range(2) for b in range(3)])
+
+
+@pytest.mark.parametrize("call", [
+    lambda cap: count_even_cycles(K23, 2, cap),
+    lambda cap: count_even_cycles(K23, 3, cap),
+    lambda cap: enumerate_even_cycles(K23, 2, cap),
+    lambda cap: classify_c4(K23, 1.0, cap),
+    lambda cap: prism_path_weight_report(K23, 2, 2.0, cap),
+    lambda cap: build_rich_paths(K23, 3, 1, cap),
+    lambda cap: build_rich_cycles(K23, 2, 1, cap),
+    lambda cap: build_good_paths(K23, 1, 1, 1.0, 256.0, cap),
+], ids=["count", "count_ell3", "enumerate", "classify", "weights",
+        "rich_paths", "rich_cycles", "good_paths"])
+def test_negative_cap_is_input_error(call):
+    with pytest.raises(InputError, match="cap must be at least 0"):
+        call(-1)

@@ -13,7 +13,7 @@ import tracemalloc
 import pytest
 
 from turan_forge.cli import main
-from turan_forge.counting import count_c4
+from turan_forge.counting import classify_c4, count_c4
 from turan_forge.embedders import find_prism, find_prism_path
 from turan_forge.errors import ResourceError
 from turan_forge.graphs import DENSE_LIMIT, build_graph, write_edge_list
@@ -27,6 +27,7 @@ CALLS = {
     "find_prism_path": lambda g: find_prism_path(g, 2),
     "find_prism": lambda g: find_prism(g, 2),
     "count_c4": count_c4,
+    "classify_c4": lambda g: classify_c4(g, 1.0),
     "build_good_paths": lambda g: build_good_paths(g, 1, 2, 1.0, 256.0),
     "layered_rich_cycles": lambda g: layered_rich_cycles(g, 2, 2, seed=0),
 }

@@ -3,6 +3,11 @@ and counts.  Every codegree is one intersection of two sorted neighbour rows,
 never a read of the dense matrix, so the block kernels in the package are
 checked against code that shares none of their arithmetic.  Each function
 has the signature of the kernel it stands in for, so a test can patch it in.
+
+The module also holds ``cycle_dfs``, the reference for the package's cycle
+enumerator: a recursive depth-first search that builds each cycle vertex by
+vertex from the adjacency lists and closes it with ``has_edge``, sharing no
+code with the wedge pairs or the array joins.
 """
 
 from collections import Counter
@@ -94,3 +99,36 @@ def wedge_c4(g):
     wedges = Counter((nb[i], nb[j]) for nb in map(g.neighbors, g.vertices())
                      for i in range(len(nb)) for j in range(i + 1, len(nb)))
     return sum(c * (c - 1) // 2 for c in wedges.values()) // 2
+
+
+def cycle_dfs(g, length):
+    """Yield each unlabeled cycle of ``length`` vertices once, in
+    lexicographic order: the minimal vertex first, then the smaller of its
+    two cycle-neighbours."""
+    for root in g.vertices():
+        path = [root]
+        used = {root}
+
+        def extend(depth):
+            # path holds depth + 1 vertices on entry
+            last = path[-1]
+            if depth == length - 2:
+                for v in g.neighbors(last):
+                    if v > path[1] and v not in used and g.has_edge(v, root):
+                        yield tuple(path) + (v,)
+                return
+            for v in g.neighbors(last):
+                if v > root and v not in used:
+                    used.add(v)
+                    path.append(v)
+                    yield from extend(depth + 1)
+                    path.pop()
+                    used.remove(v)
+
+        for first in g.neighbors(root):
+            if first > root:
+                used.add(first)
+                path.append(first)
+                yield from extend(1)
+                path.pop()
+                used.remove(first)

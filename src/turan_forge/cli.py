@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Optional
 
@@ -67,6 +68,18 @@ def _whole(value, what: str, low: Optional[int] = 0) -> int:
         raise InputError(f"{what} must be a whole number{at_least}, "
                          f"not {value!r}")
     return value
+
+
+def _real(value, what: str) -> float:
+    """``value`` as a finite float, given as a number or as text; an
+    ``InputError`` otherwise."""
+    try:
+        real = float(value)
+    except (TypeError, ValueError, OverflowError):
+        real = math.nan
+    if isinstance(value, bool) or not math.isfinite(real):
+        raise InputError(f"{what} must be a finite number, not {value!r}")
+    return real
 
 
 def _pattern_spec_from_args(args) -> PatternSpec:
@@ -290,11 +303,12 @@ _EXHAUSTIVE_ESTIMATE_CAP = 250_000
 def _make_host(cfg: dict) -> Graph:
     kind = cfg.get("kind")
     if kind == "gnp":
-        return random_graph(int(cfg["n"]), float(cfg["p"]),
-                            int(cfg.get("seed", 0)),
+        return random_graph(_whole(cfg["n"], "host.n"),
+                            _real(cfg["p"], "host.p"),
+                            _whole(cfg.get("seed", 0), "host.seed", low=None),
                             bipartite=bool(cfg.get("bipartite", False)))
     if kind == "polarity":
-        return polarity_graph(int(cfg["q"]))
+        return polarity_graph(_whole(cfg["q"], "host.q"))
     if kind == "pattern":
         spec = PatternSpec.from_json(cfg["pattern"])
         return pattern(spec)[0]
@@ -314,8 +328,9 @@ def _apply_transforms(g: Graph, chain: list) -> tuple[Graph, list]:
             rep = None
         elif op == "regularize":
             g2, rep = transforms.almost_regular_subgraph(
-                g, float(step.get("epsilon", 0.5)), float(step.get("c", 1.0)),
-                float(step.get("K", 32.0)))
+                g, *(_real(step.get(key, default), f"regularize {key}")
+                     for key, default in (("epsilon", 0.5), ("c", 1.0),
+                                          ("K", 32.0))))
             if g2 is None:
                 raise InputError("regularize found no feasible degree band")
             g = g2
@@ -419,16 +434,16 @@ def run_pipeline(config: dict) -> tuple[int, dict]:
             coll = rich_collections.layered_good_paths(g, k, alpha, seed=seed)
         else:
             full, audit, case = rich_collections.build_good_paths(
-                g, k, alpha, float(builder.get("C", 32.0)),
-                float(builder.get("L", 256.0)), cap)
+                g, k, alpha, _real(builder.get("C", 32.0), "builder.C"),
+                _real(builder.get("L", 256.0), "builder.L"), cap)
             diagnostics["good_case"] = case
             coll, pivot = rich_collections.good_suffix_restriction(full)
             diagnostics["suffix_vertex"] = pivot
         cert = embedders.embed_honeycomb(g, coll, k, ell) if len(coll) else None
     elif kind == "prism":
         cert, diag = embedders.find_prism(
-            g, p["ell"], float(builder.get("T", 8.0)), budget=budget,
-            seed=seed)
+            g, p["ell"], _real(builder.get("T", 8.0), "builder.T"),
+            budget=budget, seed=seed)
         diagnostics.update(diag)
     elif kind == "prism_path":
         cert = embedders.find_prism_path(g, p["t"])
@@ -477,7 +492,8 @@ def cmd_pipeline(args) -> int:
         config["host"] = {"kind": "file", "path": args.host_file}
     if args.gnp:
         n, p = args.gnp
-        config["host"] = {"kind": "gnp", "n": int(n), "p": float(p),
+        config["host"] = {"kind": "gnp", "n": _whole(n, "--gnp N"),
+                          "p": _real(p, "--gnp P"),
                           "seed": args.seed,
                           "bipartite": bool(args.bipartite)}
     if args.polarity_q is not None:
@@ -513,8 +529,17 @@ def _common(sub):
     return sub
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit with the input-error
+    status (argparse's own is 2, the integrity-error status)."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="turan-forge",
         description="pattern generators, host cleanup, rich collections and "
                     "shifting embedders for dense-graph substructure search")

@@ -1,5 +1,5 @@
 """Maximum-matching helper behind two exact checks: the good-path pair
-groups that ``rich_collections._PairGroups.failing`` cannot decide from its
+groups that ``rich_collections._PairIndex.unmatched`` cannot decide from its
 counting bounds, and ``counting.is_rich_tuple``'s witness matching.
 
 The link graphs we match over are bipartite whenever the two candidate

@@ -7,6 +7,13 @@ admits at least alpha pairwise disjoint fill edges.  The builders start
 from exhaustive seeds and prune to the fixpoint of the corresponding
 deletion process; the layered constructors build richness-by-design seeds
 on dense hosts where exhaustive enumeration cannot fit any cap.
+
+One deletion engine (``_fixpoint``) runs every prune: the rich count rule,
+the good pair predicate and the good-path case rules.  Each rule reads
+one position's (signature, fill) index, sorted once (``_Index``), whose
+signature groups are runs of the sorted keys (``_Runs``), with a live row
+count per run and no per-row group ids.  The builders hand the sorted
+keys, less the dead members' rows, to the collection as its index.
 """
 
 from __future__ import annotations
@@ -74,34 +81,41 @@ def _canon_cycles_np(rows: np.ndarray) -> np.ndarray:
 _PACK_LIMIT = 2 ** 63  # packed row codes are int64
 
 
-def _codes(rows: np.ndarray, base: int) -> np.ndarray:
-    """Each row packed into one int64 code, its columns the digits in base
-    ``base`` (exact while base**width < _PACK_LIMIT)."""
-    code = np.zeros(len(rows), dtype=np.int64)
-    for c in range(rows.shape[1]):
+def _codes(cols: Sequence[np.ndarray], base: int) -> np.ndarray:
+    """Rows given column by column, each packed into one int64 code, its
+    columns the digits in base ``base`` (exact while base**width <
+    _PACK_LIMIT)."""
+    code = np.zeros(len(cols[0]), dtype=np.int64)
+    for col in cols:
         code *= base
-        code += rows[:, c]
+        code += col
     return code
 
 
-def _sorted_keys(rows: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rows with entries in [0, base) sorted lexicographically, as search
-    keys: an order that sorts them and the keys in that order.
+def _sorted_keys(cols: Sequence[np.ndarray],
+                 base: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows given column by column, entries in [0, base), sorted
+    lexicographically, as search keys: an order that sorts them and the keys
+    in that order.
 
     While base**width < _PACK_LIMIT a key is the row packed into one int64
-    code (``_codes``), so that one sort of the codes sorts the rows; the
-    row number rides along in the bits left over, if any, which orders
-    equal rows by row.  Above the limit the keys are the lexsorted rows
-    transposed (contiguous columns).
+    code (``_codes``, sorted by ``_sort_codes``).  Above the limit the keys
+    are the lexsorted rows column by column (a width x rows array).
     """
-    if base ** rows.shape[1] >= _PACK_LIMIT:
-        order = np.lexsort(rows.T[::-1])
-        return order, np.ascontiguousarray(rows.T[:, order])
-    code = _codes(rows, base)
-    bits = len(rows).bit_length()
-    if base ** rows.shape[1] << bits < _PACK_LIMIT:
+    if base ** len(cols) >= _PACK_LIMIT:
+        order = np.lexsort(cols[::-1])
+        return order, np.stack([np.take(col, order) for col in cols])
+    return _sort_codes(_codes(cols, base), base ** len(cols))
+
+
+def _sort_codes(code: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """An order that sorts codes in [0, top) and the codes in that order.
+    The row number rides along in the bits left over, if any, so that one
+    sort gives both and orders equal codes by row."""
+    bits = len(code).bit_length()
+    if top << bits < _PACK_LIMIT:
         code <<= bits
-        code |= np.arange(len(rows))
+        code |= np.arange(len(code))
         code.sort()
         return code & ((1 << bits) - 1), code >> bits
     order = np.argsort(code)
@@ -114,19 +128,6 @@ def _boundaries(keys: np.ndarray) -> np.ndarray:
     diff = keys[..., 1:] != keys[..., :-1]
     new[1:] = diff if diff.ndim == 1 else diff.any(axis=0)
     return new
-
-
-def _group_ids(order: np.ndarray, keys: np.ndarray, base: int,
-               tail: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rows grouped by their sorted keys (from ``_sorted_keys``) without the
-    last ``tail`` digits, groups numbered in sorted order: each row's group
-    id, and where each group starts in the sorted order (plus the end), so
-    that the rows of group g are order[start[g]:start[g + 1]]."""
-    new = _boundaries(keys[:keys.shape[0] - tail] if keys.ndim == 2
-                      else keys // base ** tail)
-    gid = np.empty(len(order), dtype=np.int64)
-    gid[order] = np.cumsum(new) - 1
-    return gid, np.append(np.flatnonzero(new), len(order))
 
 
 def _span(keys: np.ndarray, prefix: Sequence[int], base: int,
@@ -150,14 +151,22 @@ def _span(keys: np.ndarray, prefix: Sequence[int], base: int,
     return hits % step
 
 
+def _spans(lo: np.ndarray, cnt: np.ndarray) -> np.ndarray:
+    """lo[i], lo[i] + 1, .., lo[i] + cnt[i] - 1 for each i, concatenated."""
+    out = np.repeat(lo - np.cumsum(cnt) + cnt, cnt)
+    out += np.arange(len(out))
+    return out
+
+
 def _sorted_unique(rows: np.ndarray) -> np.ndarray:
     """Rows in lexicographic order without repeats (as they are, when their
     packed codes already increase)."""
     base = int(rows.max(initial=0)) + 1
-    if base ** rows.shape[1] < _PACK_LIMIT and (np.diff(_codes(rows, base)) > 0).all():
+    if base ** rows.shape[1] < _PACK_LIMIT and (
+            np.diff(_codes(rows.T, base)) > 0).all():
         return rows
-    order, keys = _sorted_keys(rows, base)
-    return rows[order[_boundaries(keys)]]
+    order, keys = _sorted_keys(rows.T, base)
+    return np.take(rows, np.compress(_boundaries(keys), order), axis=0)
 
 
 def _distinct(rows: np.ndarray) -> np.ndarray:
@@ -168,25 +177,68 @@ def _distinct(rows: np.ndarray) -> np.ndarray:
     return ok
 
 
-def _index_rows(members: np.ndarray, kind: str, pos: int,
-                tail: int) -> np.ndarray:
-    """The rows of the (signature, fill) index at position ``pos``, with
-    contiguous columns: on paths each member without columns pos .. pos +
-    tail - 1, then those columns; on cycles (one index, at 0), position-major,
-    the canonical open path left by each blank, then the blanked vertex."""
-    m, L = members.shape
+def _blanks(cols: np.ndarray) -> Iterator[tuple]:
+    """For each position p of cycle columns: p, the column numbers of the
+    open path its blank leaves, and where that path is canonical read
+    backwards (distinct vertices: its ends decide)."""
+    L = len(cols)
+    for p in range(L):
+        ring = [(p + 1 + i) % L for i in range(L - 1)]
+        yield p, ring, cols[ring[-1]] < cols[ring[0]]
+
+
+def _index_cols(members: np.ndarray, kind: str, pos: int,
+                tail: int) -> list[np.ndarray]:
+    """The columns of the (signature, fill) index at position ``pos``: on
+    paths each member without columns pos .. pos + tail - 1, then those
+    columns; on cycles (one index, at 0), position-major, the canonical
+    open path left by each blank, then the blanked vertex."""
+    L = members.shape[1]
     cols = np.ascontiguousarray(members.T)
     if kind == "path":
         blank = list(range(pos, pos + tail))
-        return cols[[c for c in range(L) if c not in blank] + blank].T
-    out = np.empty((L, L * m), dtype=members.dtype)
-    for p in range(L):
-        ring = [(p + 1 + i) % L for i in range(L)]  # the open path, then p
-        part = out[:, p * m:(p + 1) * m]
-        part[:] = cols[ring]
-        flip = part[-2] < part[0]  # distinct vertices: the ends decide
-        part[:-1] = np.where(flip, part[-2::-1], part[:-1])
-    return out.T
+        return [cols[c] for c in range(L) if c not in blank] + [cols[c] for c in blank]
+    out: list[list[np.ndarray]] = [[] for _ in range(L)]
+    for p, ring, flip in _blanks(cols):
+        for i in range(L - 1):
+            out[i].append(np.where(flip, cols[ring[-1 - i]], cols[ring[i]]))
+        out[-1].append(cols[p])
+    return [np.concatenate(parts) for parts in out]
+
+
+def _index_codes(members: np.ndarray, kind: str, pos: int, tail: int,
+                 base: int) -> np.ndarray:
+    """The rows of ``_index_cols`` packed as ``_codes`` does, straight from
+    the member columns: on cycles each blank's open path is packed both
+    ways and the canonical way kept (3x faster than packing the columns)."""
+    if kind == "path":
+        return _codes(_index_cols(members, kind, pos, tail), base)
+    m, L = members.shape
+    cols = np.ascontiguousarray(members.T)
+    out = np.empty(L * m, dtype=np.int64)
+    back = np.empty(m, dtype=np.int64)
+    for p, ring, flip in _blanks(cols):
+        code = out[p * m:(p + 1) * m]
+        code[:], back[:] = cols[ring[0]], cols[ring[-1]]
+        for i in range(1, L - 1):
+            code *= base
+            code += cols[ring[i]]
+            back *= base
+            back += cols[ring[-1 - i]]
+        np.copyto(code, back, where=flip)
+        code *= base
+        code += cols[p]
+    return out
+
+
+def _index_keys(members: np.ndarray, kind: str, pos: int, tail: int,
+                base: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (signature, fill) index at ``pos`` sorted, as ``_sorted_keys``
+    gives it, its codes packed by ``_index_codes``."""
+    if base ** members.shape[1] >= _PACK_LIMIT:
+        return _sorted_keys(_index_cols(members, kind, pos, tail), base)
+    return _sort_codes(_index_codes(members, kind, pos, tail, base),
+                       base ** members.shape[1])
 
 
 # ---------------------------------------------------------------------------
@@ -204,12 +256,13 @@ class LabeledCollection:
     single array for cycles, whose signature is the canonical open path
     left by the blank.  A code packs the signature's vertices and then the
     fill (or fill pair) as digits in base n, any n above every member
-    vertex.  A builder hands over the index its prune sorted; any other
-    collection sorts each array on its first query.  A lookup is two
-    ``searchsorted`` calls, and the fills of a signature are its codes mod
-    n (n**2 for pairs), ascending.  Packing needs n**length < 2**63; above
-    that the index keeps the sorted rows column by column, searched with
-    two ``searchsorted`` calls per column.
+    vertex, so a signature's codes are one run of the array.  A builder
+    hands over the array its prune sorted, less the dead members' rows;
+    any other collection sorts each array on its first query.  A lookup is
+    two ``searchsorted`` calls, and the fills of a signature are its codes
+    mod n (n**2 for pairs), ascending.  Packing needs n**length < 2**63;
+    above that the index keeps the sorted rows column by column, searched
+    with two ``searchsorted`` calls per column.
     """
 
     def __init__(self, kind: str, length: int, members: np.ndarray,
@@ -264,8 +317,8 @@ class LabeledCollection:
             return []
         keys = self._keys.get(pos)
         if keys is None:
-            _, keys = _sorted_keys(_index_rows(self.members, self.kind, pos,
-                                               tail), self._base)
+            _, keys = _index_keys(self.members, self.kind, pos, tail,
+                                  self._base)
             self._keys[pos] = keys
         return _span(keys, sig, self._base, tail).tolist()
 
@@ -439,9 +492,7 @@ def _extend(rows: np.ndarray, indptr: np.ndarray,
     neighbours; sorted rows stay sorted, since adjacency lists are."""
     last = rows[:, -1]
     cnt = indptr[last + 1] - indptr[last]
-    before = np.cumsum(cnt) - cnt
-    pos = np.arange(int(cnt.sum())) + np.repeat(indptr[last] - before, cnt)
-    return np.repeat(rows, cnt, axis=0), indices[pos]
+    return np.repeat(rows, cnt, axis=0), indices[_spans(indptr[last], cnt)]
 
 
 def _check_cap(cap: int) -> None:
@@ -485,7 +536,8 @@ def _join(g: Graph, width: int, cap: int, what: str, keep,
             continue
         prev, v = _extend(rows, indptr, g.indices)
         ok = keep(prev, v)
-        todo.append(np.column_stack([prev[ok], v[ok]]))
+        todo.append(np.column_stack([np.compress(ok, prev, axis=0),
+                                     np.compress(ok, v)]))
     return np.concatenate(done), total
 
 
@@ -538,15 +590,14 @@ def _four_cycles(g: Graph, cap: int,
         at = slice(indptr[lo], indptr[hi])  # the entries (b, x) of rows b
         cnt = ups[at]
         # an entry's d run over x's row after b, which sits at rev[entry]
-        run = np.repeat(rev[at] + 1 - np.cumsum(cnt) + cnt, cnt)
-        run += np.arange(len(run))
+        run = _spans(rev[at] + 1, cnt)
         rows = np.empty((len(run), 3), dtype=np.uint32)
         rows[:, 1] = indices[run]
         del run
         rows[:, 0] = np.repeat(np.repeat(np.arange(lo, hi),
                                          np.diff(indptr[lo:hi + 1])), cnt)
         rows[:, 2] = np.repeat(indices[at], cnt)
-        rows = np.take(rows, _sorted_keys(rows, n)[0], axis=0)
+        rows = np.take(rows, _sorted_keys(rows.T, n)[0], axis=0)
         b, d, x = rows.T
         new = np.ones(len(b) + 1, dtype=bool)  # group starts, and the end
         new[1:-1] = (b[1:] != b[:-1]) | (d[1:] != d[:-1])
@@ -585,11 +636,10 @@ def _four_cycles(g: Graph, cap: int,
         rows = np.column_stack([x, b, x, d])
         rows = np.take(rows, np.repeat(wedge, cnt), axis=0)  # (a, b, -, d)
         # the centres c after a in its group, at positions a + 1, a + 2, ..
-        run = np.repeat(wedge + 1 - np.cumsum(cnt) + cnt, cnt)
-        rows[:, 2] = x[run + np.arange(len(run))]
+        rows[:, 2] = x[_spans(wedge + 1, cnt)]
         out.append(rows)
     rows = np.concatenate(out)
-    return np.take(rows, _sorted_keys(rows, n)[0][:need], axis=0), total
+    return np.take(rows, _sorted_keys(rows.T, n)[0][:need], axis=0), total
 
 
 def _enumerate_cycles(g: Graph, ell: int, cap: int,
@@ -632,52 +682,171 @@ def _enumerate_cycles(g: Graph, ell: int, cap: int,
 # ---------------------------------------------------------------------------
 # the deletion process on signature groups
 
+def _drop(keys: np.ndarray, base: int, tail: int) -> np.ndarray:
+    """Sorted keys (from ``_sorted_keys``) without their last ``tail``
+    digits, still sorted, in the same form."""
+    return keys[:len(keys) - tail] if keys.ndim == 2 else keys // base ** tail
+
+
+def _search(keys: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """Where each query key would go first in the sorted keys: searchsorted
+    on packed codes; on rows column by column (the queries too), one
+    vectorised binary search that compares whole rows."""
+    if keys.ndim == 1:
+        return keys.searchsorted(query)
+    lo = np.zeros(query.shape[1], dtype=np.intp)
+    hi = np.full(query.shape[1], keys.shape[1], dtype=np.intp)
+    act = np.flatnonzero(lo < hi)
+    while len(act):
+        mid = (lo[act] + hi[act]) // 2
+        below, tie = np.zeros(len(act), dtype=bool), np.ones(len(act), dtype=bool)
+        for col, q in zip(keys, query):
+            a, b = col[mid], q[act]
+            below |= tie & (a < b)
+            tie &= a == b
+        lo[act[below]] = mid[below] + 1
+        hi[act[~below]] = mid[~below]
+        act = act[lo[act] < hi[act]]
+    return lo
+
+
+class _Runs:
+    """The runs of sorted keys that agree on all but their last ``tail``
+    digits: each run's head (that prefix, in the keys' form), where it
+    starts in the keys (plus the end), and its live row count."""
+
+    def __init__(self, keys: np.ndarray, base: int, tail: int):
+        self.base, self.tail = base, tail
+        prefix = _drop(keys, base, tail)
+        at = np.flatnonzero(_boundaries(prefix))
+        self.heads = np.take(prefix, at, axis=-1)
+        self.start = np.append(at, keys.shape[-1])
+        self.live = np.diff(self.start)
+
+    def find(self, keys: np.ndarray) -> np.ndarray:
+        """The run of each key (one of the sorted keys, or of their form)."""
+        return _search(self.heads, _drop(keys, self.base, self.tail))
+
+    def leave(self, keys: np.ndarray) -> None:
+        """The rows with these keys are no longer live."""
+        self.live -= np.bincount(self.find(keys), minlength=len(self.live))
+
+    def group_starts(self) -> np.ndarray:
+        """The first of these runs of each run of their heads without the
+        last digit (each group), for ``reduceat``."""
+        return np.flatnonzero(_boundaries(_drop(self.heads, self.base, 1)))
+
+
+class _Index:
+    """One position's (signature, fill) index over an array of member rows,
+    sorted once, with its groups: the runs of signatures, with live sizes.
+
+    The index rows are ``_index_cols``: one per member on paths (``tail``
+    fill columns last), L per member on cycles, row r belonging to member
+    r % m.  No two rows are equal, so the rows of dead members are found
+    by a search for their own keys; they are never compacted out of the
+    keys while the prune runs, only subtracted from the live counts.
+    """
+
+    def __init__(self, members: np.ndarray, kind: str, pos: int, tail: int,
+                 base: int):
+        self.members, self.kind, self.pos = members, kind, pos
+        self.tail, self.base = tail, base
+        self.order, self.keys = _index_keys(members, kind, pos, tail, base)
+        self.groups = _Runs(self.keys, base, tail)
+
+    def codes(self, rows: np.ndarray) -> np.ndarray:
+        """The keys of the index rows of some members, packed straight from
+        their columns."""
+        some = np.take(self.members, rows, axis=0)
+        if self.keys.ndim == 1:
+            return _index_codes(some, self.kind, self.pos, self.tail, self.base)
+        return np.stack(_index_cols(some, self.kind, self.pos, self.tail))
+
+    def leave(self, rows: np.ndarray) -> None:
+        """These members die: their rows leave the live counts."""
+        self.groups.leave(self.codes(rows))
+
+    def rows(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The index rows of groups ``ids`` (in their ``order`` ranges), dead
+        ones too, and the group of each."""
+        start = self.groups.start
+        cnt = start[ids + 1] - start[ids]
+        return self.order[_spans(start[ids], cnt)], np.repeat(ids, cnt)
+
+    def first(self, ids: np.ndarray) -> np.ndarray:
+        """An index row of each group ``ids``."""
+        return self.order[self.groups.start[ids]]
+
+    def without(self, dead: np.ndarray) -> np.ndarray:
+        """The sorted keys without the rows of the ``dead`` members."""
+        if not len(dead):
+            return self.keys
+        return np.delete(self.keys, _search(self.keys, self.codes(dead)),
+                         axis=-1)
+
+
+def _count_rule(ix: _Index, threshold: float) -> tuple:
+    """The rule that a group of ``ix`` fails with at most ``threshold``
+    live rows (on a single-fill index, its live fills)."""
+    return ix, lambda alive: ix.groups.live <= threshold
+
+
 def _fixpoint(m: int, rules: list[tuple]) -> tuple[np.ndarray, list]:
     """Greatest fixpoint of deletion rules over m members.
 
-    A rule is (gid, first, fails): gid[r] is the group of signature row r,
-    which belongs to member r % m; first[g] is one row of group g; and
-    fails(row_alive, size) gives the groups that fail with the live rows,
-    size[g] being the live row count of group g.  Every rule is monotone:
-    a group fails once some count over its live rows falls to a threshold,
-    and the counts only fall as members go.  So the survivors are the same
-    whatever order the deletions run in, and one round deletes the members
-    of every failing group of every rule at once.  Returns the alive mask
-    and, per round, per rule, the ids (ascending) and live sizes of the
-    groups that failed.
+    A rule is (index, fails): ``fails(alive)`` gives, for each group of the
+    ``_Index``, whether its live rows fail it, ``alive`` being the live
+    members.  Every rule is monotone: a group fails once some count over
+    its live rows falls to a threshold, and the counts only fall as members
+    go.  So the survivors are the same whatever order the deletions run
+    in, and one round deletes the live members of every failing group of
+    every rule at once, read from the group's ``order`` range.  Then every
+    index that a rule reads drops the doomed members' rows from its live
+    counts, which it finds by their keys.  A failing group with live rows
+    always holds a live member; a round that dooms none would repeat for
+    ever, so it raises ``IntegrityError`` (the counts disagree with
+    ``alive``).  Returns the alive mask and, per round, per rule, the ids
+    (ascending) and live sizes of the groups that failed.
     """
     alive = np.ones(m, dtype=bool)
-    sizes = [np.bincount(gid, minlength=len(first)) for gid, first, _ in rules]
+    indexes = list({id(ix): ix for ix, _ in rules}.values())
     rounds: list[list[tuple[np.ndarray, np.ndarray]]] = []
-    while alive.any():
+    while True:
+        failed = [np.flatnonzero((ix.groups.live > 0) & fails(alive))
+                  for ix, fails in rules]
+        if not any(len(ids) for ids in failed):
+            return alive, rounds
+        rounds.append([(ids, ix.groups.live[ids])
+                       for (ix, _), ids in zip(rules, failed)])
         doomed = np.zeros(m, dtype=bool)
-        failed = []
-        for (gid, _, fails), size in zip(rules, sizes):
-            row_alive = np.tile(alive, len(gid) // m)
-            bad = (size > 0) & fails(row_alive, size)
-            ids = np.flatnonzero(bad)
-            failed.append((ids, size[ids]))
-            if len(ids):
-                doomed |= (row_alive & bad[gid]).reshape(-1, m).any(axis=0)
-        if not doomed.any():
-            break
-        rounds.append(failed)
-        alive &= ~doomed
-        for (gid, _, _), size in zip(rules, sizes):  # the doomed rows leave
-            size -= np.bincount(gid.reshape(-1, m)[:, doomed].ravel(),
-                                minlength=len(size))
-    return alive, rounds
+        for (ix, _), ids in zip(rules, failed):
+            doomed[ix.rows(ids)[0] % m] = True
+        gone = np.flatnonzero(doomed & alive)
+        if not len(gone):
+            raise IntegrityError("a failing group has live rows but no live member")
+        alive[gone] = False
+        for ix in indexes:
+            ix.leave(gone)
 
 
-def _count_rule(members: np.ndarray, kind: str, pos: int, base: int,
-                threshold: float) -> tuple:
-    """The rule that a signature group of the (signature, fill) index at
-    ``pos`` fails with at most ``threshold`` live members (its live fills),
-    and that index as (order, keys)."""
-    order, keys = _sorted_keys(_index_rows(members, kind, pos, 1), base)
-    gid, start = _group_ids(order, keys, base, 1)
-    return (gid, order[start[:-1]], lambda _, size: size <= threshold), (
-        order, keys)
+def _first_failure(width: int, rules: list[tuple],
+                   alive: np.ndarray) -> Optional[tuple]:
+    """The first failing (member, position), in member then position order,
+    of (position, index, fails) rules over the members of row width
+    ``width``: the least live row of a failing group, ranked by its member
+    and its position (an index row r of a cycle index is at r // m).
+    Returns (member, position, index, group), or None."""
+    m, best = len(alive), None
+    for pos, ix, fails in rules:
+        rows, grp = ix.rows(np.flatnonzero((ix.groups.live > 0) & fails(alive)))
+        live = alive[rows % m]
+        rank = rows[live] % m * width + pos + rows[live] // m
+        if len(rank) and (best is None or rank.min() < best[0]):
+            best = (int(rank.min()), ix, int(grp[live][rank.argmin()]))
+    if best is None:
+        return None
+    return (*divmod(best[0], width), *best[1:])
 
 
 def _np_prune_rich(members: np.ndarray, kind: str, length: int,
@@ -688,30 +857,22 @@ def _np_prune_rich(members: np.ndarray, kind: str, length: int,
     A position's groups are the signatures of its sorted index, and each
     position is a rule.  Returns the collection of the survivors and, per
     round, per position, a row of each group it deleted and their live
-    sizes.  The collection keeps the live part of each sorted key array,
-    still sorted, in base n, the seed's largest vertex plus one: packed
-    keys lose the dead members' own codes, found by searchsorted (no two
-    index rows are equal); lexsorted keys are masked by member.
+    sizes.  The collection keeps each sorted key array, in base n, the
+    seed's largest vertex plus one, less the dead members' rows.
     """
     if len(members) == 0:  # a layered seed that ran dry may be narrower
         return LabeledCollection(kind, length, members, alpha=alpha), []
-    m, base = len(members), int(members.max()) + 1
+    base = int(members.max()) + 1
     positions = [0] if kind == "cycle" else range(1, members.shape[1] - 1)
-    rules, index = zip(*[_count_rule(members, kind, pos, base, alpha - 1)
-                         for pos in positions])
-    alive, rounds = _fixpoint(m, rules)
-    failed = [[(pos, first[ids], sizes) for pos, (_, first, _), (ids, sizes)
-               in zip(positions, rules, r)] for r in rounds]
-    dead = members[~alive]
-
-    def live(pos: int, order: np.ndarray, keys: np.ndarray) -> np.ndarray:
-        if keys.ndim == 2:
-            return keys[:, np.tile(alive, len(order) // m)[order]]
-        codes = _codes(_index_rows(dead, kind, pos, 1), base)
-        return np.delete(keys, keys.searchsorted(codes))
-
-    return LabeledCollection._indexed(kind, length, members[alive], {
-        pos: live(pos, *index[i]) for i, pos in enumerate(positions)}, base,
+    indexes = [_Index(members, kind, pos, 1, base) for pos in positions]
+    alive, rounds = _fixpoint(len(members), [_count_rule(ix, alpha - 1)
+                                             for ix in indexes])
+    failed = [[(pos, ix.first(ids), sizes) for pos, ix, (ids, sizes)
+               in zip(positions, indexes, r)] for r in rounds]
+    dead = np.flatnonzero(~alive)
+    return LabeledCollection._indexed(
+        kind, length, np.compress(alive, members, axis=0),
+        {pos: ix.without(dead) for pos, ix in zip(positions, indexes)}, base,
         alpha=alpha), failed
 
 
@@ -815,59 +976,65 @@ def _max_pair_matching(pairs: np.ndarray) -> list[tuple[int, int]]:
     return max_disjoint_edges(pairs, left, right)
 
 
-class _PairGroups:
-    """The rows of a path array grouped by their pair signature at pair
-    position j (the row without columns j and j+1), with the goodness
-    predicate over the groups.
+def _seconds(keys: np.ndarray, base: int) -> np.ndarray:
+    """The (signature, second fill) keys of (signature, first, second) keys."""
+    if keys.ndim == 2:
+        return np.concatenate([keys[:-2], keys[-1:]])
+    return keys // (base * base) * base + keys % base
 
-    The groups, in sorted signature order, and the (group, first fill)
-    combinations are the runs of the sorted pair index (signature, first,
-    second) in base n (by default the largest vertex plus one); the (group,
-    second fill) combinations take one more sort.  With an id for each
-    combination, one round's counts over the live rows are bincounts.
+
+def _isin(keys: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """Whether each query key is one of the sorted keys (some, unless
+    there is no query)."""
+    hit = keys[..., np.minimum(_search(keys, query), keys.shape[-1] - 1)] == query
+    return hit if hit.ndim == 1 else hit.all(axis=0)
+
+
+class _PairIndex(_Index):
+    """The pair index at pair position j, (signature, first, second) with
+    the row without columns j and j+1 as signature, and the goodness
+    predicate over its groups.
+
+    Besides the groups, it keeps the runs of (signature, first fill), which
+    are runs of its keys too, and of (signature, second fill), from one
+    sort of those keys: a run's live count is that fill's live multiplicity
+    in its group.  A group whose first and second fills are disjoint vertex
+    sets has a bipartite fill graph (the only kind a bipartite host gives).
     """
 
-    def __init__(self, members: np.ndarray, j: int,
-                 base: Optional[int] = None):
-        base = base or int(members.max(initial=0)) + 1
-        self.order, self.keys = _sorted_keys(
-            _index_rows(members, "path", j, 2), base)
-        self.gid, self.start = _group_ids(self.order, self.keys, base, 2)
-        self.first = self.order[self.start[:-1]]
-        self.groups = len(self.first)
-        self.pairs = members[:, (j, j + 1)]
-        self.fid, f_start = _group_ids(self.order, self.keys, base, 1)
-        f_rows = self.order[f_start[:-1]]
-        s_base = max(self.groups, base)
-        s_order, s_keys = _sorted_keys(
-            np.column_stack([self.gid, self.pairs[:, 1]]), s_base)
-        self.sid, s_start = _group_ids(s_order, s_keys, s_base, 0)
-        s_rows = s_order[s_start[:-1]]
-        self.f_owner, self.s_owner = self.gid[f_rows], self.gid[s_rows]
-        self.f_start, self.s_start = (np.searchsorted(
-            owner, np.arange(self.groups)) for owner in (self.f_owner, self.s_owner))
-        # a group whose first and second fills are disjoint vertex sets has
-        # a bipartite fill graph (the only kind a bipartite host gives)
-        self.bipartite = np.ones(self.groups, dtype=bool)
-        self.bipartite[self.f_owner[np.isin(
-            self.f_owner * base + self.pairs[f_rows, 0],
-            self.s_owner * base + self.pairs[s_rows, 1])]] = False
+    def __init__(self, members: np.ndarray, j: int, base: int):
+        super().__init__(members, "path", j, 2, base)
+        seconds = _seconds(self.keys, base)
+        seconds = (np.sort(seconds) if seconds.ndim == 1
+                   else seconds[:, np.lexsort(seconds[::-1])])
+        self.fills = (_Runs(self.keys, base, 1), _Runs(seconds, base, 0))
+        self.fill_groups = [runs.group_starts() for runs in self.fills]
+        first, second = self.fills
+        self.bipartite = ~np.logical_or.reduceat(
+            _isin(second.heads, first.heads), self.fill_groups[0])
 
-    def rows(self, g: int, alive: np.ndarray) -> np.ndarray:
-        grp = self.order[self.start[g]:self.start[g + 1]]
-        return grp[alive[grp]]
+    def leave(self, rows: np.ndarray) -> None:
+        keys = self.codes(rows)
+        self.groups.leave(keys)
+        self.fills[0].leave(keys)
+        self.fills[1].leave(_seconds(keys, self.base))
 
-    def distinct(self, cid: np.ndarray, owner: np.ndarray,
-                 alive: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Each fill combination's live multiplicity, and each group's
-        number of distinct live fills, from the rows' combination ids (fid
-        or sid) and the combinations' groups (f_owner or s_owner)."""
-        mult = np.bincount(cid[alive], minlength=len(owner))
-        return mult, np.bincount(owner[mult > 0], minlength=self.groups)
+    def distinct(self, second: bool) -> np.ndarray:
+        """Each group's number of distinct live second (or first) fills."""
+        return np.add.reduceat(self.fills[second].live > 0,
+                               self.fill_groups[second], dtype=np.int64)
 
-    def failing(self, alive: np.ndarray, alpha: int) -> np.ndarray:
-        """Per group: it has live rows, and their fill edges admit fewer
-        than alpha pairwise disjoint edges.
+    def matching(self, g: int, alive: np.ndarray) -> int:
+        """The size of a largest matching of group g's live fill edges."""
+        rows = self.rows(np.array([g]))[0]
+        rows = np.compress(alive[rows], rows)
+        return len(_max_pair_matching(
+            np.take(self.members, rows, axis=0)[:, self.pos:self.pos + 2]))
+
+    def unmatched(self, alive: np.ndarray, alpha: int) -> np.ndarray:
+        """Per group: its live fill edges admit fewer than alpha pairwise
+        disjoint edges (true of a group with no live rows, which the
+        engine does not read).
 
         Each matched edge uses its own first and its own second fill, so a
         group with fewer than alpha distinct firsts or distinct seconds
@@ -877,74 +1044,73 @@ class _PairGroups:
         ceil(p / D) >= alpha.  Only the groups left between the two bounds
         run the exact matcher.
         """
-        size = np.bincount(self.gid[alive], minlength=self.groups)
-        f_mult, firsts = self.distinct(self.fid, self.f_owner, alive)
-        s_mult, seconds = self.distinct(self.sid, self.s_owner, alive)
-        fail = np.minimum(firsts, seconds) < alpha
-        degree = np.maximum(np.maximum.reduceat(f_mult, self.f_start),
-                            np.maximum.reduceat(s_mult, self.s_start))
+        size = self.groups.live
+        fail = np.minimum(self.distinct(False), self.distinct(True)) < alpha
+        degree = np.maximum(*(np.maximum.reduceat(runs.live, at) for runs, at
+                              in zip(self.fills, self.fill_groups)))
         good = self.bipartite & (size > (alpha - 1) * degree)
-        live = size > 0
-        for g in np.flatnonzero(live & ~fail & ~good):
-            matched = len(_max_pair_matching(self.pairs[self.rows(g, alive)]))
-            fail[g] = matched < alpha
-        return live & fail
+        for g in np.flatnonzero((size > 0) & ~fail & ~good):
+            fail[g] = self.matching(g, alive) < alpha
+        return fail
 
 
-def _pair_groups(members: np.ndarray, base: Optional[int] = None) -> dict:
-    """Pair position -> the rows' ``_PairGroups`` there."""
-    return {j: _PairGroups(members, j, base)
+def _pair_indexes(members: np.ndarray, base: Optional[int] = None) -> dict:
+    """Pair position -> the rows' ``_PairIndex`` there, in base ``base`` (by
+    default the largest vertex plus one)."""
+    base = base or int(members.max(initial=0)) + 1
+    return {j: _PairIndex(members, j, base)
             for j in _pair_positions(members.shape[1])}
 
 
-def _first_bad_pair(members: np.ndarray, alpha: int, groups: dict,
+def _pair_rule(ix: _PairIndex, alpha: int) -> tuple:
+    """The rule that a pair group fails without an alpha-matching."""
+    return ix, lambda alive: ix.unmatched(alive, alpha)
+
+
+def _first_bad_pair(members: np.ndarray, alpha: int, indexes: dict,
                     alive: np.ndarray):
-    """None if every pair signature of the live sorted rows (``groups``:
-    their ``_pair_groups``) supports an alpha-matching, else the first
-    counterexample in row, then position, order: (member, pair position,
-    matching size)."""
-    first = None
-    for j, grp in groups.items():
-        bad = np.flatnonzero(grp.failing(alive, alpha)[grp.gid] & alive)
-        if len(bad) and (first is None or bad[0] < first[0]):
-            first = (bad[0], j, grp)
-    if first is None:
+    """None if every pair signature of the live sorted rows (``indexes``:
+    their ``_pair_indexes``, with the live counts) supports an
+    alpha-matching, else the first counterexample in row, then position,
+    order: (member, pair position, matching size)."""
+    bad = _first_failure(members.shape[1], [
+        (j, *_pair_rule(ix, alpha)) for j, ix in indexes.items()], alive)
+    if bad is None:
         return None
-    i, j, grp = first
-    size = len(_max_pair_matching(grp.pairs[grp.rows(grp.gid[i], alive)]))
-    return tuple(members[i].tolist()), j, size
+    i, j, ix, g = bad
+    return tuple(members[i].tolist()), j, ix.matching(g, alive)
 
 
-def _distinct_rule(grp: _PairGroups, second: bool, threshold: float) -> tuple:
+def _distinct_rule(ix: _PairIndex, second: bool, threshold: float) -> tuple:
     """A pair class fails with at most ``threshold`` distinct live second
     (or first) fills."""
-    cid, owner = (grp.sid, grp.s_owner) if second else (grp.fid, grp.f_owner)
-    return (grp.gid, grp.first,
-            lambda alive, _: grp.distinct(cid, owner, alive)[1] <= threshold)
+    return ix, lambda alive: ix.distinct(second) <= threshold
 
 
 def _case1_rules(members: np.ndarray, threshold: float,
-                 groups: Optional[dict] = None) -> list[tuple]:
+                 indexes: Optional[dict] = None) -> list[tuple]:
     """Case 1 as (tag, position, rule): a pair class with at most
-    ``threshold`` fill edges.  ``groups``: the ``_pair_groups`` of the rows."""
-    groups = groups or _pair_groups(members)
-    return [("pair", j, (grp.gid, grp.first, lambda _, size: size <= threshold))
-            for j, grp in groups.items()]
+    ``threshold`` fill edges.  ``indexes``: the ``_pair_indexes`` of the
+    rows."""
+    indexes = indexes or _pair_indexes(members)
+    return [("pair", j, _count_rule(ix, threshold)) for j, ix in indexes.items()]
 
 
 def _case2_rules(members: np.ndarray, threshold: float,
-                 groups: Optional[dict] = None) -> list[tuple]:
+                 indexes: Optional[dict] = None) -> list[tuple]:
     """Case 2 as (tag, position, rule).  type 1: odd position 2i-1 with at
     most ``threshold`` fills; type 2: pair (2i+1, 2i+2) with at most
     ``threshold`` distinct second fills; type 3: pair (2i, 2i+1) with at most
-    ``threshold`` distinct first fills."""
+    ``threshold`` distinct first fills.  Types 2 and 3 read every pair
+    position between them."""
     L, base = members.shape[1], int(members.max(initial=0)) + 1
-    groups = groups or _pair_groups(members, base)
-    return ([("type1", j, _count_rule(members, "path", j, base, threshold)[0])
+    indexes = indexes or _pair_indexes(members, base)
+    return ([("type1", j, _count_rule(_Index(members, "path", j, 1, base),
+                                      threshold))
              for j in range(1, L - 1, 2)]
-            + [("type2", j, _distinct_rule(groups[j], True, threshold))
+            + [("type2", j, _distinct_rule(indexes[j], True, threshold))
                for j in range(1, L - 2, 2)]
-            + [("type3", j, _distinct_rule(groups[j], False, threshold))
+            + [("type3", j, _distinct_rule(indexes[j], False, threshold))
                for j in range(2, L - 2, 2)])
 
 
@@ -955,8 +1121,8 @@ def _prune_case(seed: np.ndarray, rules: list[tuple]) -> tuple[np.ndarray, list]
     alive, rounds = _fixpoint(len(seed), [rule for _, _, rule in rules])
     entries = []
     for failed in rounds:
-        for (tag, j, (_, first, _)), (ids, sizes) in zip(rules, failed):
-            for r, cnt in zip(first[ids].tolist(), sizes.tolist()):
+        for (tag, j, (ix, _)), (ids, sizes) in zip(rules, failed):
+            for r, cnt in zip(ix.first(ids).tolist(), sizes.tolist()):
                 m = tuple(seed[r].tolist())
                 key = (m[:j] + (None,) + m[j + 1:] if tag == "type1"
                        else (j,) + m[:j] + m[j + 2:])
@@ -1024,10 +1190,10 @@ def build_good_paths(g: Graph, k: int, alpha: int, c_thresh: float,
         seed = _enumerate_pivot_paths(g, pivot, k, c_thresh, cap)
     audit.diagnostics["seed"] = len(seed)
     base = int(seed.max(initial=0)) + 1
-    groups = _pair_groups(seed, base)
+    indexes = _pair_indexes(seed, base)
     alive, audit.entries = _prune_case(seed, _case1_rules(
-        seed, c_thresh ** 2, groups) if case == 1 else _case2_rules(
-        seed, 2 * alpha, groups))
+        seed, c_thresh ** 2, indexes) if case == 1 else _case2_rules(
+        seed, 2 * alpha, indexes))
     if case == 2:
         # each member weighs prod_i 1 / d(x_{2i-2}, x_{2i}); fsum rounds the
         # exact sum, so it does not depend on the member order
@@ -1037,14 +1203,17 @@ def build_good_paths(g: Graph, k: int, alpha: int, c_thresh: float,
             weight /= codeg[seed[:, 2 * i - 2], seed[:, 2 * i]]
         audit.diagnostics["seed_weight"] = math.fsum(weight.tolist())
         audit.diagnostics["final_weight"] = math.fsum(weight[alive].tolist())
-    rows = seed[alive]
+    rows = np.compress(alive, seed, axis=0)
     audit.diagnostics["final"] = len(rows)
-    bad = _first_bad_pair(seed, alpha, groups, alive) if len(rows) else None
+    # a rule of either case reads every pair index, so its live counts are
+    # the survivors'
+    bad = _first_bad_pair(seed, alpha, indexes, alive)
     if bad is not None:
         raise IntegrityError(
             f"good-path fixpoint is not {alpha}-good: member {bad[0]} "
             f"pair position {bad[1]} only supports {bad[2]} disjoint fills")
-    keys = {j: grp.keys[..., alive[grp.order]] for j, grp in groups.items()}
+    dead = np.flatnonzero(~alive)
+    keys = {j: ix.without(dead) for j, ix in indexes.items()}
     return (LabeledCollection._indexed("path", length, rows, keys, base,
                                        good=True, alpha=alpha), audit, case)
 
@@ -1055,7 +1224,11 @@ def build_good_paths(g: Graph, k: int, alpha: int, c_thresh: float,
 def verify_collection(coll: LabeledCollection, g: Graph, alpha: int,
                       ) -> tuple[bool, Optional[dict]]:
     """Exhaustively check membership validity plus the defining richness or
-    goodness condition; returns the first counterexample found."""
+    goodness condition; returns the first counterexample found, in member,
+    then position order.  The condition is the prune's own rule, read
+    off a fresh index of the members: a group of at most alpha - 1 rows
+    (a signature with fewer than alpha fills), or a pair group without an
+    alpha-matching."""
     L = coll.length
     for m in coll.iter_members():
         if len(set(m)) != L:
@@ -1064,18 +1237,23 @@ def verify_collection(coll: LabeledCollection, g: Graph, alpha: int,
         for a, b in zip(seq, seq[1:]):
             if not g.has_edge(a, b):
                 return False, {"member": m, "reason": f"missing edge ({a},{b})"}
+    members, alive = coll.members, np.ones(len(coll), dtype=bool)
+    if not len(coll):
+        return True, None
     if coll.good:
-        bad = _first_bad_pair(coll.members, alpha, _pair_groups(
-            coll.members), np.ones(len(coll), dtype=bool)) if len(coll) else None
+        bad = _first_bad_pair(members, alpha, _pair_indexes(members), alive)
         if bad is not None:
             return False, {"member": bad[0], "pair_position": bad[1],
                            "matching": bad[2]}
         return True, None
-    for m in coll.iter_members():
-        for j in range(L) if coll.kind == "cycle" else range(1, L - 1):
-            got = len(coll.fills(m, j))
-            if got < alpha:
-                return False, {"member": m, "position": j, "fills": got}
+    base = int(members.max()) + 1
+    bad = _first_failure(L, [
+        (pos, *_count_rule(_Index(members, coll.kind, pos, 1, base), alpha - 1))
+        for pos in ([0] if coll.kind == "cycle" else range(1, L - 1))], alive)
+    if bad is not None:
+        i, j, ix, grp = bad
+        return False, {"member": tuple(members[i].tolist()), "position": j,
+                       "fills": int(ix.groups.live[grp])}
     return True, None
 
 
@@ -1106,39 +1284,47 @@ def _layer_transversals(g: Graph, layers: list[np.ndarray], closed: bool,
     """All transversal tuples (one vertex per layer, all distinct) whose
     consecutive pairs (and the wrap-around pair if closed) are host edges.
 
-    Layers may overlap; repeated vertices are filtered at the end.  For
-    closed tuples the wrap-around edge is enforced during the last join so
-    intermediates stay small.
+    Layers may overlap: a candidate whose new vertex is already in its row
+    is dropped as the column joins.  For closed tuples the wrap-around edge
+    is enforced during the last join so intermediates stay small.  More
+    than ``cap`` candidates in one step is a resource error; as repeats
+    leave at each step, it can only be raised later than a check of
+    unfiltered rows would, never earlier.
     """
-    rows = layers[0].reshape(-1, 1)
+    cols = [layers[0]]
     for i, nxt in enumerate(layers[1:], start=1):
         # all n rows by the layer's columns, read from the layer's own CSR
         # rows (A is symmetric): a fraction of the 2e entries of all rows
         block = np.ascontiguousarray(g.block(nxt, np.arange(g.n)).T > 0)
-        adj = block[rows[:, -1]]
+        adj = np.take(block, cols[-1], axis=0)
         if closed and i == len(layers) - 1:
-            adj &= block[rows[:, 0]]
+            adj &= np.take(block, cols[0], axis=0)
         src, dst = np.nonzero(adj)
         if len(src) > cap:
             raise ResourceError("layered enumeration exceeded hard cap")
-        rows = np.hstack([rows[src], nxt[dst].reshape(-1, 1)])
-        if len(rows) == 0:
+        v = np.take(nxt, dst)
+        ok = np.ones(len(v), dtype=bool)
+        for col in cols[:-1]:  # the last column is a neighbour of v
+            ok &= np.take(col, src) != v
+        src = np.compress(ok, src)
+        cols = [np.take(col, src) for col in cols] + [np.compress(ok, v)]
+        if len(src) == 0:
             break
-    return rows[_distinct(rows)].astype(np.uint32)
+    return np.stack(cols, axis=1, dtype=np.uint32, casting="unsafe")
 
 
 def _np_prune_good(members: np.ndarray, alpha: int) -> tuple:
     """Fixpoint of the good deletion process: drop the members of every
     pair-signature group whose live fill edges admit no alpha pairwise
-    disjoint edges (``_PairGroups.failing``), until none is left.  Returns
+    disjoint edges (``_PairIndex.unmatched``), until none is left.  Returns
     the survivors and their pair index, as ``_np_prune_rich`` keeps it."""
     base = int(members.max(initial=0)) + 1
-    groups = _pair_groups(members, base)
-    alive, _ = _fixpoint(len(members), [
-        (grp.gid, grp.first, lambda alive, _, grp=grp: grp.failing(alive, alpha))
-        for grp in groups.values()])
-    return members[alive], {j: grp.keys[..., alive[grp.order]]
-                            for j, grp in groups.items()}, base
+    indexes = _pair_indexes(members, base)
+    alive, _ = _fixpoint(len(members), [_pair_rule(ix, alpha)
+                                        for ix in indexes.values()])
+    dead = np.flatnonzero(~alive)
+    return np.compress(alive, members, axis=0), {
+        j: ix.without(dead) for j, ix in indexes.items()}, base
 
 
 def _sample_layers(g: Graph, count: int, size: int, rng: random.Random,

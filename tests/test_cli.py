@@ -203,6 +203,53 @@ def test_bad_pipeline_number_is_input_error(section, key, value):
         run_pipeline(config)
 
 
+@pytest.mark.parametrize("host, field", [
+    ({"kind": "gnp", "n": "abc", "p": 0.5}, "host.n"),
+    ({"kind": "gnp", "n": 12.5, "p": 0.5}, "host.n"),
+    ({"kind": "gnp", "n": 12, "p": None}, "host.p"),
+    ({"kind": "gnp", "n": 12, "p": "x"}, "host.p"),
+    ({"kind": "gnp", "n": 12, "p": 0.5, "seed": "x"}, "host.seed"),
+    ({"kind": "polarity", "q": "x"}, "host.q"),
+    ({"kind": "polarity", "q": None}, "host.q")])
+def test_bad_host_number_is_input_error(host, field):
+    config = {"host": host, "target": {"kind": "cylinder", "k": 2, "ell": 2}}
+    with pytest.raises(InputError, match=f"^{field} must be a"):
+        run_pipeline(config)
+
+
+@pytest.mark.parametrize("config, field", [
+    ({"target": {"kind": "prism", "ell": 2}, "builder": {"T": None}},
+     "builder.T"),
+    ({"target": {"kind": "prism", "ell": 2}, "builder": {"T": "x"}},
+     "builder.T"),
+    ({"target": {"kind": "grid", "t": 2},
+      "transforms": [{"op": "regularize", "epsilon": "x"}]},
+     "regularize epsilon")])
+def test_bad_pipeline_real_is_input_error(config, field):
+    config["host"] = {"kind": "gnp", "n": 12, "p": 0.5, "seed": 1}
+    with pytest.raises(InputError, match=f"^{field} must be a finite number"):
+        run_pipeline(config)
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "c4", "--in", "x", "--k", "abc"],
+    ["count", "c4", "--in", "x", "--no-such-flag"],
+    ["pipeline", "--alpha", "x"],
+    []])
+def test_usage_errors_exit_1(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_bad_gnp_flag_is_input_error(capsys):
+    assert _input_error(["pipeline", "--gnp", "abc", "0.5", "--target",
+                         '{"kind": "grid", "t": 2}'], capsys)
+    assert _input_error(["pipeline", "--gnp", "12", "nan", "--target",
+                         '{"kind": "grid", "t": 2}'], capsys)
+
+
 def test_config_file_overflow_is_input_error(tmp_path, capsys):
     # JSON's 1e400 reads as inf
     cfg = tmp_path / "cfg.json"

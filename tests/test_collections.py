@@ -1,3 +1,4 @@
+import bisect
 import itertools
 import math
 import random
@@ -401,6 +402,14 @@ def _pair_group_rows(groups):
     return _rows(rows, 4)
 
 
+def _pair_index(rows, alive):
+    """The pair index of the rows at pair position 1, with the dead rows
+    left, as the deletion engine leaves them."""
+    grp = rich_collections._PairIndex(rows, 1, int(rows.max()) + 1)
+    grp.leave(np.flatnonzero(~alive))
+    return grp
+
+
 def _matching(pairs):
     pairs = [tuple(p) for p in pairs]
     return max_disjoint_edges(pairs, {a for a, _ in pairs},
@@ -430,11 +439,12 @@ def test_pair_group_predicate_matches_matching(groups, alpha, bits):
     assume(len(rows))
     alive = np.array([bits >> (i % 64) & 1 for i in range(len(rows))],
                      dtype=bool)
-    grp = rich_collections._PairGroups(rows, 1)
-    failing = grp.failing(alive, alpha)
-    assert failing.shape == (grp.groups,)
-    for g in range(grp.groups):
-        live = rows[alive & (grp.gid == g)]
+    grp = _pair_index(rows, alive)
+    failing = (grp.groups.live > 0) & grp.unmatched(alive, alpha)
+    sigs = sorted({(r[0], r[3]) for r in rows.tolist()})  # pair signatures
+    assert failing.shape == (len(sigs),)
+    for g, (a, b) in enumerate(sigs):
+        live = rows[alive & (rows[:, 0] == a) & (rows[:, 3] == b)]
         good = len(_matching(live[:, 1:3])) >= alpha
         assert failing[g] == (len(live) > 0 and not good)
 
@@ -457,8 +467,8 @@ def test_pair_group_predicate_routes(monkeypatch):
     rows = _pair_group_rows(groups)
     # with (2, 2) dead the last group has 2 live firsts: the upper bound
     alive = ~((rows[:, 0] == 105) & (rows[:, 1] == 12))
-    grp = rich_collections._PairGroups(rows, 1)
-    failing = grp.failing(alive, 3)
+    grp = _pair_index(rows, alive)
+    failing = (grp.groups.live > 0) & grp.unmatched(alive, 3)
     assert failing.tolist() == [True, False, True, True, False, True]
     assert grp.bipartite.tolist() == [True, True, True, False, False, True]
     assert len(calls) == 3
@@ -607,6 +617,119 @@ def test_good_case_fixpoints_match_naive_and_replay(g, threshold, bound):
             assert all(tag in tags and cnt > 0 for tag, _, cnt in entries)
 
 
+# -- the deletion engine, round by round, against a naive recount
+
+def _round_specs(rows, kind, param):
+    """The engine's rules of one kind over the rows, and for each a naive
+    spec (signature of a member at a position, its positions, whether a
+    class of live members fails)."""
+    L = rows.shape[1]
+    base = int(rows.max()) + 1
+    rc = rich_collections
+
+    def blank(j):
+        return lambda m, _: m[:j] + (None,) + m[j + 1:]
+
+    def pair(j):
+        return lambda m, _: (j,) + m[:j] + m[j + 2:]
+
+    def at_most(count):
+        return lambda grp: count(grp) <= param
+
+    if kind == "path":
+        return [(rc._count_rule(rc._Index(rows, "path", j, 1, base), param),
+                 (blank(j), [0], at_most(len))) for j in range(1, L - 1)]
+    if kind == "cycle":
+        return [(rc._count_rule(rc._Index(rows, "cycle", 0, 1, base), param),
+                 (_cycle_key, range(L), at_most(len)))]
+    if kind == "pair":
+        return [(rc._pair_rule(ix, param), (pair(j), [0], lambda grp, j=j: len(
+            _matching([m[j:j + 2] for m in grp])) < param))
+                for j, ix in rc._pair_indexes(rows, base).items()]
+    rules = (rc._case1_rules if kind == "case1" else rc._case2_rules)(
+        rows, param)
+    specs = {"pair": lambda j: (pair(j), [0], at_most(len)),
+             "type1": lambda j: (blank(j), [0], at_most(len)),
+             "type2": lambda j: (pair(j), [0], at_most(
+                 lambda grp: len({m[j + 1] for m in grp}))),
+             "type3": lambda j: (pair(j), [0], at_most(
+                 lambda grp: len({m[j] for m in grp})))}
+    return [(rule, specs[tag](j)) for tag, j, rule in rules]
+
+
+def _naive_rounds(members, specs):
+    """Each round's failing classes {signature: live size} per spec, from a
+    recount over the live members, and the live members at the end."""
+    live, rounds = set(members), []
+    while True:
+        failed = []
+        for key, positions, fails in specs:
+            classes: dict = {}
+            for m in live:
+                for p in positions:
+                    classes.setdefault(key(m, p), []).append(m)
+            failed.append({sig: len(grp) for sig, grp in classes.items()
+                           if fails(grp)})
+        if not any(failed):
+            return live, rounds
+        rounds.append(failed)
+        live -= {m for (key, positions, _), bad in zip(specs, failed)
+                 for m in live for p in positions if key(m, p) in bad}
+
+
+# the rich 4-vertex path fixpoint at alpha = 2 takes 7 rounds and keeps
+# 582 of 908 paths
+_SEVEN_ROUNDS = _host(((11, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 6), (0, 7),
+                             (0, 8), (0, 9), (1, 3), (1, 4), (1, 6), (1, 7),
+                             (1, 8), (1, 10), (2, 9), (3, 4), (3, 8), (3, 9),
+                             (4, 5), (4, 6), (4, 10), (5, 6), (5, 8), (5, 10),
+                             (7, 8), (7, 9), (7, 10)]), set(), False))
+
+
+@pytest.mark.parametrize("lexsorted", [False, True])
+@settings(max_examples=30, deadline=None)
+@given(good_hosts, st.integers(1, 3))
+@example(_CASCADE, 2)
+@example(_SEVEN_ROUNDS, 2)
+@example(_CASE1_CASCADE, 2)
+@example(_CASE2_CASCADE, 1)
+def test_fixpoint_rounds_match_a_naive_recount(lexsorted, g, param):
+    seeds = {"path": _enumerate_paths(g, 4, 10 ** 6),
+             "cycle": _enumerate_cycles(g, 2, 10 ** 6),
+             "pair": _enumerate_paths(g, 5, 10 ** 6)}
+    seeds["case1"] = seeds["case2"] = seeds["pair"]
+    with pytest.MonkeyPatch.context() as mp:
+        if lexsorted:  # every base**width passes the limit: the lexsort keys
+            mp.setattr(rich_collections, "_PACK_LIMIT", 1)
+        for kind, rows in seeds.items():
+            if not len(rows):
+                continue
+            threshold = param - 1 if kind in ("path", "cycle") else param
+            rules, specs = zip(*_round_specs(rows, kind, threshold))
+            for ix, _ in rules:
+                assert ix.keys.ndim == (2 if lexsorted else 1)
+            m = len(rows)
+            alive, rounds = rich_collections._fixpoint(m, list(rules))
+            got = [[{spec[0](tuple(rows[r % m].tolist()), r // m): size
+                     for r, size in zip(ix.first(ids).tolist(), sizes.tolist())}
+                    for (ix, _), spec, (ids, sizes) in zip(rules, specs, failed)]
+                   for failed in rounds]
+            live, expect = _naive_rounds(map(tuple, rows.tolist()), specs)
+            assert got == expect
+            if g is _SEVEN_ROUNDS and kind == "path":
+                assert (len(rounds), len(live)) == (7, 582)
+            assert set(map(tuple, rows[alive].tolist())) == live
+
+
+def test_fixpoint_with_stale_counts_raises():
+    # counts that never fall leave a failing group with no live member
+    rows = _enumerate_paths(_SEVEN_ROUNDS, 4, 10 ** 6)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rich_collections._Index, "leave", lambda self, rows: None)
+        with pytest.raises(IntegrityError, match="no live member"):
+            rich_collections._np_prune_rich(rows, "path", 4, 2)
+
+
 @settings(max_examples=60, deadline=None)
 @given(hosts, st.integers(1, 4))
 @example(random_graph(9, 0.5, 1), 2)
@@ -717,17 +840,33 @@ def test_index_matches_naive_dict(g, lexsorted, rnd):
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 6).flatmap(lambda w: st.tuples(st.just(w), st.lists(
-    st.lists(st.integers(0, 7), min_size=w, max_size=w), max_size=30))))
-def test_grouping_same_packed_and_lexsorted(data):
+    st.lists(st.integers(0, 7), min_size=w, max_size=w), max_size=30))),
+    st.lists(st.integers(0, 7), min_size=6, max_size=6))
+def test_grouping_same_packed_and_lexsorted(data, probe):
     width, rows = data
     rows = np.array(rows, dtype=np.uint32).reshape(-1, width)
     out = {}
     for limit in (2 ** 63, 1):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(rich_collections, "_PACK_LIMIT", limit)
-            order, keys = rich_collections._sorted_keys(rows, 8)
-            gid, start = rich_collections._group_ids(order, keys, 8, 0)
-            head_gid, head_start = rich_collections._group_ids(order, keys, 8, 1)
+            order, keys = rich_collections._sorted_keys(rows.T, 8)
+            got = []
+            for tail in (0, 1):  # whole rows, then rows without the last digit
+                runs = rich_collections._Runs(keys, 8, tail)
+                at = np.repeat(np.arange(len(runs.live)), runs.live)
+                assert np.array_equal(runs.find(keys), at)  # each key's run
+                gid = np.empty(len(rows), dtype=np.int64)
+                gid[order] = at
+                got += [gid, runs.start]
+            # where probe rows would go, against bisect on the sorted rows
+            probes = np.array([probe[:width], [7] * width, [0] * width],
+                              dtype=np.uint32)
+            query = (rich_collections._codes(probes.T, 8) if keys.ndim == 1
+                     else probes.T)
+            ordered = sorted(map(tuple, rows.tolist()))
+            assert rich_collections._search(keys, query).tolist() == [
+                bisect.bisect_left(ordered, tuple(p)) for p in probes.tolist()]
+            gid, start, head_gid, head_start = got
             out[limit] = (gid, rows[order], start,
                           rich_collections._sorted_unique(rows),
                           head_gid, head_start)
@@ -753,12 +892,12 @@ def test_packing_limit_is_exclusive():
     top = 2 ** 21 - 1
     rows = np.array([[top, 0, top], [top, top, top], [0, top, 1],
                      [top, top, top - 1], [0, 0, 0]], dtype=np.uint32)
-    order, keys = rich_collections._sorted_keys(rows, top + 1)
+    order, keys = rich_collections._sorted_keys(rows.T, top + 1)
     assert keys.ndim == 2
     assert np.array_equal(keys, rows[[4, 2, 0, 3, 1]].T)
     # one less fits: the largest code is (2**21 - 1)**3 - 1 < 2**63
     small = np.minimum(rows, top - 1)
-    order, keys = rich_collections._sorted_keys(small, top)
+    order, keys = rich_collections._sorted_keys(small.T, top)
     assert keys.ndim == 1 and keys[-1] == top ** 3 - 1
     members = [(top - 2, top, top - 1), (top - 2, 5, top - 1),
                (top - 1, top, top - 2), (5, top, top - 2)]
@@ -847,7 +986,7 @@ def test_builders_hand_over_the_fresh_index(builder, lexsorted, g, alpha):
         fresh = LabeledCollection(coll.kind, coll.length, coll.members,
                                   good=coll.good, alpha=coll.alpha)
         with pytest.MonkeyPatch.context() as lazy:  # no lookup sorts anew
-            lazy.setattr(rich_collections, "_index_rows", None)
+            lazy.setattr(rich_collections, "_index_keys", None)
             got = _answers(coll, probes)
         assert got == _answers(fresh, probes)
         if not len(coll):

@@ -17,7 +17,7 @@ import numpy as np
 from .certificates import EmbeddingCertificate
 from .errors import InputError, IntegrityError
 from .generators import PatternSpec
-from .graphs import Graph, build_graph, dense_blocks, two_coloring
+from .graphs import Graph, _from_ids, _ids, dense_blocks, two_coloring
 from .oracle import verify_certificate
 from .rich_collections import LabeledCollection
 from .transforms import bipartite_half, peel_min_degree
@@ -375,10 +375,10 @@ def _short_edges(b: np.ndarray, q: np.ndarray, tau2: float) -> np.ndarray:
     return (b > 0) & (counts < math.ceil(tau2))  # integer c < tau iff c < ceil(tau)
 
 
-def _prism_path_residue(h: Graph, xs: Sequence[int], ys: Sequence[int],
+def _prism_path_residue(h: Graph, xs: np.ndarray, ys: np.ndarray,
                         t: int) -> tuple[Graph, float, float]:
     """Run the two-type deletion process; thresholds are fixed from the
-    input graph.  Every edge of h joins xs and ys.
+    input graph.  Every edge of h joins the id arrays xs and ys.
 
     The process runs on the live |X|-by-|Y| biadjacency block: each pass
     kills the y of degree in [1, tau1], then deletes the edges xy whose y
@@ -403,8 +403,8 @@ def _prism_path_residue(h: Graph, xs: Sequence[int], ys: Sequence[int],
     gone = np.argwhere(b0 & (b == 0) & ~killed)
     if not killed.any() and not len(gone):
         return h, tau1, tau2
-    residue = h.remove(vertices=[ys[j] for j in np.flatnonzero(killed)],
-                       edges=[(xs[i], ys[j]) for i, j in gone])
+    residue = h.remove(vertices=ys[killed],
+                       edges=np.column_stack([xs[gone[:, 0]], ys[gone[:, 1]]]))
     return residue, tau1, tau2
 
 
@@ -422,17 +422,16 @@ def find_prism_path(h: Graph, t: int,
     if t < 1:
         raise InputError("need t >= 1")
     if parts is None:
-        side = two_coloring(h)
-        if side is None:
+        if two_coloring(h) is None:
             raise InputError("ladder search needs a bipartite host")
-        a = [v for v in h.vertices() if side[v] == 0]
-        b = [v for v in h.vertices() if side[v] == 1]
+        live = np.flatnonzero(h.alive)
+        a, b = live[h._side[live] == 0], live[h._side[live] == 1]
         orientations = [(a, b), (b, a)]
     else:
-        xs0, ys0 = list(parts[0]), list(parts[1])
-        xset0, yset0 = set(xs0), set(ys0)
-        if (len(xset0) < len(xs0) or len(yset0) < len(ys0) or xset0 & yset0
-                or any(not 0 <= v < h.n for v in xset0 | yset0)):
+        xs0, ys0 = (_ids(part, (-1,)) for part in parts)
+        both = np.sort(np.concatenate([xs0, ys0]))
+        if (len(both) and (both[0] < 0 or both[-1] >= h.n)
+                or (both[1:] == both[:-1]).any()):
             raise InputError("parts must be disjoint lists of distinct "
                              "vertex ids")
         side = np.zeros(h.n, dtype=np.int64)  # 1 in X, 2 in Y, 0 in neither
@@ -442,10 +441,10 @@ def find_prism_path(h: Graph, t: int,
         orientations = [(xs0, ys0)]
 
     def hyps(xs, ys):
-        if not xs or not ys or h.edge_count == 0:
+        if not len(xs) or not len(ys) or h.edge_count == 0:
             return False, False
         e_ok = h.edge_count >= 20 * t * len(ys)
-        d_ok = min(h.degree(x) for x in xs) >= 20 * t * math.sqrt(len(ys))
+        d_ok = int(h._deg[xs].min()) >= 20 * t * math.sqrt(len(ys))
         return e_ok, d_ok
 
     chosen = None
@@ -459,7 +458,7 @@ def find_prism_path(h: Graph, t: int,
         e_ok, d_ok = hyps(xs, ys)
         chosen = (xs, ys, e_ok, d_ok)
     xs, ys, e_ok, d_ok = chosen
-    if not xs or not ys or h.edge_count == 0:
+    if not len(xs) or not len(ys) or h.edge_count == 0:
         return None
 
     residue, tau1, tau2 = _prism_path_residue(h, xs, ys, t)
@@ -468,30 +467,34 @@ def find_prism_path(h: Graph, t: int,
         if e_ok and d_ok:
             raise IntegrityError("hypotheses hold but the residue is empty")
         return None
-    xset = {x for x in xs if residue.is_alive(x)}
 
-    # residue property, asserted directly from the residue's own codegrees
-    codeg = residue.codegree_matrix()
-    if _short_edges(residue.block(xs, ys), codeg[np.ix_(xs, xs)] >= 2 * t,
-                    tau2).any():
+    # residue property, asserted directly from the residue's own X-by-X
+    # codegrees (every common neighbor of two x lies in Y): R R^T of its
+    # block R.  A host handed without parts from which nothing was deleted
+    # is its own residue, and the X-by-X block of its codegree matrix is
+    # read instead: the matrix stays cached on the caller's graph, and the
+    # tracer test of perfbench/test_check.py counts that build.
+    rb = residue.block(xs, ys)
+    codeg = (h.codegree_matrix()[np.ix_(xs, xs)]
+             if residue is h and parts is None else rb @ rb.T)
+    if _short_edges(rb, codeg >= 2 * t, tau2).any():
         raise IntegrityError("residue lost its qualifying-neighbor property")
+    at = np.full(h.n, -1)  # the row of each x in codeg
+    at[xs] = np.arange(len(xs))
 
-    start = None
-    for y in sorted(ys):
-        if residue.is_alive(y) and residue.degree(y):
-            x = residue.neighbors(y)[0]
-            start = (x, y)
-            break
-    if start is None:
-        return None
+    # every residue edge has its Y end in ys: start at the least such y
+    ys = np.sort(ys)
+    y = int(ys[np.argmax(residue._deg[ys] > 0)])
+    start = (int(residue._row(y)[0]), y)
     rungs = [start]
     used = set(start)
     for _ in range(t - 1):
         a, b = rungs[-1]
-        if a not in xset:  # roles alternate along the ladder
+        if at[a] < 0:  # roles alternate along the ladder
             a, b = b, a
+        row = codeg[at[a]]
         z = next((z for z in residue.neighbors(b)
-                  if z not in used and residue.codegree(a, z) >= 2 * t), None)
+                  if z not in used and row[at[z]] >= 2 * t), None)
         if z is None:
             return None
         w = next((w for w in residue.common_neighbors(a, z)
@@ -530,7 +533,7 @@ def _sample_thin_fraction(h: Graph, tau: float, side: list[int],
                           rng: random.Random, samples: int = 1500,
                           ) -> Optional[float]:
     """Weighted estimate of the fraction of 4-cycles that are thin."""
-    verts = [v for v in h.vertices() if h.degree(v) >= 2]
+    verts = np.flatnonzero(h.alive & (h._deg >= 2)).tolist()
     if len(verts) < 2:
         return None
     weight_sum = 0.0
@@ -615,16 +618,15 @@ def _thin_branch(h: Graph, ell: int, tau: float, budget: int,
 
 
 def _thick_extension_counts(h: Graph, codeg: np.ndarray, tau: float,
-                            pairs: list[tuple[int, int]]) -> np.ndarray:
-    """For each oriented edge (u, v), the sum of codeg(u, w) - 1 over the
-    w in N(v) - u with codeg(u, w) > tau: ``(W B)[u, v] - W[u, u]`` with
-    ``W = (codeg - 1) [codeg > tau]`` on the rows R of the ``dense_blocks``
-    block (R, C) that holds u, and B its adjacency block.  They run in
-    float64 because these sums can exceed 2**24.
+                            us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """For each oriented edge (us[i], vs[i]) = (u, v), the sum of
+    codeg(u, w) - 1 over the w in N(v) - u with codeg(u, w) > tau:
+    ``(W B)[u, v] - W[u, u]`` with ``W = (codeg - 1) [codeg > tau]`` on the
+    rows R of the ``dense_blocks`` block (R, C) that holds u, and B its
+    adjacency block.  They run in float64 because these sums can exceed
+    2**24.
     """
-    us = np.array([u for u, _ in pairs], dtype=np.intp)
-    vs = np.array([v for _, v in pairs], dtype=np.intp)
-    out = np.zeros(len(pairs))
+    out = np.zeros(len(us))
     for rows, cols in dense_blocks(h):
         at_row, at_col = np.full(h.n, -1), np.full(h.n, -1)
         at_row[rows], at_col[cols] = np.arange(len(rows)), np.arange(len(cols))
@@ -643,48 +645,48 @@ def _thick_branch(h: Graph, ell: int, tau: float, seed: int,
     asymmetric bipartite graph of its high-codegree link, and look for a
     (2*ell-1)-rung ladder to close into a prism."""
     diag: dict = {}
-    edges = list(h.edges())
-    if not edges:
+    src = h._sources()
+    up = h.indices > src
+    lo, hi = src[up], h.indices[up]  # the edges u < v, in edges() order
+    if not len(lo):
         return None, {"reason": "no edges"}
     rng = _derive_rng(seed, "thick")
-    if len(edges) > 4000:
-        edges = [edges[i] for i in
-                 sorted(rng.sample(range(len(edges)), 4000))]
-        diag["sampled_edges"] = len(edges)
-    pairs = [(u, v) for (p, q) in edges for (u, v) in ((p, q), (q, p))]
-    counts = _thick_extension_counts(h, h.codegree_matrix(), tau, pairs)
+    if len(lo) > 4000:
+        pick = sorted(rng.sample(range(len(lo)), 4000))
+        lo, hi = lo[pick], hi[pick]
+        diag["sampled_edges"] = len(lo)
+    # each edge (p, q) oriented as (p, q), then (q, p)
+    us, vs = np.column_stack([lo, hi]).ravel(), np.column_stack([hi, lo]).ravel()
+    codeg = h.codegree_matrix()
+    counts = _thick_extension_counts(h, codeg, tau, us, vs)
     best = int(np.argmax(counts))  # the first maximum, in edge order
     cnt = int(counts[best])
-    u, v = pairs[best]
+    u, v = int(us[best]), int(vs[best])
     diag["pivot_edge"] = [u, v]
     diag["thick_extensions"] = cnt
     if cnt == 0:
         return None, diag
-    xs = [w for w in h.neighbors(v) if w != u and h.codegree(u, w) > tau]
-    ys = [z for z in h.neighbors(u) if z != v]
-    if not xs or not ys:
+    nv, nu = h._row(v), h._row(u)
+    xs = nv[(nv != u) & (codeg[u, nv] > tau)]
+    ys = nu[nu != v]
+    if not len(xs) or not len(ys):
         return None, diag
-    verts = sorted(set(xs) | set(ys))
-    ids = {w: i for i, w in enumerate(verts)}
-    ys_set = set(ys)
-    xs_set = set(xs)
-    sub_edges = [(ids[x], ids[y]) for x in xs for y in h.neighbors(x)
-                 if y in ys_set]
-    sub = build_graph(len(verts), sub_edges)
+    # the link on local ids: xs and ys are disjoint, as h is bipartite
+    verts = np.sort(np.concatenate([xs, ys]))
+    lx, ly = np.searchsorted(verts, xs), np.searchsorted(verts, ys)
+    bx, by = np.nonzero(h.block(xs, ys))
+    sub = _from_ids(len(verts), np.column_stack([lx[bx], ly[by]]))
     t = 2 * ell - 1
-    cert_sub = find_prism_path(sub, t,
-                               parts=([ids[x] for x in xs],
-                                      [ids[y] for y in ys]))
+    cert_sub = find_prism_path(sub, t, parts=(lx, ly))
     diag["ladder_found"] = cert_sub is not None
     if cert_sub is None:
         return None, diag
-    back = {i: w for w, i in ids.items()}
     rows = {1: [0] * t, 2: [0] * t}
     for lab, local in cert_sub.mapping:
         r, i = (int(s) for s in lab.split(","))
-        rows[r][i - 1] = back[local]
+        rows[r][i - 1] = int(verts[local])
     # the x-row starts in X (adjacent to v); orient rows so row 1 is X-side
-    if rows[1][0] not in xs_set:
+    if rows[1][0] not in xs:
         rows[1], rows[2] = rows[2], rows[1]
     mapping = []
     for j in range(t):

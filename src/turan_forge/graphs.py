@@ -191,21 +191,40 @@ class Graph:
 
     def remove(self, vertices: Iterable[int] = (),
                edges: Iterable[tuple[int, int]] = ()) -> "Graph":
-        """Graph minus the given vertices (tombstoned) and edges."""
-        dead = np.zeros(self.n, dtype=bool)
-        for v in vertices:
-            self._check(v)
-            dead[v] = True
-        gone = []
-        for (u, v) in edges:
-            if not self.has_edge(u, v):
-                raise InputError(f"edge ({u},{v}) not present")
-            gone += (u * self.n + v, v * self.n + u)
+        """Graph minus the given vertices (tombstoned) and edges.
+
+        Both may be iterables or arrays; an edge may repeat or come in
+        either orientation, but it must be present.  The edges are found by
+        one ``searchsorted`` of both orientations' packed codes u*n + v in
+        the sorted codes of the CSR entries.  ``InputError`` names the first
+        out-of-range vertex, then the first edge, in input order, with an
+        endpoint out of range or not present."""
+        n = self.n
+        dead = _ids(vertices, (-1,))
+        out = (dead < 0) | (dead >= n)
+        if out.any():
+            self._check(dead[np.argmax(out)])
+        pairs = _ids(edges, (-1, 2))
+        u, v = pairs.T
+        inside = (u >= 0) & (u < n) & (v >= 0) & (v < n)
+        u, v = (np.where(inside, w, 0).astype(np.int64) for w in (u, v))
         src = self._sources()
-        keep = ~(dead[src] | dead[self.indices])
-        if gone:
-            keep &= ~np.isin(src * self.n + self.indices, gone)
-        return Graph(self.n, src[keep], self.indices[keep], self.alive & ~dead)
+        keys = src * n + self.indices
+        codes = np.concatenate([u * n + v, v * n + u])
+        at = np.searchsorted(keys, codes)
+        hit = at < len(keys)
+        hit[hit] = keys[at[hit]] == codes[hit]
+        ok = inside & hit[:len(u)]
+        if not ok.all():
+            a, b = pairs[np.argmin(ok)].tolist()
+            self._check(a)
+            self._check(b)
+            raise InputError(f"edge ({a},{b}) not present")
+        mask = np.zeros(n, dtype=bool)
+        mask[dead] = True
+        keep = ~(mask[src] | mask[self.indices])
+        keep[at] = False
+        return Graph(n, src[keep], self.indices[keep], self.alive & ~mask)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Graph(n={self.n}, alive={self._num_alive}, e={self.edge_count})"
@@ -216,16 +235,25 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return _from_ids(n, [x for (u, v) in edges for x in (u, v)])
 
 
+def _ids(values, shape: tuple) -> np.ndarray:
+    """Vertex ids (an array, or an iterable of ids or of pairs) as an int64
+    array of ``shape``; as an object array when an id does not fit int64,
+    which is then out of range and kept for the error message."""
+    if not isinstance(values, (np.ndarray, list, tuple)):
+        values = list(values)
+    try:
+        return np.asarray(values, dtype=np.int64).reshape(shape)
+    except OverflowError:
+        return np.asarray(values, dtype=object).reshape(shape)
+
+
 def _from_ids(n: int, ids) -> Graph:
     """The graph on 0..n-1 whose edges are the consecutive pairs of ``ids``
     (a list or an array): one sort of both directions' packed codes u*n + v,
     duplicates dropped, gives the CSR rows."""
     if n < 0:
         raise InputError("vertex count must be non-negative")
-    try:
-        ids = np.asarray(ids, dtype=np.int64)
-    except OverflowError:  # such an id is out of range; keep it for the message
-        ids = np.asarray(ids, dtype=object)
+    ids = _ids(ids, (-1,))
     u, v = ids.reshape(-1, 2).T
     bad = (u < 0) | (u >= n) | (v < 0) | (v >= n) | (u == v)
     if bad.any():

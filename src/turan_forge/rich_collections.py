@@ -69,13 +69,27 @@ def _canon_cycles_np(rows: np.ndarray) -> np.ndarray:
     its two neighbours.  Rows already so come back as they are."""
     if (rows[:, :1] < rows[:, 1:]).all() and (rows[:, 1] < rows[:, -1]).all():
         return rows
-    at = rows.argmin(axis=1)
-    rows = rows.copy()
-    for r in range(1, rows.shape[1]):
-        rows[at == r] = np.roll(rows[at == r], -r, axis=1)
-    flip = rows[:, 1] > rows[:, -1]
-    rows[flip, 1:] = rows[flip, :0:-1]
-    return rows
+    width = rows.shape[1]
+    cols = [rows[:, j] for j in range(width)]
+    # a running minimum over the columns, with its column and its neighbours
+    low, at = cols[0].copy(), np.zeros(len(rows), dtype=np.int8)
+    before, after = cols[-1].copy(), cols[1].copy()
+    for r in range(1, width):
+        less = cols[r] < low
+        np.copyto(low, cols[r], where=less)
+        np.copyto(at, r, where=less)
+        np.copyto(before, cols[r - 1], where=less)
+        np.copyto(after, cols[(r + 1) % width], where=less)
+    # output column j is input column at + j * step (mod width)
+    step = np.where(before < after, width - 1, 1).astype(np.int8)
+    out = np.empty_like(rows)
+    out[:, 0] = low
+    for j in range(1, width):
+        at += step
+        at %= width
+        for c in range(width):
+            np.copyto(out[:, j], cols[c], where=at == c)
+    return out
 
 
 _PACK_LIMIT = 2 ** 63  # packed row codes are int64

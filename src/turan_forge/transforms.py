@@ -90,8 +90,11 @@ def bipartite_half(g: Graph) -> tuple[Graph, list[int]]:
                 if 2 * same > g.degree(v):
                     side[v] = 1 - side[v]
                     moved = True
-    bad = [(u, v) for (u, v) in g.edges() if side[u] == side[v]]
-    out = g.remove(edges=bad) if bad else g
+    sides = np.asarray(side)
+    src = g._sources()
+    bad = (sides[src] == sides[g.indices]) & (src < g.indices)
+    out = (g.remove(edges=np.column_stack([src[bad], g.indices[bad]]))
+           if bad.any() else g)
     if out.edge_count * 2 < g.edge_count:
         raise IntegrityError("bipartite half postcondition failed")
     return out, side
@@ -223,7 +226,7 @@ def _clean_block(g: Graph, mode: str, n: int, d_in: float) -> tuple[Graph, int]:
     i, j = np.nonzero(np.triu(b0 & (b == 0)) if square else b0 & (b == 0))
     if not len(i):
         return g, passes
-    return g.remove(edges=zip(rows[i].tolist(), cols[j].tolist())), passes
+    return g.remove(edges=np.column_stack([rows[i], cols[j]])), passes
 
 
 def is_clean(g: Graph, d: Optional[float] = None) -> bool:

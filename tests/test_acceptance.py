@@ -86,11 +86,13 @@ def _hom_matrix_oracle(g, k):
 
 
 def _brute_cycles(g, length):
+    adjacent = set(g.edges())
+    adjacent |= {(v, u) for (u, v) in adjacent}
     out = set()
     for sub in itertools.combinations(list(g.vertices()), length):
         for perm in itertools.permutations(sub[1:]):
             cyc = (sub[0],) + perm
-            if all(g.has_edge(cyc[i], cyc[(i + 1) % length])
+            if all((cyc[i], cyc[(i + 1) % length]) in adjacent
                    for i in range(length)):
                 out.add(min(cyc, cyc[:1] + tuple(reversed(cyc[1:]))))
     return len(out)

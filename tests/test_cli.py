@@ -311,3 +311,61 @@ def test_build_audit_and_collection_bytes_are_pinned(tmp_path, host, args,
                  "--out", str(coll)]) == 0
     assert hashlib.sha256(audit.read_bytes()).hexdigest() == audit_sha
     assert hashlib.sha256(coll.read_bytes()).hexdigest() == coll_sha
+
+
+def _chung_lu_text(n, mean, exponent, seed):
+    """Edge-list text of a bipartite Chung-Lu host: side sizes n//2 and
+    n - n//2, expected degrees (i + 1)^(-1/(exponent - 1)) scaled to
+    ``mean`` on each side, pairs drawn with ``random.Random(seed)``."""
+    rng = random.Random(seed)
+    a = n // 2
+
+    def weights(m):
+        w = [(i + 1.0) ** (-1.0 / (exponent - 1.0)) for i in range(m)]
+        return [x * mean * m / sum(w) for x in w]
+
+    left, right = weights(a), weights(n - a)
+    scale = (sum(left) + sum(right)) / 2.0
+    return f"n {n}\n" + "".join(
+        f"{u} {a + v}\n" for u in range(a) for v in range(n - a)
+        if rng.random() < min(1.0, left[u] * right[v] / scale))
+
+
+# SHA-256 of `pipeline` reports of the prism embedders on two fixed hosts: a
+# bipartite G(200, 0.9), the acceptance-6 density at n = 200, and a peeled
+# and cleaned Chung-Lu host.  Both prism runs take the thick branch and its
+# 4000-edge sample, and the skewed host's prism_path residue is built by
+# deletions.
+_PRISM_HOSTS = {
+    "gnp": ({"kind": "gnp", "n": 200, "p": 0.9, "seed": 1, "bipartite": True},
+            []),
+    "skewed": ({"kind": "file", "path": "skewed.el"},
+               [{"op": "peel"}, {"op": "clean"}]),
+}
+_PRISM_DIGESTS = [
+    ("gnp", {"kind": "prism", "ell": 4},
+     "e94518e649423eddee88e785cea9b287f0b77f73d793441f46c211fec2d5245a"),
+    ("gnp", {"kind": "prism_path", "t": 5},
+     "3b2a52555df95bcbac3f89f400680d888b14b9c5e701c0c24eb973b8479f9951"),
+    ("skewed", {"kind": "prism", "ell": 4},
+     "d5ab69e67c7e1988ce5e6980d85e1daf4f97d55d22507b7e4dfbc1c4216c12dd"),
+    ("skewed", {"kind": "prism_path", "t": 5},
+     "86687b9b0d84dfef15a95ead406ec52e7b3c4224ff82be4be964f25f3b568d56"),
+]
+
+
+@pytest.mark.parametrize("host, target, sha", _PRISM_DIGESTS)
+def test_prism_report_bytes_are_pinned(tmp_path, monkeypatch, host, target,
+                                       sha):
+    monkeypatch.chdir(tmp_path)  # the report holds the config's relative paths
+    (tmp_path / "skewed.el").write_text(_chung_lu_text(400, 40.0, 2.1, 7))
+    spec, chain = _PRISM_HOSTS[host]
+    config = {"host": spec, "transforms": chain, "target": target,
+              "builder": {"T": 8.0} if target["kind"] == "prism" else {},
+              "embedder": {"seed": 1}, "out": {"report": "report.json"}}
+    code, report = run_pipeline(config)
+    assert code == 0
+    if target["kind"] == "prism":
+        assert report["certificate"]["method"]["branch"] == "thick"
+        assert report["diagnostics"]["thick"]["sampled_edges"] == 4000
+    assert hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest() == sha

@@ -813,6 +813,19 @@ def _canon(m):
     return min(s[r:] + s[:r] for s in (m, m[::-1]) for r in range(len(m)))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 8), st.integers(0, 40), st.sampled_from([np.uint32, np.int64]),
+       st.randoms(use_true_random=False))
+def test_canon_cycles_matches_least_rotation_or_reflection(width, count, dtype,
+                                                           rnd):
+    rows = np.array([rnd.sample(range(3 * width), width) for _ in range(count)],
+                    dtype=dtype).reshape(count, width)
+    got = rich_collections._canon_cycles_np(rows)
+    assert got.dtype == rows.dtype
+    assert [tuple(r) for r in got.tolist()] == [_canon(tuple(r))
+                                                for r in rows.tolist()]
+
+
 @settings(max_examples=40, deadline=None)
 @given(good_hosts, st.booleans(), st.randoms(use_true_random=False))
 @example(_CASCADE, True, random.Random(0))

@@ -8,6 +8,7 @@ runs must give identical graphs, reports and certificates.
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -211,7 +212,9 @@ def test_find_prism_path_checks_parts_like_the_edge_loop(data, labels):
 def test_thick_extension_counts_match_the_definition(general, two_sided, bip,
                                                      tau):
     g = _bipartite(two_sided)[0] if bip else _general(general)
-    oriented = [(u, v) for (p, q) in g.edges() for (u, v) in ((p, q), (q, p))]
+    oriented = np.array([(u, v) for (p, q) in g.edges()
+                         for (u, v) in ((p, q), (q, p))], dtype=np.int64)
+    us, vs = oriented.reshape(-1, 2).T
     assert _thick_extension_counts(g, g.codegree_matrix(), tau,
-                                   oriented).tolist() == \
-        pairs.thick_extension_counts(g, None, tau, oriented)
+                                   us, vs).tolist() == \
+        pairs.thick_extension_counts(g, None, tau, us, vs)

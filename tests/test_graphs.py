@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tests_support_pairs as pairs
 from turan_forge.errors import InputError
-from turan_forge.graphs import (build_graph, dense_blocks, read_edge_list, two_coloring,
-                               write_edge_list)
+from turan_forge.graphs import (Graph, build_graph, dense_blocks, read_edge_list,
+                               two_coloring, write_edge_list)
 
 
 def test_build_c4():
@@ -296,3 +297,42 @@ def test_common_neighbors_match_merge(data, victims):
                 assert h.codegree(u, v) == len(common)
             for u in range(n):
                 assert h.codegree(u, u) == h.degree(u)
+
+
+def _outcome(remove, g, vertices, edges):
+    try:
+        h = remove(g, vertices=vertices, edges=edges)
+    except InputError as exc:
+        return str(exc)
+    return (h.n, h.edge_count, list(h.edges()), list(h.vertices()),
+            h.indptr.tolist(), h.indices.tolist())
+
+
+@settings(max_examples=120, deadline=None)
+@given(edge_lists, st.randoms(use_true_random=False))
+def test_remove_matches_pair_reference(data, rnd):
+    # the one-search remove against the edge-by-edge has_edge loop, on hosts
+    # with tombstones, for lists and arrays, repeated and reversed pairs, a
+    # missing edge, a self-loop and out-of-range ids
+    n, edges = data
+    g = build_graph(n, edges).remove(vertices=rnd.sample(range(n), min(n, 2)))
+    present = list(g.edges())
+    gone = [rnd.choice(present) for _ in range(rnd.randint(0, 5))] if present else []
+    gone = [(v, u) if rnd.random() < 0.5 else (u, v) for (u, v) in gone]
+    dead = rnd.sample(range(n), rnd.randint(0, min(n, 3)))
+    absent = [(u, v) for u in range(n) for v in range(n) if not g.has_edge(u, v)]
+    cases = [(dead, gone), (dead, []), ([], gone),
+             (dead + [n + rnd.randrange(3)], gone + [(0, -1)]),
+             (dead, gone + [(rnd.randrange(n), n + rnd.randrange(3))]),
+             (dead, gone + [(-2, 10 ** 30)])]
+    for _ in range(2):
+        at = rnd.randint(0, len(gone))
+        cases.append((dead, gone[:at] + [rnd.choice(absent)] + gone[at:]
+                      + [rnd.choice(absent)]))
+    for vs, es in cases:
+        expect = _outcome(pairs.remove, g, vs, es)
+        assert _outcome(Graph.remove, g, vs, es) == expect
+        assert _outcome(Graph.remove, g, iter(vs), iter(es)) == expect
+        if all(abs(x) <= n + 2 for e in es for x in e):
+            assert _outcome(Graph.remove, g, np.array(vs, dtype=np.int64),
+                            np.array(es, dtype=np.int64).reshape(-1, 2)) == expect

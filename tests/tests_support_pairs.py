@@ -4,13 +4,22 @@ never a read of the dense matrix, so the block kernels in the package are
 checked against code that shares none of their arithmetic.  Each function
 has the signature of the kernel it stands in for, so a test can patch it in.
 
-The module also holds ``cycle_dfs``, the reference for the package's cycle
+The module also holds ``remove``, the reference for ``Graph.remove``: it
+checks each edge with ``has_edge`` in input order and drops the entries of
+the removed edges by a set membership test of their packed codes.
+
+And it holds ``cycle_dfs``, the reference for the package's cycle
 enumerator: a recursive depth-first search that builds each cycle vertex by
 vertex from the adjacency lists and closes it with ``has_edge``, sharing no
 code with the wedge pairs or the array joins.
 """
 
 from collections import Counter
+
+import numpy as np
+
+from turan_forge.errors import InputError
+from turan_forge.graphs import Graph
 
 
 def _codeg(g, u, v):
@@ -77,10 +86,11 @@ def prism_path_residue(h, xs, ys, t):
             cur = cur.remove(edges=bad)
 
 
-def thick_extension_counts(h, codeg, tau, pairs):
+def thick_extension_counts(h, codeg, tau, us, vs):
     """``embedders._thick_extension_counts``, ignoring ``codeg``."""
     return [sum(_codeg(h, u, w) - 1 for w in h.neighbors(v)
-                if w != u and _codeg(h, u, w) > tau) for (u, v) in pairs]
+                if w != u and _codeg(h, u, w) > tau)
+            for (u, v) in zip(us.tolist(), vs.tolist())]
 
 
 def high_codegree_cherries(g, c_thresh):
@@ -132,3 +142,21 @@ def cycle_dfs(g, length):
                 yield from extend(1)
                 path.pop()
                 used.remove(first)
+
+
+def remove(g, vertices=(), edges=()):
+    """``Graph.remove``: g minus the given vertices and edges."""
+    dead = np.zeros(g.n, dtype=bool)
+    for v in vertices:
+        g._check(v)
+        dead[v] = True
+    gone = []
+    for (u, v) in edges:
+        if not g.has_edge(u, v):
+            raise InputError(f"edge ({u},{v}) not present")
+        gone += (u * g.n + v, v * g.n + u)
+    src = g._sources()
+    keep = ~(dead[src] | dead[g.indices])
+    if gone:
+        keep &= ~np.isin(src * g.n + g.indices, gone)
+    return Graph(g.n, src[keep], g.indices[keep], g.alive & ~dead)

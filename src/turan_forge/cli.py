@@ -583,7 +583,8 @@ def build_parser() -> argparse.ArgumentParser:
     ct.add_argument("--k", type=int, default=5)
     ct.add_argument("--ell", type=int, default=2)
     ct.add_argument("--C0", type=float, default=8.0)
-    ct.add_argument("--cap", default=10 ** 8, help="a whole number, e.g. 1e8")
+    ct.add_argument("--cap", default=rich_collections.DEFAULT_CAP,
+                    help="a whole number, e.g. 1e8")
     _common(ct)
     ct.set_defaults(func=cmd_count)
 
@@ -596,7 +597,8 @@ def build_parser() -> argparse.ArgumentParser:
     bd.add_argument("--alpha", type=int, required=True)
     bd.add_argument("--C", type=float, default=32.0)
     bd.add_argument("--L", type=float, default=256.0)
-    bd.add_argument("--cap", default=10 ** 8, help="a whole number, e.g. 1e8")
+    bd.add_argument("--cap", default=rich_collections.DEFAULT_CAP,
+                    help="a whole number, e.g. 1e8")
     bd.add_argument("--strategy", choices=["exhaustive", "layered"],
                     default="exhaustive",
                     help="layered good-paths build the 2k-vertex suffix form "

@@ -12,9 +12,7 @@ import numpy as np
 from .errors import InputError
 from .graphs import Graph
 from .matching import max_disjoint_edges
-from .rich_collections import _check_cap, _enumerate_cycles
-
-DEFAULT_CAP = 10 ** 8
+from .rich_collections import DEFAULT_CAP, _check_cap, _enumerate_cycles
 
 
 def hom_path_count(g: Graph, k: int) -> int:

@@ -15,24 +15,36 @@ from typing import Hashable, Iterable, Sequence
 
 def max_matching_bipartite(left: Sequence[Hashable],
                            adj: dict) -> list[tuple[Hashable, Hashable]]:
-    """Maximum matching via augmenting paths; ``adj[l]`` lists right vertices."""
+    """Maximum matching via augmenting paths; ``adj[l]`` lists right vertices.
+
+    Each augmenting search is a depth-first search on an explicit stack of
+    (left vertex, its neighbour iterator, the right vertex it tries), so a
+    path of any length needs no recursion."""
     match_l: dict = {}
     match_r: dict = {}
-
-    def augment(u, visited) -> bool:
-        for v in adj.get(u, ()):
-            if v in visited:
+    for root in left:
+        if root in match_l:
+            continue
+        visited: set = set()
+        stack = [[root, iter(adj.get(root, ())), None]]
+        while stack:
+            frame = stack[-1]
+            for v in frame[1]:
+                if v not in visited:
+                    break
+            else:
+                stack.pop()
                 continue
             visited.add(v)
-            if v not in match_r or augment(match_r[v], visited):
-                match_l[u] = v
-                match_r[v] = u
-                return True
-        return False
-
-    for u in left:
-        if u not in match_l:
-            augment(u, set())
+            frame[2] = v
+            if v in match_r:
+                u = match_r[v]
+                stack.append([u, iter(adj.get(u, ())), None])
+                continue
+            for u, _, w in stack:  # v is free: flip the path
+                match_l[u] = w
+                match_r[w] = u
+            break
     return sorted(match_l.items())
 
 

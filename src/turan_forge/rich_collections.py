@@ -386,12 +386,6 @@ class LabeledCollection:
         return [divmod(f, self._base)
                 for f in self._lookup(pos, member[:pos] + member[pos + 2:], 2)]
 
-    def replace(self, member: Sequence[int], pos: int, fill) -> tuple[int, ...]:
-        member = tuple(member)
-        if isinstance(fill, tuple):
-            return member[:pos] + fill + member[pos + 2:]
-        return member[:pos] + (fill,) + member[pos + 1:]
-
     # -- the implicit auxiliary tuple graph used by the torus embedder ----------
 
     def tuple_neighbors(self, g: Graph, half_tuple: Sequence[int],
@@ -1293,17 +1287,17 @@ def good_suffix_restriction(coll: LabeledCollection) -> tuple[LabeledCollection,
 # layered constructors (richness by design, for hosts where the exhaustive
 # seeds cannot fit any cap)
 
-def _layer_transversals(g: Graph, layers: list[np.ndarray], closed: bool,
-                        cap: int = _HARD_MEMBER_CAP) -> np.ndarray:
+def _layer_transversals(g: Graph, layers: list[np.ndarray],
+                        closed: bool) -> np.ndarray:
     """All transversal tuples (one vertex per layer, all distinct) whose
     consecutive pairs (and the wrap-around pair if closed) are host edges.
 
     Layers may overlap: a candidate whose new vertex is already in its row
     is dropped as the column joins.  For closed tuples the wrap-around edge
     is enforced during the last join so intermediates stay small.  More
-    than ``cap`` candidates in one step is a resource error; as repeats
-    leave at each step, it can only be raised later than a check of
-    unfiltered rows would, never earlier.
+    than ``_HARD_MEMBER_CAP`` candidates in one step is a resource error;
+    as repeats leave at each step, it can only be raised later than a
+    check of unfiltered rows would, never earlier.
     """
     cols = [layers[0]]
     for i, nxt in enumerate(layers[1:], start=1):
@@ -1314,7 +1308,7 @@ def _layer_transversals(g: Graph, layers: list[np.ndarray], closed: bool,
         if closed and i == len(layers) - 1:
             adj &= np.take(block, cols[0], axis=0)
         src, dst = np.nonzero(adj)
-        if len(src) > cap:
+        if len(src) > _HARD_MEMBER_CAP:
             raise ResourceError("layered enumeration exceeded hard cap")
         v = np.take(nxt, dst)
         ok = np.ones(len(v), dtype=bool)
@@ -1347,91 +1341,80 @@ def _sample_layers(g: Graph, count: int, size: int, rng: random.Random,
     singleton high-degree endpoints when requested.  Pools may overlap
     (transversal distinctness is filtered later)."""
     side = two_coloring(g)
-    bipartite = side is not None and 0 < sum(side) < g.num_vertices
-    by_degree = sorted(g.vertices(), key=lambda v: (-g.degree(v), v))
-    sides = [(i % 2) if bipartite else None for i in range(count)]
-    singles: set[int] = set()
+    live = list(g.vertices())
+    if side is not None and any(side):  # some edge, so both sides are live
+        pools = [[v for v in live if side[v] == s] for s in (0, 1)]
+    else:
+        pools = [live, live]
+    deg = g.degrees()
+    by_degree = [sorted(pool, key=lambda v: (-deg[v], v)) for pool in pools]
+    singles: set = set()
     layers: list[np.ndarray] = []
     for i in range(count):
         if endpoints and i in (0, count - 1):
-            pick = next((v for v in by_degree if v not in singles
-                         and (sides[i] is None or side[v] == sides[i])), None)
-            if pick is None:  # no endpoint left: the layer, and so the seed, is empty
-                layers.append(np.zeros(0, dtype=np.int64))
-                continue
+            pick = next((v for v in by_degree[i % 2] if v not in singles), None)
             singles.add(pick)
-            layers.append(np.array([pick], dtype=np.int64))
+            # no endpoint left: the layer, and so the seed, is empty
+            layer = [] if pick is None else [pick]
         else:
-            pool = sorted(v for v in g.vertices()
-                          if sides[i] is None or side[v] == sides[i])
-            m = min(size, len(pool))
-            layers.append(np.array(sorted(rng.sample(pool, m)),
-                                   dtype=np.int64))
+            pool = pools[i % 2]
+            layer = sorted(rng.sample(pool, min(size, len(pool))))
+        layers.append(np.array(layer, dtype=np.int64))
     return layers
 
 
-def _estimate_pair_density(g: Graph, rng: random.Random) -> float:
-    """Empirical edge probability, sampled across the two-coloring if there
-    is one; floor keeps later divisions sane."""
+def _estimate_pair_density(g: Graph) -> float:
+    """The exact edge density q: e / (|A| |B|) across the two-coloring's
+    live sides A and B (isolated vertices on side 0) if there is one, else
+    e / C(n, 2) over the n live vertices.  A floor of 1e-3 keeps later
+    divisions sane, also on hosts with no cross pair."""
     side = two_coloring(g)
     n = g.num_vertices
-    if n < 2:
-        return 1e-3  # the floor below: no pair to sample
-    verts = list(g.vertices())
-    hits = 0
-    trials = 400
-    done = 0
-    for _ in range(trials * 4):
-        if done >= trials:
-            break
-        u, v = rng.sample(verts, 2)
-        if side is not None and side[u] == side[v]:
-            continue
-        done += 1
-        if g.has_edge(u, v):
-            hits += 1
-    return max(hits / max(done, 1), 1e-3)
+    if side is None:
+        pairs = n * (n - 1) // 2
+    else:
+        b = int(np.count_nonzero(np.asarray(side, dtype=bool) & g.alive))
+        pairs = (n - b) * b
+    return max(g.edge_count / pairs, 1e-3) if pairs else 1e-3
 
 
-def _layered_seed(g: Graph, count: int, alpha: int, seed: int,
-                  part_size: Optional[int], squared: bool, endpoints: bool,
-                  closed: bool) -> np.ndarray:
-    """The transversals of ``count`` sampled layers of ``part_size``, by
-    default (alpha + 3 + 1.5 sqrt(alpha)) / q**2 (/ q unless ``squared``)."""
-    rng = random.Random(seed)
-    q = _estimate_pair_density(g, rng)
-    if part_size is None:
-        target = alpha + 3 + int(1.5 * alpha ** 0.5)
-        part_size = max(int(np.ceil(target / (q * q if squared else q))),
-                        alpha + 2)
-    layers = _sample_layers(g, count, part_size, rng, endpoints)
+def _layered_seed(g: Graph, count: int, alpha: int, seed: int, squared: bool,
+                  endpoints: bool, closed: bool) -> np.ndarray:
+    """The transversals of ``count`` sampled layers, each of
+    max(ceil((alpha + 3 + floor(1.5 sqrt(alpha))) / q**s), alpha + 2)
+    vertices of its pool (all of it if smaller), where q is the exact edge
+    density and s is 2 if ``squared``, else 1."""
+    q = _estimate_pair_density(g)
+    target = alpha + 3 + int(1.5 * alpha ** 0.5)
+    size = max(int(np.ceil(target / (q * q if squared else q))), alpha + 2)
+    layers = _sample_layers(g, count, size, random.Random(seed), endpoints)
     return _layer_transversals(g, layers, closed)
 
 
-def layered_rich_paths(g: Graph, k: int, alpha: int, seed: int,
-                       part_size: Optional[int] = None) -> LabeledCollection:
+def layered_rich_paths(g: Graph, k: int, alpha: int,
+                       seed: int) -> LabeledCollection:
     """Alpha-rich path collection from a layered seed: fixed high-degree
     endpoints, sampled internal layers, exhaustive transversals, then the
     usual fixpoint prune (vectorised)."""
     if k < 3:
         raise InputError("need k >= 3")
-    rows = _layered_seed(g, k, alpha, seed, part_size, True, True, False)
+    rows = _layered_seed(g, k, alpha, seed, True, True, False)
     return _np_prune_rich(rows, "path", k, alpha)[0]
 
 
-def layered_rich_cycles(g: Graph, ell: int, alpha: int, seed: int,
-                        part_size: Optional[int] = None) -> LabeledCollection:
+def layered_rich_cycles(g: Graph, ell: int, alpha: int,
+                        seed: int) -> LabeledCollection:
     """Alpha-rich cycle collection from 2*ell sampled layers."""
     if ell < 2:
         raise InputError("need ell >= 2")
-    rows = _layered_seed(g, 2 * ell, alpha, seed, part_size, True, False, True)
+    rows = _layered_seed(g, 2 * ell, alpha, seed, True, False, True)
     if len(rows):
         rows = _sorted_unique(_canon_cycles_np(rows))
     return _np_prune_rich(rows, "cycle", 2 * ell, alpha)[0]
 
 
-def layered_good_paths(g: Graph, k: int, alpha: int, seed: int,
-                       part_size: Optional[int] = None) -> LabeledCollection:
+def layered_good_paths(g: Graph, k: int, alpha: int,
+                       seed: int) -> LabeledCollection:
     """Alpha-good collection of paths with 2k vertices (ready for the
     honeycomb embedder) from a layered seed pruned by pair matchings."""
     if k < 1:
@@ -1442,7 +1425,7 @@ def layered_good_paths(g: Graph, k: int, alpha: int, seed: int,
         members = [e] if e else []
         return LabeledCollection.from_members("path", 2, members, good=True,
                                               alpha=alpha)
-    rows = _layered_seed(g, length, alpha, seed, part_size, False, True, False)
+    rows = _layered_seed(g, length, alpha, seed, False, True, False)
     rows, keys, base = _np_prune_good(rows, alpha)
     return LabeledCollection._indexed("path", length, rows, keys, base,
                                       good=True, alpha=alpha)

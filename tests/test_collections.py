@@ -12,8 +12,10 @@ from tests_support_pairs import cycle_dfs as _cycle_dfs
 from turan_forge import rich_collections
 from turan_forge.errors import InputError, IntegrityError, ResourceError
 from turan_forge.generators import polarity_graph, random_graph
-from turan_forge.graphs import build_graph
+from turan_forge.embedders import embed_cylinder, embed_torus
+from turan_forge.graphs import build_graph, two_coloring
 from turan_forge.matching import max_disjoint_edges
+from turan_forge.oracle import verify_certificate
 from turan_forge.rich_collections import (LabeledCollection, PruneAudit,
                                           _enumerate_cycles,
                                           _enumerate_paths, build_good_paths,
@@ -224,7 +226,7 @@ def test_layered_deterministic():
 
 
 def test_layered_builders_on_degenerate_hosts():
-    # one vertex: no pair to sample a density from; star: no second
+    # one vertex: no pair to take a density from; star: no second
     # endpoint on the centre's side for k = 5
     one = build_graph(1, [])
     star = build_graph(6, [(0, i) for i in range(1, 6)])
@@ -233,6 +235,52 @@ def test_layered_builders_on_degenerate_hosts():
         assert len(paths) == 0 and paths.members.shape == (0, 5)
         assert len(layered_rich_cycles(g, 2, 2, seed=0)) == 0
         assert len(layered_good_paths(g, 2, 2, seed=0)) == 0
+
+
+def test_pair_density_is_exact():
+    def bipartite_q(g):
+        side = two_coloring(g)
+        b = sum(side[v] for v in g.vertices())
+        return g.edge_count / ((g.num_vertices - b) * b)
+
+    def general_q(g):
+        n = g.num_vertices
+        return g.edge_count / (n * (n - 1) / 2)
+
+    bip = random_graph(300, 0.3, 7, bipartite=True)
+    gen = random_graph(120, 0.4, 7)
+    assert two_coloring(gen) is None
+    # tombstones: dead vertices leave both counts, and the vertices that
+    # lose every edge stay live, on side 0
+    dead = bip.remove(vertices=range(0, 300, 7), edges=list(bip.edges())[::5])
+    star = build_graph(9, [(0, i) for i in range(1, 9)]).remove(vertices=[3])
+    for g, want in [(bip, bipartite_q(bip)), (dead, bipartite_q(dead)),
+                    (star, 7 / (1 * 7)), (K44, 1.0), (C6, 6 / 9),
+                    (gen, general_q(gen)), (K6, 1.0),
+                    (gen.remove(vertices=range(0, 120, 3)),
+                     general_q(gen.remove(vertices=range(0, 120, 3))))]:
+        assert rich_collections._estimate_pair_density(g) == want
+    # the floor: hosts with no cross pair, and hosts sparser than 1e-3
+    path = build_graph(4000, [(i, i + 1) for i in range(3999)])
+    odd = build_graph(2003, [(i, (i + 1) % 2003) for i in range(2003)])
+    assert 3999 / (2000 * 2000) < 1e-3 and 2003 / (2003 * 1001) < 1e-3
+    for g in (build_graph(0, []), build_graph(1, []), build_graph(5, []),
+              K44.remove(vertices=range(4)), path, odd):
+        assert rich_collections._estimate_pair_density(g) == 1e-3
+
+
+def test_layered_probe_finds_at_n1500():
+    # the scale probe on the acceptance-6 family: layers sized from a
+    # density 7 % too high (0.495 against 0.464) leave seed 3 no member
+    g = random_graph(1500, 18 / 1500 ** 0.5, 1, bipartite=True)
+    for seed in range(4):
+        coll = layered_rich_cycles(g, 2, 8, seed=seed)
+        assert len(coll) > 0, seed
+        for cert in (embed_cylinder(g, coll, 4, 2),
+                     embed_torus(g, coll, 4, 2, budget=10 ** 7, seed=seed)):
+            assert cert is not None, seed
+            ok, why = verify_certificate(g, cert)
+            assert ok, (seed, why)
 
 
 # -- array fast paths against their references, on small and tombstoned hosts
@@ -389,6 +437,16 @@ def test_verify_good_collection_keys_groups_by_pair_position():
     assert ce == {"member": (0, 60, 70, 10, 40, 50), "pair_position": 1,
                   "matching": 1}
 
+
+def test_matching_follows_a_long_augmenting_path():
+    # left i < n - 1 sees n + i and n + i + 1, left n - 1 sees only n: the
+    # last left vertex augments along a path through all the others, and
+    # the one perfect matching shifts every other left vertex by one
+    n = 3000
+    edges = ([(i, n + i) for i in range(n - 1)]
+             + [(i, n + i + 1) for i in range(n - 1)] + [(n - 1, n)])
+    m = max_disjoint_edges(edges, set(range(n)), set(range(n, 2 * n)))
+    assert m == [(i, n + i + 1) for i in range(n - 1)] + [(n - 1, n)]
 
 def _pair_group_rows(groups):
     """Rows (100 + i, first, second, 200), group i at pair position 1.

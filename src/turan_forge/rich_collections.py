@@ -95,6 +95,15 @@ def _canon_cycles_np(rows: np.ndarray) -> np.ndarray:
 _PACK_LIMIT = 2 ** 63  # packed row codes are int64
 
 
+_BLOCK = 1 << 16  # entries a pass over sorted keys holds in temporaries
+
+
+def _order_dtype(rows: int) -> type:
+    """The dtype of an order of ``rows`` rows: int32, or int64 from 2**31
+    rows.  Rank arithmetic on an order casts it to int64 first."""
+    return np.int32 if rows < 2 ** 31 else np.int64
+
+
 def _codes(cols: Sequence[np.ndarray], base: int) -> np.ndarray:
     """Rows given column by column, each packed into one int64 code, its
     columns the digits in base ``base`` (exact while base**width <
@@ -118,22 +127,31 @@ def _sorted_keys(cols: Sequence[np.ndarray],
     """
     if base ** len(cols) >= _PACK_LIMIT:
         order = np.lexsort(cols[::-1])
-        return order, np.stack([np.take(col, order) for col in cols])
+        return (order.astype(_order_dtype(len(order))),
+                np.stack([np.take(col, order) for col in cols]))
     return _sort_codes(_codes(cols, base), base ** len(cols))
 
 
 def _sort_codes(code: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray]:
-    """An order that sorts codes in [0, top) and the codes in that order.
-    The row number rides along in the bits left over, if any, so that one
-    sort gives both and orders equal codes by row."""
+    """An order that sorts codes in [0, top) and the codes in that order,
+    sorted in place in ``code``'s own buffer.  The row number rides along
+    in the bits left over, if any, so that one sort gives both and orders
+    equal codes by row; the row numbers go in and come out a block at a
+    time, so no temporary is as long as ``code``."""
     bits = len(code).bit_length()
+    order = np.empty(len(code), dtype=_order_dtype(len(code)))
     if top << bits < _PACK_LIMIT:
         code <<= bits
-        code |= np.arange(len(code))
+        for lo in range(0, len(code), _BLOCK):
+            code[lo:lo + _BLOCK] |= np.arange(lo, min(lo + _BLOCK, len(code)))
         code.sort()
-        return code & ((1 << bits) - 1), code >> bits
-    order = np.argsort(code)
-    return order, code[order]
+        for lo in range(0, len(code), _BLOCK):
+            order[lo:lo + _BLOCK] = code[lo:lo + _BLOCK] & ((1 << bits) - 1)
+        code >>= bits
+    else:
+        order[:] = np.argsort(code)
+        code.sort()
+    return order, code
 
 
 def _boundaries(keys: np.ndarray) -> np.ndarray:
@@ -316,10 +334,15 @@ class LabeledCollection:
 
     @classmethod
     def _indexed(cls, kind: str, length: int, members: np.ndarray, keys: dict,
-                 base: int, **kw) -> "LabeledCollection":
-        """A builder's collection with the index its prune sorted."""
-        coll = cls(kind, length, members, **kw)
-        coll._keys, coll._base = keys, base
+                 base: int, good: bool = False,
+                 alpha: Optional[int] = None) -> "LabeledCollection":
+        """A builder's collection with the index its prune sorted.  The
+        builder guarantees what the public constructor checks: uint32 rows
+        of ``length`` distinct vertices, canonical cycles, sorted and
+        without repeats; so none of it runs again."""
+        coll = cls.__new__(cls)
+        coll.kind, coll.length, coll.good, coll.alpha = kind, length, good, alpha
+        coll.members, coll._keys, coll._base = members, keys, base
         return coll
 
     def _lookup(self, pos: int, sig: Sequence[int], tail: int) -> list[int]:
@@ -647,6 +670,7 @@ def _four_cycles(g: Graph, cap: int,
         rows[:, 2] = x[_spans(wedge + 1, cnt)]
         out.append(rows)
     rows = np.concatenate(out)
+    del out  # before the sort: the rows are not held twice
     return np.take(rows, _sorted_keys(rows.T, n)[0][:need], axis=0), total
 
 
@@ -692,7 +716,10 @@ def _enumerate_cycles(g: Graph, ell: int, cap: int,
 
 def _drop(keys: np.ndarray, base: int, tail: int) -> np.ndarray:
     """Sorted keys (from ``_sorted_keys``) without their last ``tail``
-    digits, still sorted, in the same form."""
+    digits, still sorted, in the same form (the keys themselves for no
+    digit)."""
+    if not tail:
+        return keys
     return keys[:len(keys) - tail] if keys.ndim == 2 else keys // base ** tail
 
 
@@ -725,10 +752,17 @@ class _Runs:
 
     def __init__(self, keys: np.ndarray, base: int, tail: int):
         self.base, self.tail = base, tail
-        prefix = _drop(keys, base, tail)
-        at = np.flatnonzero(_boundaries(prefix))
-        self.heads = np.take(prefix, at, axis=-1)
-        self.start = np.append(at, keys.shape[-1])
+        size = keys.shape[-1]
+        # the first key starts a run; the prefixes are compared a block at
+        # a time, each block with the key before it, so no temporary is as
+        # long as the keys
+        at = [np.zeros(min(size, 1), dtype=np.intp)]
+        for lo in range(1, size, _BLOCK):
+            part = _drop(keys[..., lo - 1:lo + _BLOCK], base, tail)
+            at.append(np.flatnonzero(_boundaries(part)[1:]) + lo)
+        at = np.concatenate(at)
+        self.heads = _drop(np.take(keys, at, axis=-1), base, tail)
+        self.start = np.append(at, size)
         self.live = np.diff(self.start)
 
     def find(self, keys: np.ndarray) -> np.ndarray:
@@ -753,7 +787,8 @@ class _Index:
     fill columns last), L per member on cycles, row r belonging to member
     r % m.  No two rows are equal, so the rows of dead members are found
     by a search for their own keys; they are never compacted out of the
-    keys while the prune runs, only subtracted from the live counts.
+    keys while the prune runs, only subtracted from the live counts.  The
+    row order is int32 below 2**31 rows (``_order_dtype``).
     """
 
     def __init__(self, members: np.ndarray, kind: str, pos: int, tail: int,
@@ -786,12 +821,21 @@ class _Index:
         """An index row of each group ``ids``."""
         return self.order[self.groups.start[ids]]
 
-    def without(self, dead: np.ndarray) -> np.ndarray:
-        """The sorted keys without the rows of the ``dead`` members."""
-        if not len(dead):
-            return self.keys
-        return np.delete(self.keys, _search(self.keys, self.codes(dead)),
-                         axis=-1)
+    def without(self, alive: np.ndarray) -> np.ndarray:
+        """The sorted keys of the ``alive`` members' rows.  This spends the
+        index: it lets go of its order, runs and keys before the new keys
+        exist, so the three are never alive at once."""
+        keep, m = None, len(alive)
+        if not alive.all():  # key i is index row order[i], of its member
+            keep = np.empty(len(self.order), dtype=bool)
+            for lo in range(0, len(keep), _BLOCK):
+                keep[lo:lo + _BLOCK] = alive[self.order[lo:lo + _BLOCK] % m]
+        keys = self.keys
+        vars(self).clear()
+        if keep is None:
+            return keys
+        # a 1-d mask read makes no index array, as [..., keep] does
+        return keys[keep] if keys.ndim == 1 else keys[:, keep]
 
 
 def _count_rule(ix: _Index, threshold: float) -> tuple:
@@ -849,7 +893,8 @@ def _first_failure(width: int, rules: list[tuple],
     for pos, ix, fails in rules:
         rows, grp = ix.rows(np.flatnonzero((ix.groups.live > 0) & fails(alive)))
         live = alive[rows % m]
-        rank = rows[live] % m * width + pos + rows[live] // m
+        rows = rows[live].astype(np.int64)  # ranks pass 2**31 before rows do
+        rank = rows % m * width + pos + rows // m
         if len(rank) and (best is None or rank.min() < best[0]):
             best = (int(rank.min()), ix, int(grp[live][rank.argmin()]))
     if best is None:
@@ -868,19 +913,16 @@ def _np_prune_rich(members: np.ndarray, kind: str, length: int,
     sizes.  The collection keeps each sorted key array, in base n, the
     seed's largest vertex plus one, less the dead members' rows.
     """
-    if len(members) == 0:  # a layered seed that ran dry may be narrower
-        return LabeledCollection(kind, length, members, alpha=alpha), []
-    base = int(members.max()) + 1
+    base = int(members.max(initial=0)) + 1
     positions = [0] if kind == "cycle" else range(1, members.shape[1] - 1)
     indexes = [_Index(members, kind, pos, 1, base) for pos in positions]
     alive, rounds = _fixpoint(len(members), [_count_rule(ix, alpha - 1)
                                              for ix in indexes])
     failed = [[(pos, ix.first(ids), sizes) for pos, ix, (ids, sizes)
                in zip(positions, indexes, r)] for r in rounds]
-    dead = np.flatnonzero(~alive)
+    keys = {pos: ix.without(alive) for pos, ix in zip(positions, indexes)}
     return LabeledCollection._indexed(
-        kind, length, np.compress(alive, members, axis=0),
-        {pos: ix.without(dead) for pos, ix in zip(positions, indexes)}, base,
+        kind, length, np.compress(alive, members, axis=0), keys, base,
         alpha=alpha), failed
 
 
@@ -988,7 +1030,10 @@ def _seconds(keys: np.ndarray, base: int) -> np.ndarray:
     """The (signature, second fill) keys of (signature, first, second) keys."""
     if keys.ndim == 2:
         return np.concatenate([keys[:-2], keys[-1:]])
-    return keys // (base * base) * base + keys % base
+    out = keys // (base * base)
+    out *= base
+    out += keys % base
+    return out
 
 
 def _isin(keys: np.ndarray, query: np.ndarray) -> np.ndarray:
@@ -1013,8 +1058,10 @@ class _PairIndex(_Index):
     def __init__(self, members: np.ndarray, j: int, base: int):
         super().__init__(members, "path", j, 2, base)
         seconds = _seconds(self.keys, base)
-        seconds = (np.sort(seconds) if seconds.ndim == 1
-                   else seconds[:, np.lexsort(seconds[::-1])])
+        if seconds.ndim == 1:
+            seconds.sort()
+        else:
+            seconds = seconds[:, np.lexsort(seconds[::-1])]
         self.fills = (_Runs(self.keys, base, 1), _Runs(seconds, base, 0))
         self.fill_groups = [runs.group_starts() for runs in self.fills]
         first, second = self.fills
@@ -1211,8 +1258,7 @@ def build_good_paths(g: Graph, k: int, alpha: int, c_thresh: float,
             weight /= codeg[seed[:, 2 * i - 2], seed[:, 2 * i]]
         audit.diagnostics["seed_weight"] = math.fsum(weight.tolist())
         audit.diagnostics["final_weight"] = math.fsum(weight[alive].tolist())
-    rows = np.compress(alive, seed, axis=0)
-    audit.diagnostics["final"] = len(rows)
+    audit.diagnostics["final"] = int(alive.sum())
     # a rule of either case reads every pair index, so its live counts are
     # the survivors'
     bad = _first_bad_pair(seed, alpha, indexes, alive)
@@ -1220,8 +1266,8 @@ def build_good_paths(g: Graph, k: int, alpha: int, c_thresh: float,
         raise IntegrityError(
             f"good-path fixpoint is not {alpha}-good: member {bad[0]} "
             f"pair position {bad[1]} only supports {bad[2]} disjoint fills")
-    dead = np.flatnonzero(~alive)
-    keys = {j: ix.without(dead) for j, ix in indexes.items()}
+    keys = {j: ix.without(alive) for j, ix in indexes.items()}
+    rows = np.compress(alive, seed, axis=0)
     return (LabeledCollection._indexed("path", length, rows, keys, base,
                                        good=True, alpha=alpha), audit, case)
 
@@ -1309,7 +1355,10 @@ def _layer_transversals(g: Graph, layers: list[np.ndarray],
             adj &= np.take(block, cols[0], axis=0)
         src, dst = np.nonzero(adj)
         if len(src) > _HARD_MEMBER_CAP:
-            raise ResourceError("layered enumeration exceeded hard cap")
+            raise ResourceError(
+                f"layered enumeration step {i} of {len(layers) - 1} has "
+                f"{len(src)} candidate rows, above the cap of "
+                f"{_HARD_MEMBER_CAP}")
         v = np.take(nxt, dst)
         ok = np.ones(len(v), dtype=bool)
         for col in cols[:-1]:  # the last column is a neighbour of v
@@ -1317,7 +1366,7 @@ def _layer_transversals(g: Graph, layers: list[np.ndarray],
         src = np.compress(ok, src)
         cols = [np.take(col, src) for col in cols] + [np.compress(ok, v)]
         if len(src) == 0:
-            break
+            return np.empty((0, len(layers)), dtype=np.uint32)
     return np.stack(cols, axis=1, dtype=np.uint32, casting="unsafe")
 
 
@@ -1330,9 +1379,8 @@ def _np_prune_good(members: np.ndarray, alpha: int) -> tuple:
     indexes = _pair_indexes(members, base)
     alive, _ = _fixpoint(len(members), [_pair_rule(ix, alpha)
                                         for ix in indexes.values()])
-    dead = np.flatnonzero(~alive)
-    return np.compress(alive, members, axis=0), {
-        j: ix.without(dead) for j, ix in indexes.items()}, base
+    keys = {j: ix.without(alive) for j, ix in indexes.items()}
+    return np.compress(alive, members, axis=0), keys, base
 
 
 def _sample_layers(g: Graph, count: int, size: int, rng: random.Random,

@@ -2,11 +2,15 @@ import bisect
 import itertools
 import math
 import random
+import re
+import tracemalloc
+import types
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+import tests_support_pairs as reference
 from test_graphs import edge_lists
 from tests_support_pairs import cycle_dfs as _cycle_dfs
 from turan_forge import rich_collections
@@ -1100,3 +1104,139 @@ def test_public_constructor_skips_the_sort_of_sorted_rows(monkeypatch):
         LabeledCollection("path", 4, np.array([[0, 4, 0, 5]], dtype=np.uint32))
     cycles = _enumerate_cycles(K44, 2, 10 ** 6)
     assert LabeledCollection("cycle", 4, cycles).members is cycles
+
+
+_small_dense = st.integers(0, 50).map(
+    lambda s: random_graph(16, 0.8, s, bipartite=True))
+
+
+@pytest.mark.parametrize("builder", sorted(_HANDOVER_BUILDERS))
+@settings(max_examples=25, deadline=None)
+@given(st.one_of(good_hosts, _small_dense), st.integers(1, 3))
+@example(_PRUNED_TOP, 2)
+@example(complete_bipartite(5, 5), 1)
+@example(random_graph(16, 0.8, 1, bipartite=True), 1)  # 3014 case-2 paths
+def test_builders_rows_pass_the_public_checks_as_they_are(builder, g, alpha):
+    with pytest.MonkeyPatch.context() as mp:  # no builder checks its rows again
+        mp.setattr(LabeledCollection, "__init__", None)
+        coll = _HANDOVER_BUILDERS[builder](g, alpha)
+    rows = coll.members
+    assert rows.dtype == np.uint32 and rows.shape == (len(coll), coll.length)
+    fresh = LabeledCollection(coll.kind, coll.length, rows, good=coll.good,
+                              alpha=coll.alpha)
+    assert fresh.members is rows or (not len(rows)
+                                     and fresh.members.shape == rows.shape)
+
+
+def _lean_and_reference(kind, rows, pos, tail):
+    base = int(rows.max(initial=0)) + 1
+    lean = (rich_collections._PairIndex(rows, pos, base) if tail == 2
+            else rich_collections._Index(rows, kind, pos, tail, base))
+    ref = reference.Index(rows, kind, pos, tail, base)
+    runs = [(lean.groups, ref.groups)]
+    if tail == 2:
+        runs += zip(lean.fills, reference.pair_fill_runs(ref.keys, base))
+    return lean, ref, runs
+
+
+@pytest.mark.parametrize("block", [3, 1 << 16])
+@pytest.mark.parametrize("lexsorted", [False, True])
+@settings(max_examples=40, deadline=None)
+@given(good_hosts, st.randoms(use_true_random=False))
+@example(_CASCADE, random.Random(0))
+@example(build_graph(0, []), random.Random(0))
+def test_lean_index_matches_the_reference(lexsorted, block, g, rnd):
+    seeds = [("path", _enumerate_paths(g, 4, 10 ** 6), 1),
+             ("cycle", _enumerate_cycles(g, 2, 10 ** 6), 1),
+             ("cycle", _enumerate_cycles(g, 3, 10 ** 6), 1),
+             ("path", _enumerate_paths(g, 5, 10 ** 6), 2)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rich_collections, "_BLOCK", block)  # 3: many blocks
+        if lexsorted:  # every base**width passes the limit: the lexsort keys
+            mp.setattr(rich_collections, "_PACK_LIMIT", 1)
+        for kind, seed, tail in seeds:
+            for rows in (seed, seed[:1], seed[:0]):  # all, one row, none
+                width = rows.shape[1]
+                for pos in [0] if kind == "cycle" else range(1, width - tail):
+                    lean, ref, runs = _lean_and_reference(kind, rows, pos, tail)
+                    assert lean.order.dtype == np.int32
+                    assert lean.keys.ndim == (2 if lexsorted else 1)
+                    assert np.array_equal(lean.order, ref.order)
+                    assert np.array_equal(lean.keys, ref.keys)
+                    dead = np.flatnonzero([rnd.random() < 0.3 for _ in rows])
+                    lean.leave(dead)
+                    keys = ref.codes(dead)
+                    ref.leave(dead)
+                    if tail == 2:  # as _PairIndex.leave does
+                        runs[1][1].leave(keys)
+                        runs[2][1].leave(reference.seconds(keys, ref.base))
+                    for got, want in runs:
+                        assert np.array_equal(got.heads, want.heads)
+                        assert np.array_equal(got.start, want.start)
+                        assert np.array_equal(got.live, want.live)
+                    alive = np.ones(len(rows), dtype=bool)
+                    alive[dead] = False
+                    assert np.array_equal(lean.without(alive),
+                                          ref.without(dead))
+
+
+def test_order_dtype_turns_int64_at_2_31_rows():
+    assert rich_collections._order_dtype(0) is np.int32
+    assert rich_collections._order_dtype(2 ** 31 - 1) is np.int32
+    assert rich_collections._order_dtype(2 ** 31) is np.int64
+    assert rich_collections._order_dtype(5 * 2 ** 31) is np.int64
+
+
+def test_first_failure_ranks_in_int64():
+    # an int32 path-index row of member 2**30 - 1 ranks at about 2**33 with
+    # width 8: in int32 it would wrap below member 5's rank
+    m = 2 ** 30
+
+    class Alive:  # all m members live, without m flags
+        def __len__(self):
+            return m
+
+        def __getitem__(self, rows):
+            return np.ones(len(rows), dtype=bool)
+
+    ix = types.SimpleNamespace(
+        groups=types.SimpleNamespace(live=np.array([2])),
+        rows=lambda ids: (np.array([m - 1, 5], dtype=np.int32),
+                          np.array([0, 0])))
+    got = rich_collections._first_failure(
+        8, [(1, ix, lambda alive: np.array([True]))], Alive())
+    assert got == (5, 1, ix, 0)
+
+
+def test_layered_hard_cap_names_the_step_and_its_size(monkeypatch):
+    g = random_graph(40, 0.9, 1, bipartite=True)
+    pattern = (r"^layered enumeration step (\d) of 3 has (\d+) candidate "
+               r"rows, above the cap of {}$")
+    monkeypatch.setattr(rich_collections, "_HARD_MEMBER_CAP", 50)
+    with pytest.raises(ResourceError, match=pattern.format(50)) as err:
+        layered_rich_cycles(g, 2, 2, seed=0)
+    step, size = map(int, re.match(pattern.format(50), str(err.value)).groups())
+    assert step == 1 and size > 50
+    # a cap at that size lets the step pass: the message names its count
+    monkeypatch.setattr(rich_collections, "_HARD_MEMBER_CAP", size)
+    with pytest.raises(ResourceError, match=pattern.format(size)) as err:
+        layered_rich_cycles(g, 2, 2, seed=0)
+    assert int(re.match(pattern.format(size), str(err.value))[1]) > 1
+
+
+@pytest.mark.parametrize("n, p, build, bound", [
+    # 85 bytes a member measured; an index with full-size temporaries
+    # and an int64 order takes 151
+    (110, 0.55, lambda g: build_rich_cycles(g, 2, 8)[0], 100),
+    # 139 bytes a member, most of it the dense blocks of the layered join
+    (200, 0.9, lambda g: layered_good_paths(g, 3, 12, 1), 160),
+], ids=["rich cycles", "layered good paths"])
+def test_builds_peak_in_bounded_bytes_per_member(n, p, build, bound):
+    g = random_graph(n, p, 1, bipartite=True)
+    tracemalloc.start()
+    try:
+        coll = build(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(coll) > 150_000 and peak < bound * len(coll)

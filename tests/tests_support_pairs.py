@@ -12,14 +12,23 @@ And it holds ``cycle_dfs``, the reference for the package's cycle
 enumerator: a recursive depth-first search that builds each cycle vertex by
 vertex from the adjacency lists and closes it with ``has_edge``, sharing no
 code with the wedge pairs or the array joins.
+
+Last, ``sort_codes``, ``Runs`` and ``Index`` are the signature index in
+its plain form: full-size ``arange``, ``&`` and ``>>`` temporaries, an
+int64 row order and a whole prefix array per run search.  They pin the
+package's in-place index: its order, keys and runs.
 """
 
 from collections import Counter
 
 import numpy as np
 
+from turan_forge import rich_collections as rc
 from turan_forge.errors import InputError
 from turan_forge.graphs import Graph
+from turan_forge.rich_collections import (_boundaries, _index_codes,
+                                          _index_cols, _search, _sorted_keys,
+                                          _spans)
 
 
 def _codeg(g, u, v):
@@ -160,3 +169,127 @@ def remove(g, vertices=(), edges=()):
     if gone:
         keep &= ~np.isin(src * g.n + g.indices, gone)
     return Graph(g.n, src[keep], g.indices[keep], g.alive & ~dead)
+
+
+def sort_codes(code, top):
+    """``rich_collections._sort_codes``: an order that sorts codes in
+    [0, top) and the codes in that order.  The row number rides along in
+    the bits left over, if any, so that one sort gives both and orders
+    equal codes by row."""
+    bits = len(code).bit_length()
+    if top << bits < rc._PACK_LIMIT:
+        code <<= bits
+        code |= np.arange(len(code))
+        code.sort()
+        return code & ((1 << bits) - 1), code >> bits
+    order = np.argsort(code)
+    return order, code[order]
+
+
+def index_keys(members, kind, pos, tail, base):
+    """``rich_collections._index_keys``, sorted by ``sort_codes``."""
+    if base ** members.shape[1] >= rc._PACK_LIMIT:
+        return _sorted_keys(_index_cols(members, kind, pos, tail), base)
+    return sort_codes(_index_codes(members, kind, pos, tail, base),
+                      base ** members.shape[1])
+
+
+def drop(keys, base, tail):
+    """``rich_collections._drop``: sorted keys without their last ``tail``
+    digits, still sorted, in the same form."""
+    return keys[:len(keys) - tail] if keys.ndim == 2 else keys // base ** tail
+
+
+class Runs:
+    """``rich_collections._Runs``: the runs of sorted keys that agree on all
+    but their last ``tail`` digits: each run's head (that prefix, in the
+    keys' form), where it starts in the keys (plus the end), and its live
+    row count."""
+
+    def __init__(self, keys, base, tail):
+        self.base, self.tail = base, tail
+        prefix = drop(keys, base, tail)
+        at = np.flatnonzero(_boundaries(prefix))
+        self.heads = np.take(prefix, at, axis=-1)
+        self.start = np.append(at, keys.shape[-1])
+        self.live = np.diff(self.start)
+
+    def find(self, keys):
+        """The run of each key (one of the sorted keys, or of their form)."""
+        return _search(self.heads, drop(keys, self.base, self.tail))
+
+    def leave(self, keys):
+        """The rows with these keys are no longer live."""
+        self.live -= np.bincount(self.find(keys), minlength=len(self.live))
+
+    def group_starts(self):
+        """The first of these runs of each run of their heads without the
+        last digit (each group), for ``reduceat``."""
+        return np.flatnonzero(_boundaries(drop(self.heads, self.base, 1)))
+
+
+class Index:
+    """``rich_collections._Index``: one position's (signature, fill) index
+    over an array of member rows, sorted once, with its groups: the runs of
+    signatures, with live sizes.
+
+    The index rows are ``_index_cols``: one per member on paths (``tail``
+    fill columns last), L per member on cycles, row r belonging to member
+    r % m.  No two rows are equal, so the rows of dead members are found
+    by a search for their own keys; they are never compacted out of the
+    keys while the prune runs, only subtracted from the live counts.
+    """
+
+    def __init__(self, members, kind, pos, tail, base):
+        self.members, self.kind, self.pos = members, kind, pos
+        self.tail, self.base = tail, base
+        self.order, self.keys = index_keys(members, kind, pos, tail, base)
+        self.groups = Runs(self.keys, base, tail)
+
+    def codes(self, rows):
+        """The keys of the index rows of some members, packed straight from
+        their columns."""
+        some = np.take(self.members, rows, axis=0)
+        if self.keys.ndim == 1:
+            return _index_codes(some, self.kind, self.pos, self.tail, self.base)
+        return np.stack(_index_cols(some, self.kind, self.pos, self.tail))
+
+    def leave(self, rows):
+        """These members die: their rows leave the live counts."""
+        self.groups.leave(self.codes(rows))
+
+    def rows(self, ids):
+        """The index rows of groups ``ids`` (in their ``order`` ranges), dead
+        ones too, and the group of each."""
+        start = self.groups.start
+        cnt = start[ids + 1] - start[ids]
+        return self.order[_spans(start[ids], cnt)], np.repeat(ids, cnt)
+
+    def first(self, ids):
+        """An index row of each group ``ids``."""
+        return self.order[self.groups.start[ids]]
+
+    def without(self, dead):
+        """The sorted keys without the rows of the ``dead`` members."""
+        if not len(dead):
+            return self.keys
+        return np.delete(self.keys, _search(self.keys, self.codes(dead)),
+                         axis=-1)
+
+
+def seconds(keys, base):
+    """``rich_collections._seconds``: the (signature, second fill) keys of
+    (signature, first, second) keys."""
+    if keys.ndim == 2:
+        return np.concatenate([keys[:-2], keys[-1:]])
+    return keys // (base * base) * base + keys % base
+
+
+def pair_fill_runs(keys, base):
+    """``rich_collections._PairIndex``'s fill runs of pair-index keys: the
+    runs of (signature, first fill), and of (signature, second fill) from
+    one sort of those keys."""
+    second = seconds(keys, base)
+    second = (np.sort(second) if second.ndim == 1
+              else second[:, np.lexsort(second[::-1])])
+    return Runs(keys, base, 1), Runs(second, base, 0)

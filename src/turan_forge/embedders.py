@@ -532,29 +532,58 @@ def find_prism_path(h: Graph, t: int,
 def _sample_thin_fraction(h: Graph, tau: float, side: list[int],
                           rng: random.Random, samples: int = 1500,
                           ) -> Optional[float]:
-    """Weighted estimate of the fraction of 4-cycles that are thin."""
+    """Weighted estimate of the fraction of 4-cycles that are thin: of
+    ``samples`` random vertex pairs u, v, those on one side with c >= 2
+    common neighbours count with weight C(c, 2), as thin when c <= tau and
+    two of the common neighbours, drawn at random, have codegree <= tau.
+
+    The loop only draws.  It takes the positions i, j of the two common
+    neighbours as ``rng.sample(range(c), 2)``, which consumes the same
+    stream as sampling the c-long list of them; the i-th and j-th common
+    neighbours of the pairs with c <= tau are found after it, in one pass
+    over their CSR rows (``_common_neighbors_at``)."""
+    codeg = h.codegree_matrix()
     verts = np.flatnonzero(h.alive & (h._deg >= 2)).tolist()
     if len(verts) < 2:
         return None
-    weight_sum = 0.0
-    thin_sum = 0.0
-    found_pair = False
+    drawn = []
     for _ in range(samples):
         u, v = rng.sample(verts, 2)
         if side[u] != side[v]:
             continue
-        c = h.codegree(u, v)
+        c = int(codeg[u, v])
         if c < 2:
             continue
-        found_pair = True
-        w1, w2 = rng.sample(h.common_neighbors(u, v), 2)
-        weight = c * (c - 1) / 2.0
-        weight_sum += weight
-        if c <= tau and h.codegree(w1, w2) <= tau:
-            thin_sum += weight
-    if not found_pair or weight_sum == 0.0:
+        drawn.append((u, v, c, *rng.sample(range(c), 2)))
+    if not drawn:
         return None
-    return thin_sum / weight_sum
+    drawn = np.array(drawn)
+    u, v, c = drawn[:, :3].T
+    thin = c <= tau
+    if thin.any():
+        w1, w2 = _common_neighbors_at(h, u[thin], v[thin], drawn[thin, 3:]).T
+        thin[thin] = codeg[w1, w2] <= tau
+    weight = c * (c - 1) / 2.0  # integers below 2**53: exact sums
+    return float(weight[thin].sum() / weight.sum())
+
+
+def _common_neighbors_at(h: Graph, us: np.ndarray, vs: np.ndarray,
+                         ks: np.ndarray) -> np.ndarray:
+    """``ks[r, s]``-th (from 0) of the ascending common neighbours of
+    ``us[r]`` and ``vs[r]``, for each row r and column s of ``ks``.  The
+    common neighbours are the entries w of the shorter CSR row, a, with
+    (b, w) an edge for the other vertex b: a ``searchsorted`` of the packed
+    codes b*n + w in those of the CSR entries.  They stay in row order, so
+    row r's k-th is the k-th entry after its first."""
+    a = np.where(h._deg[us] <= h._deg[vs], us, vs)
+    ws = h._row_entries(a)
+    pair = np.repeat(np.arange(len(a)), h._deg[a])
+    keys = h._sources() * h.n + h.indices
+    codes = (us + vs - a)[pair] * h.n + ws
+    at = np.minimum(np.searchsorted(keys, codes), len(keys) - 1)
+    common = keys[at] == codes
+    ws, pair = ws[common], pair[common]
+    return ws[np.searchsorted(pair, np.arange(len(a)))[:, None] + ks]
 
 
 def _thin_branch(h: Graph, ell: int, tau: float, budget: int,
@@ -623,18 +652,27 @@ def _thick_extension_counts(h: Graph, codeg: np.ndarray, tau: float,
     codeg(u, w) - 1 over the w in N(v) - u with codeg(u, w) > tau:
     ``(W B)[u, v] - W[u, u]`` with ``W = (codeg - 1) [codeg > tau]`` on the
     rows R of the ``dense_blocks`` block (R, C) that holds u, and B its
-    adjacency block.  They run in float64 because these sums can exceed
-    2**24.
+    adjacency block.
+
+    W is zero off the hot rows H = {w in R : deg(w) > floor(tau)}, since
+    codeg(u, w) <= min(deg u, deg w) and the diagonal holds the degree.  So
+    ``W[H, H] @ B[H, C]`` gives every count, at |H|^2 |C| multiply-adds, and
+    an edge whose u is not hot counts 0.  The products run in float64
+    because these sums can exceed 2**24.
     """
     out = np.zeros(len(us))
+    floor = math.floor(tau)
     for rows, cols in dense_blocks(h):
-        at_row, at_col = np.full(h.n, -1), np.full(h.n, -1)
-        at_row[rows], at_col[cols] = np.arange(len(rows)), np.arange(len(cols))
-        mine = at_row[us] >= 0  # then v is a column: every edge joins R and C
-        pu, pv = at_row[us[mine]], at_col[vs[mine]]
-        c = codeg[np.ix_(rows, rows)]
-        w = np.where(c > math.floor(tau), c - 1, 0).astype(np.float64)
-        wb = w @ h.block(rows, cols).astype(np.float64)
+        hot = rows[h._deg[rows] > floor]
+        at_hot, at_col = np.full(h.n, -1), np.full(h.n, -1)
+        at_hot[hot], at_col[cols] = np.arange(len(hot)), np.arange(len(cols))
+        mine = at_hot[us] >= 0  # then v is a column: every edge joins R and C
+        if not mine.any():
+            continue
+        pu, pv = at_hot[us[mine]], at_col[vs[mine]]
+        c = codeg[np.ix_(hot, hot)]
+        w = np.where(c > floor, c - 1, 0).astype(np.float64)
+        wb = w @ h.block(hot, cols).astype(np.float64)
         out[mine] = wb[pu, pv] - w[pu, pu]
     return out
 
@@ -724,9 +762,6 @@ def find_prism(g: Graph, ell: int, t_factor: float = 8.0,
     tau = t_factor * math.sqrt(d)
     diagnostics["prepared"] = {"n": h.num_vertices, "e": h.edge_count,
                                "avg_degree": d, "tau": tau}
-    # built before the sampler, so that it reads codegrees from the matrix,
-    # which the thick branch then reuses
-    h.codegree_matrix()
     rng = _derive_rng(seed, "classify")
     thin_frac = _sample_thin_fraction(h, tau, side, rng)
     diagnostics["thin_fraction"] = thin_frac

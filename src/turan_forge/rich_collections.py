@@ -999,16 +999,20 @@ def _count_high_codegree_cherries(g: Graph, c_thresh: float) -> tuple[int, dict[
 
     The tally of v is (B M B^T)[v, v] on the ``dense_blocks`` block (R, C)
     with v in R: B its adjacency block and M = [codegree > c_thresh] on C
-    (zero diagonal; the one float32 array of that size allocated).  512-row
-    slabs of B times M run in float32, exact as entries of B M are at most
-    n < 2**24, row sums in float64, exact past deg**2 >= 2**24."""
+    (zero diagonal).  M is zero off the columns H of degree > c_thresh, as
+    codeg(a, b) <= min(deg a, deg b), so only B[:, H] and M[H, H] (the one
+    float32 array of that size allocated) are multiplied, at |R| |H|^2
+    multiply-adds.  512-row slabs of B times M run in float32, exact as
+    entries of B M are at most n < 2**24, row sums in float64, exact past
+    deg**2 >= 2**24."""
     codeg = g.codegree_matrix()
     counts = np.zeros(g.n)
     for rows, cols in dense_blocks(g):
-        high = (codeg[np.ix_(cols, cols)] > c_thresh).astype(np.float32)
+        hot = cols[g._deg[cols] > c_thresh]
+        high = (codeg[np.ix_(hot, hot)] > c_thresh).astype(np.float32)
         np.fill_diagonal(high, 0)
         for lo in range(0, len(rows), 512):
-            slab = g.block(rows[lo:lo + 512], cols)
+            slab = g.block(rows[lo:lo + 512], hot)
             counts[rows[lo:lo + 512]] = ((slab @ high) * slab).sum(
                 axis=1, dtype=np.float64)
     per_center = {v: int(c) for v, c in enumerate(counts) if c}

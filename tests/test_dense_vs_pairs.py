@@ -218,3 +218,36 @@ def test_thick_extension_counts_match_the_definition(general, two_sided, bip,
     assert _thick_extension_counts(g, g.codegree_matrix(), tau,
                                    us, vs).tolist() == \
         pairs.thick_extension_counts(g, None, tau, us, vs)
+    for top in (g.max_degree(), g.max_degree() + 0.5):  # no hot row: all 0
+        counts = _thick_extension_counts(g, g.codegree_matrix(), top, us, vs)
+        assert not counts.any()
+        assert counts.tolist() == pairs.thick_extension_counts(g, None, top,
+                                                               us, vs)
+
+
+# (|X|, |Y|, ...) bipartite hosts as above whose X vertices can share more
+# than 21 neighbours, past which random.sample draws by its set branch
+wide_hosts = st.tuples(st.integers(2, 5), st.integers(23, 27),
+                       st.sampled_from([0.95, 1.0]), st.integers(0, 2 ** 20),
+                       st.sets(st.integers(0, 3), max_size=2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["general", "bipartite", "wide"]), hosts,
+       bipartite_hosts, wide_hosts, st.integers(0, 2 ** 32),
+       st.sampled_from([0, 0.25, 0.5, 0.75, 1, 1.5]))
+def test_sample_thin_fraction_equals_the_per_sample_loop(kind, general,
+                                                         two_sided, wide,
+                                                         seed, scale):
+    if kind == "general":  # any sides: the sampler needs no 2-colouring
+        g = _general(general)
+        labels = random.Random(seed + 1)
+        side = [labels.randrange(2) for _ in range(g.n)]
+    else:
+        g, a = _bipartite(two_sided if kind == "bipartite" else wide)
+        side = [int(v >= a) for v in range(g.n)]
+    tau = scale * g.max_degree()  # 0 up to above the largest degree
+    ours, ref = random.Random(seed), random.Random(seed)
+    assert embedders._sample_thin_fraction(g, tau, side, ours) == \
+        pairs.sample_thin_fraction(g, tau, side, ref)
+    assert ours.getstate() == ref.getstate()  # the same draws

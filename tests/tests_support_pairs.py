@@ -102,6 +102,32 @@ def thick_extension_counts(h, codeg, tau, us, vs):
             for (u, v) in zip(us.tolist(), vs.tolist())]
 
 
+def sample_thin_fraction(h, tau, side, rng, samples=1500):
+    """``embedders._sample_thin_fraction``, one sample at a time: each
+    accepted pair's common neighbours are listed by an intersection and two
+    of them drawn from that list."""
+    verts = [v for v in h.vertices() if h.degree(v) >= 2]
+    if len(verts) < 2:
+        return None
+    weight_sum = 0.0
+    thin_sum = 0.0
+    for _ in range(samples):
+        u, v = rng.sample(verts, 2)
+        if side[u] != side[v]:
+            continue
+        c = _codeg(h, u, v)
+        if c < 2:
+            continue
+        w1, w2 = rng.sample(h.common_neighbors(u, v), 2)
+        weight = c * (c - 1) / 2.0
+        weight_sum += weight
+        if c <= tau and _codeg(h, w1, w2) <= tau:
+            thin_sum += weight
+    if weight_sum == 0.0:
+        return None
+    return thin_sum / weight_sum
+
+
 def high_codegree_cherries(g, c_thresh):
     """``rich_collections._count_high_codegree_cherries``."""
     per_center = {v: c for v in g.vertices()

@@ -32,7 +32,7 @@ from .graphs import Graph, dense_blocks, two_coloring
 from .matching import max_disjoint_edges
 
 DEFAULT_CAP = 10 ** 8
-_HARD_MEMBER_CAP = 5 * 10 ** 6  # layered seeds refuse to grow beyond this
+_HARD_MEMBER_CAP = 5 * 10 ** 6  # finished rows a layered seed may have
 
 
 # ---------------------------------------------------------------------------
@@ -512,18 +512,19 @@ class PruneAudit:
 
 
 # ---------------------------------------------------------------------------
-# exhaustive seeds, as sorted uint32 row arrays
+# seeds, as sorted uint32 row arrays from one join of CSR steps
 
 _JOIN_ROWS = 1 << 20  # candidate rows one join step may materialise
 
 
-def _extend(rows: np.ndarray, indptr: np.ndarray,
+def _extend(last: np.ndarray, indptr: np.ndarray,
             indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row repeated once per neighbour of its last vertex, and those
-    neighbours; sorted rows stay sorted, since adjacency lists are."""
-    last = rows[:, -1]
+    """For each CSR neighbour v of each row's last vertex ``last``, the row's
+    index and v: sorted rows give sorted candidates, as CSR rows ascend.
+    No cap counts candidates; ``_join``'s counts the rows they finish."""
     cnt = indptr[last + 1] - indptr[last]
-    return np.repeat(rows, cnt, axis=0), indices[_spans(indptr[last], cnt)]
+    return (np.repeat(np.arange(len(last)), cnt),
+            indices[_spans(indptr[last], cnt)])
 
 
 def _check_cap(cap: int) -> None:
@@ -531,45 +532,57 @@ def _check_cap(cap: int) -> None:
         raise InputError(f"cap must be at least 0, not {cap}")
 
 
-def _join(g: Graph, width: int, cap: int, what: str, keep,
-          take: Optional[int] = None) -> tuple[np.ndarray, int]:
-    """Walks of ``width`` vertices from every live vertex, grown one column
-    at a time and filtered by ``keep(rows, next vertices) -> mask``.
+def _join(start: np.ndarray, steps: Sequence[tuple], cap: int, what: str,
+          keep=None, take: Optional[int] = None) -> tuple[np.ndarray, int]:
+    """Rows of distinct vertices, one per walk from a ``start`` vertex along
+    one CSR (indptr, indices) per step in ``steps``, grown one column at a
+    time and filtered by ``keep(rows, src, v) -> mask``, where ``rows`` are
+    the rows so far, column-major, and candidate i extends row ``src[i]``
+    by vertex ``v[i]``.  A candidate that ``keep`` passes and whose vertex
+    is not already in its row is gathered into a new row, once.
 
     Rows grow depth first, in chunks halved until one step has at most
-    _JOIN_ROWS candidate rows, so memory stays bounded and the output keeps
-    the sorted row order.  Finished rows are counted as they come: once
+    _JOIN_ROWS candidates, so memory stays bounded and the output keeps the
+    sorted row order.  The cap counts finished rows as they come: once
     there are more than ``cap``, a resource error, or with ``take`` the
-    search stops.  Returns the rows (with ``take``, only the first ``take``)
-    and their count, which with ``take`` stops at the first chunk past cap.
+    search stops.  Returns the rows as uint32 (with ``take``, only the
+    first ``take``) and their count, which with ``take`` stops at the first
+    chunk past cap.
     """
     _check_cap(cap)
     limit = cap if take is None else take
-    indptr = g.indptr
+    width = len(steps) + 1
     done: list[np.ndarray] = []
     total = 0
-    todo = [np.flatnonzero(g.alive)[:, None]]  # a stack: last item grows next
+    todo = [start.astype(np.uint32)[None]]  # a stack: last item grows next
     while todo:
         rows = todo.pop()
-        if rows.shape[1] == width:
-            done.append(rows[:max(limit - total, 0)].astype(np.uint32))
-            total += len(rows)
+        if len(rows) == width:
+            done.append(rows[:, :max(limit - total, 0)])
+            total += rows.shape[1]
             if total > cap:
                 if take is None:
                     raise ResourceError(
                         f"{what} enumeration exceeded cap {cap}")
                 break
             continue
-        last = rows[:, -1]
-        if len(rows) > 1 and (indptr[last + 1] - indptr[last]).sum() > _JOIN_ROWS:
-            half = len(rows) // 2
-            todo += [rows[half:], rows[:half]]
+        indptr, indices = steps[len(rows) - 1]
+        last = rows[-1]
+        if len(last) > 1 and (indptr[last + 1] - indptr[last]).sum() > _JOIN_ROWS:
+            half = len(last) // 2
+            todo += [rows[:, half:], rows[:, :half]]
             continue
-        prev, v = _extend(rows, indptr, g.indices)
-        ok = keep(prev, v)
-        todo.append(np.column_stack([np.compress(ok, prev, axis=0),
-                                     np.compress(ok, v)]))
-    return np.concatenate(done), total
+        src, v = _extend(last, indptr, indices)
+        ok = np.ones(len(v), dtype=bool) if keep is None else keep(rows, src, v)
+        for col in rows[:-1]:  # v is a neighbour of the last vertex
+            ok &= np.take(col, src) != v
+        src = np.compress(ok, src)
+        new = np.empty((len(rows) + 1, len(src)), dtype=np.uint32)
+        np.take(rows, src, axis=1, out=new[:-1])
+        new[-1] = np.compress(ok, v)
+        todo.append(new)
+    out = np.empty((sum(rows.shape[1] for rows in done), width), np.uint32)
+    return np.concatenate([rows.T for rows in done], out=out), total
 
 
 def _enumerate_paths(g: Graph, k: int, cap: int,
@@ -578,18 +591,17 @@ def _enumerate_paths(g: Graph, k: int, cap: int,
     """All labeled k-vertex paths as lexicographically sorted rows,
     optionally filtered by d(x_i, x_{i+2}) <= bound; resource error beyond
     cap."""
-    codeg = g.codegree_matrix() if second_codegree_max is not None else None
+    keep = None
+    if second_codegree_max is not None:
+        codeg = g.codegree_matrix()
 
-    def keep(prev: np.ndarray, v: np.ndarray) -> np.ndarray:
-        ok = np.ones(len(v), dtype=bool)
-        for c in range(prev.shape[1] - 1):  # v is not the last vertex already
-            ok &= prev[:, c] != v
-        if second_codegree_max is not None and prev.shape[1] >= 2:
-            idx = np.flatnonzero(ok)
-            ok[idx] = codeg[prev[idx, -2], v[idx]] <= second_codegree_max
-        return ok
+        def keep(rows: np.ndarray, src: np.ndarray, v: np.ndarray) -> np.ndarray:
+            if len(rows) < 2:
+                return np.ones(len(v), dtype=bool)
+            return codeg[np.take(rows[-2], src), v] <= second_codegree_max
 
-    return _join(g, k, cap, "path", keep)[0]
+    steps = [(g.indptr, g.indices)] * (k - 1)
+    return _join(np.flatnonzero(g.alive), steps, cap, "path", keep)[0]
 
 
 def _four_cycles(g: Graph, cap: int,
@@ -695,19 +707,19 @@ def _enumerate_cycles(g: Graph, ell: int, cap: int,
     # edge codes u * n + v, sorted because the adjacency lists are
     codes = np.repeat(np.arange(g.n), np.diff(g.indptr)) * g.n + g.indices
 
-    def keep(prev: np.ndarray, v: np.ndarray) -> np.ndarray:
-        ok = v > prev[:, 0]
-        for c in range(1, prev.shape[1] - 1):
-            ok &= prev[:, c] != v
-        if prev.shape[1] == length - 1:  # v closes the cycle
-            ok &= v > prev[:, 1]
+    def keep(rows: np.ndarray, src: np.ndarray, v: np.ndarray) -> np.ndarray:
+        first = np.take(rows[0], src)
+        ok = v > first
+        if len(rows) == length - 1:  # v closes the cycle
+            ok &= v > np.take(rows[1], src)
             idx = np.flatnonzero(ok)
-            close = v[idx] * g.n + prev[idx, 0]
+            close = v[idx] * g.n + first[idx]
             at = np.minimum(np.searchsorted(codes, close), len(codes) - 1)
             ok[idx] = codes[at] == close
         return ok
 
-    rows, total = _join(g, length, cap, "cycle", keep, take)
+    steps = [(g.indptr, g.indices)] * (length - 1)
+    rows, total = _join(np.flatnonzero(g.alive), steps, cap, "cycle", keep, take)
     return rows if take is None else (rows, total)
 
 
@@ -1019,17 +1031,6 @@ def _count_high_codegree_cherries(g: Graph, c_thresh: float) -> tuple[int, dict[
     return sum(per_center.values()), per_center
 
 
-def _pair_positions(length: int) -> list[int]:
-    return list(range(1, length - 2))
-
-
-def _max_pair_matching(pairs: np.ndarray) -> list[tuple[int, int]]:
-    pairs = list(map(tuple, pairs.tolist()))
-    left = {a for a, _ in pairs}
-    right = {b for _, b in pairs}
-    return max_disjoint_edges(pairs, left, right)
-
-
 def _seconds(keys: np.ndarray, base: int) -> np.ndarray:
     """The (signature, second fill) keys of (signature, first, second) keys."""
     if keys.ndim == 2:
@@ -1087,8 +1088,10 @@ class _PairIndex(_Index):
         """The size of a largest matching of group g's live fill edges."""
         rows = self.rows(np.array([g]))[0]
         rows = np.compress(alive[rows], rows)
-        return len(_max_pair_matching(
-            np.take(self.members, rows, axis=0)[:, self.pos:self.pos + 2]))
+        pairs = list(map(tuple, np.take(self.members, rows, axis=0)[
+            :, self.pos:self.pos + 2].tolist()))
+        return len(max_disjoint_edges(pairs, {a for a, _ in pairs},
+                                      {b for _, b in pairs}))
 
     def unmatched(self, alive: np.ndarray, alpha: int) -> np.ndarray:
         """Per group: its live fill edges admit fewer than alpha pairwise
@@ -1118,7 +1121,7 @@ def _pair_indexes(members: np.ndarray, base: Optional[int] = None) -> dict:
     default the largest vertex plus one)."""
     base = base or int(members.max(initial=0)) + 1
     return {j: _PairIndex(members, j, base)
-            for j in _pair_positions(members.shape[1])}
+            for j in range(1, members.shape[1] - 2)}
 
 
 def _pair_rule(ix: _PairIndex, alpha: int) -> tuple:
@@ -1198,19 +1201,16 @@ def _enumerate_pivot_paths(g: Graph, pivot: int, k: int, c_thresh: float,
     near = np.zeros(g.n, dtype=bool)
     near[list(g.neighbors(pivot))] = True
 
-    def keep(prev: np.ndarray, v: np.ndarray) -> np.ndarray:
-        ok = v != pivot
-        for c in range(prev.shape[1] - 1):  # v is not the last vertex already
-            ok &= prev[:, c] != v
-        if prev.shape[1] == 1:
-            ok &= near[prev[:, 0]]
-        elif prev.shape[1] % 2 == 0:  # v is at an even position
-            ok &= near[v]
-            idx = np.flatnonzero(ok)
-            ok[idx] = codeg[prev[idx, -2], v[idx]] > c_thresh
+    def keep(rows: np.ndarray, src: np.ndarray, v: np.ndarray) -> np.ndarray:
+        if len(rows) % 2:  # v is at an odd position
+            return v != pivot
+        ok = near[v]  # not the pivot either
+        idx = np.flatnonzero(ok)
+        ok[idx] = codeg[np.take(rows[-2], src[idx]), v[idx]] > c_thresh
         return ok
 
-    return _join(g, 2 * k + 1, cap, "pivot path", keep)[0]
+    steps = [(g.indptr, g.indices)] * (2 * k)
+    return _join(np.flatnonzero(near), steps, cap, "pivot path", keep)[0]
 
 
 def build_good_paths(g: Graph, k: int, alpha: int, c_thresh: float,
@@ -1340,38 +1340,35 @@ def good_suffix_restriction(coll: LabeledCollection) -> tuple[LabeledCollection,
 def _layer_transversals(g: Graph, layers: list[np.ndarray],
                         closed: bool) -> np.ndarray:
     """All transversal tuples (one vertex per layer, all distinct) whose
-    consecutive pairs (and the wrap-around pair if closed) are host edges.
-
-    Layers may overlap: a candidate whose new vertex is already in its row
-    is dropped as the column joins.  For closed tuples the wrap-around edge
-    is enforced during the last join so intermediates stay small.  More
-    than ``_HARD_MEMBER_CAP`` candidates in one step is a resource error;
-    as repeats leave at each step, it can only be raised later than a
-    check of unfiltered rows would, never earlier.
+    consecutive pairs (and the wrap-around pair if closed) are host edges,
+    from ``_join`` with step i the CSR of the nonzeros of the block from
+    layer i - 1 to layer i; a closed tuple's last vertex needs an edge in
+    the block of the end layers, read at the two ends' ranks.  Layers may
+    overlap: ``_join`` drops repeated vertices.  More than
+    ``_HARD_MEMBER_CAP`` finished rows is a resource error: as no step has
+    fewer candidates than the rows it finishes, it refuses no earlier than
+    a cap on one step's candidates would.
     """
-    cols = [layers[0]]
-    for i, nxt in enumerate(layers[1:], start=1):
-        # all n rows by the layer's columns, read from the layer's own CSR
-        # rows (A is symmetric): a fraction of the 2e entries of all rows
-        block = np.ascontiguousarray(g.block(nxt, np.arange(g.n)).T > 0)
-        adj = np.take(block, cols[-1], axis=0)
-        if closed and i == len(layers) - 1:
-            adj &= np.take(block, cols[0], axis=0)
-        src, dst = np.nonzero(adj)
-        if len(src) > _HARD_MEMBER_CAP:
-            raise ResourceError(
-                f"layered enumeration step {i} of {len(layers) - 1} has "
-                f"{len(src)} candidate rows, above the cap of "
-                f"{_HARD_MEMBER_CAP}")
-        v = np.take(nxt, dst)
-        ok = np.ones(len(v), dtype=bool)
-        for col in cols[:-1]:  # the last column is a neighbour of v
-            ok &= np.take(col, src) != v
-        src = np.compress(ok, src)
-        cols = [np.take(col, src) for col in cols] + [np.compress(ok, v)]
-        if len(src) == 0:
-            return np.empty((0, len(layers)), dtype=np.uint32)
-    return np.stack(cols, axis=1, dtype=np.uint32, casting="unsafe")
+    steps = []
+    for prev, nxt in zip(layers, layers[1:]):
+        src, dst = np.nonzero(g.block(prev, nxt))
+        cnt = np.bincount(np.take(prev, src), minlength=g.n)
+        steps.append((np.append(0, np.cumsum(cnt)), np.take(nxt, dst)))
+    keep = None
+    if closed:
+        first, last = layers[0], layers[-1]
+        wrap = (g.block(first, last) > 0).ravel()
+        at = np.zeros((2, g.n), dtype=np.intp)  # flat offsets of the ranks
+        at[0, first], at[1, last] = np.arange(len(first)) * len(last), np.arange(len(last))
+
+        def keep(rows: np.ndarray, src: np.ndarray, v: np.ndarray) -> np.ndarray:
+            if len(rows) < len(layers) - 1:
+                return np.ones(len(v), dtype=bool)
+            cell = np.take(at[0, rows[0]], src)
+            cell += np.take(at[1], v)
+            return np.take(wrap, cell)
+
+    return _join(layers[0], steps, _HARD_MEMBER_CAP, "layered", keep)[0]
 
 
 def _np_prune_good(members: np.ndarray, alpha: int) -> tuple:
@@ -1459,9 +1456,8 @@ def layered_rich_cycles(g: Graph, ell: int, alpha: int,
     """Alpha-rich cycle collection from 2*ell sampled layers."""
     if ell < 2:
         raise InputError("need ell >= 2")
-    rows = _layered_seed(g, 2 * ell, alpha, seed, True, False, True)
-    if len(rows):
-        rows = _sorted_unique(_canon_cycles_np(rows))
+    rows = _sorted_unique(_canon_cycles_np(
+        _layered_seed(g, 2 * ell, alpha, seed, True, False, True)))
     return _np_prune_rich(rows, "cycle", 2 * ell, alpha)[0]
 
 

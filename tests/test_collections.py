@@ -2,7 +2,6 @@ import bisect
 import itertools
 import math
 import random
-import re
 import tracemalloc
 import types
 
@@ -352,11 +351,17 @@ def test_path_enumerator_matches_permutations(g, k, bound):
 @pytest.mark.parametrize("join_rows", [8, 1 << 20])
 def test_enumerators_in_chunks_and_capped(monkeypatch, join_rows):
     g = random_graph(30, 0.5, 3, bipartite=True)
+    layers = rich_collections._sample_layers(g, 4, 12, random.Random(0), False)
     expect = (np.array(list(_cycle_dfs(g, 4)), dtype=np.uint32),
-              _rows(all_labeled_paths(g, 4), 4))
+              _rows(all_labeled_paths(g, 4), 4),
+              [reference.layer_transversals(g, layers, closed)
+               for closed in (False, True)])
     monkeypatch.setattr(rich_collections, "_JOIN_ROWS", join_rows)
     assert np.array_equal(_enumerate_cycles(g, 2, 10 ** 6), expect[0])
     assert np.array_equal(_enumerate_paths(g, 4, 10 ** 6), expect[1])
+    for closed, rows in zip((False, True), expect[2]):
+        assert len(rows) > 8 and np.array_equal(
+            rich_collections._layer_transversals(g, layers, closed), rows)
     k6 = complete(6)
     assert len(_enumerate_cycles(k6, 2, 45)) == 45
     with pytest.raises(ResourceError):
@@ -364,6 +369,21 @@ def test_enumerators_in_chunks_and_capped(monkeypatch, join_rows):
     assert len(_enumerate_paths(k6, 3, 120)) == 120
     with pytest.raises(ResourceError):
         _enumerate_paths(k6, 3, 119)
+
+
+@settings(max_examples=80, deadline=None)
+@given(hosts, st.integers(3, 6), st.integers(1, 8), st.booleans(),
+       st.booleans(), st.sampled_from([None, 0, -1]), st.integers(0, 99))
+def test_layer_transversals_match_the_dense_join(g, width, size, closed,
+                                                 endpoints, empty, seed):
+    # non-bipartite hosts draw every layer from one pool, so layers overlap
+    layers = rich_collections._sample_layers(g, width, size,
+                                             random.Random(seed), endpoints)
+    if empty is not None:  # an endpoint layer with no vertex
+        layers[empty] = layers[empty][:0]
+    rows = rich_collections._layer_transversals(g, layers, closed)
+    assert rows.dtype == np.uint32
+    assert np.array_equal(rows, reference.layer_transversals(g, layers, closed))
 
 
 @settings(max_examples=40, deadline=None)
@@ -1208,28 +1228,42 @@ def test_first_failure_ranks_in_int64():
     assert got == (5, 1, ix, 0)
 
 
-def test_layered_hard_cap_names_the_step_and_its_size(monkeypatch):
+def test_layered_hard_cap_counts_finished_rows(monkeypatch):
     g = random_graph(40, 0.9, 1, bipartite=True)
-    pattern = (r"^layered enumeration step (\d) of 3 has (\d+) candidate "
-               r"rows, above the cap of {}$")
-    monkeypatch.setattr(rich_collections, "_HARD_MEMBER_CAP", 50)
-    with pytest.raises(ResourceError, match=pattern.format(50)) as err:
+    full = layered_rich_cycles(g, 2, 2, seed=0)
+    rows = len(rich_collections._layered_seed(g, 4, 2, 0, True, False, True))
+    assert rows > len(full) > 0
+    # a cap at the seed's row count lets the build finish as it does uncapped
+    monkeypatch.setattr(rich_collections, "_HARD_MEMBER_CAP", rows)
+    assert np.array_equal(layered_rich_cycles(g, 2, 2, seed=0).members,
+                          full.members)
+    monkeypatch.setattr(rich_collections, "_HARD_MEMBER_CAP", rows - 1)
+    with pytest.raises(ResourceError,
+                       match=rf"^layered enumeration exceeded cap {rows - 1}$"):
         layered_rich_cycles(g, 2, 2, seed=0)
-    step, size = map(int, re.match(pattern.format(50), str(err.value)).groups())
-    assert step == 1 and size > 50
-    # a cap at that size lets the step pass: the message names its count
-    monkeypatch.setattr(rich_collections, "_HARD_MEMBER_CAP", size)
-    with pytest.raises(ResourceError, match=pattern.format(size)) as err:
-        layered_rich_cycles(g, 2, 2, seed=0)
-    assert int(re.match(pattern.format(size), str(err.value))[1]) > 1
+
+
+def test_layered_seed_on_a_c4_free_host_stays_small():
+    # the polarity graph has no 4-cycle, so no closed 4-layer transversal;
+    # the join closes its candidates a chunk at a time, far below the
+    # 338 MB that every partial row against a whole layer takes at once
+    g = polarity_graph(23)
+    tracemalloc.start()
+    try:
+        coll = layered_rich_cycles(g, 2, 8, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(coll) == 0 and peak < 64 * 2 ** 20
 
 
 @pytest.mark.parametrize("n, p, build, bound", [
     # 85 bytes a member measured; an index with full-size temporaries
     # and an int64 order takes 151
     (110, 0.55, lambda g: build_rich_cycles(g, 2, 8)[0], 100),
-    # 139 bytes a member, most of it the dense blocks of the layered join
-    (200, 0.9, lambda g: layered_good_paths(g, 3, 12, 1), 160),
+    # 89 bytes a member measured; a join through dense blocks of every
+    # partial row by a whole layer takes 139
+    (200, 0.9, lambda g: layered_good_paths(g, 3, 12, 1), 110),
 ], ids=["rich cycles", "layered good paths"])
 def test_builds_peak_in_bounded_bytes_per_member(n, p, build, bound):
     g = random_graph(n, p, 1, bipartite=True)

@@ -17,6 +17,11 @@ Last, ``sort_codes``, ``Runs`` and ``Index`` are the signature index in
 its plain form: full-size ``arange``, ``&`` and ``>>`` temporaries, an
 int64 row order and a whole prefix array per run search.  They pin the
 package's in-place index: its order, keys and runs.
+
+And ``layer_transversals`` is the layered seed's former join: a dense bool
+block of all n rows by the next layer's columns at each step, its
+candidates read off that block's rows, with its cap on one step's
+candidates.  It pins the rows of the package's CSR join of layers.
 """
 
 from collections import Counter
@@ -24,7 +29,7 @@ from collections import Counter
 import numpy as np
 
 from turan_forge import rich_collections as rc
-from turan_forge.errors import InputError
+from turan_forge.errors import InputError, ResourceError
 from turan_forge.graphs import Graph
 from turan_forge.rich_collections import (_boundaries, _index_codes,
                                           _index_cols, _search, _sorted_keys,
@@ -319,3 +324,39 @@ def pair_fill_runs(keys, base):
     second = (np.sort(second) if second.ndim == 1
               else second[:, np.lexsort(second[::-1])])
     return Runs(keys, base, 1), Runs(second, base, 0)
+
+
+def layer_transversals(g, layers, closed):
+    """All transversal tuples (one vertex per layer, all distinct) whose
+    consecutive pairs (and the wrap-around pair if closed) are host edges.
+
+    Layers may overlap: a candidate whose new vertex is already in its row
+    is dropped as the column joins.  For closed tuples the wrap-around edge
+    is enforced during the last join so intermediates stay small.  More
+    than ``_HARD_MEMBER_CAP`` candidates in one step is a resource error;
+    as repeats leave at each step, it can only be raised later than a
+    check of unfiltered rows would, never earlier.
+    """
+    cols = [layers[0]]
+    for i, nxt in enumerate(layers[1:], start=1):
+        # all n rows by the layer's columns, read from the layer's own CSR
+        # rows (A is symmetric): a fraction of the 2e entries of all rows
+        block = np.ascontiguousarray(g.block(nxt, np.arange(g.n)).T > 0)
+        adj = np.take(block, cols[-1], axis=0)
+        if closed and i == len(layers) - 1:
+            adj &= np.take(block, cols[0], axis=0)
+        src, dst = np.nonzero(adj)
+        if len(src) > rc._HARD_MEMBER_CAP:
+            raise ResourceError(
+                f"layered enumeration step {i} of {len(layers) - 1} has "
+                f"{len(src)} candidate rows, above the cap of "
+                f"{rc._HARD_MEMBER_CAP}")
+        v = np.take(nxt, dst)
+        ok = np.ones(len(v), dtype=bool)
+        for col in cols[:-1]:  # the last column is a neighbour of v
+            ok &= np.take(col, src) != v
+        src = np.compress(ok, src)
+        cols = [np.take(col, src) for col in cols] + [np.compress(ok, v)]
+        if len(src) == 0:
+            return np.empty((0, len(layers)), dtype=np.uint32)
+    return np.stack(cols, axis=1, dtype=np.uint32, casting="unsafe")

@@ -82,6 +82,15 @@ def _real(value, what: str) -> float:
     return real
 
 
+def _choice(value, what: str, allowed: tuple):
+    """``value`` if it is one of ``allowed``, of the same type (1 is not
+    true); an ``InputError`` naming the allowed values otherwise."""
+    if not any(type(value) is type(a) and value == a for a in allowed):
+        names = ", ".join(json.dumps(a) for a in allowed)
+        raise InputError(f"{what} must be one of {names}, not {value!r}")
+    return value
+
+
 def _pattern_spec_from_args(args) -> PatternSpec:
     params = {}
     for key in ("t", "k", "ell"):
@@ -119,6 +128,8 @@ def cmd_gen_gnp(args) -> int:
 # -- transform ---------------------------------------------------------------
 
 def cmd_transform(args) -> int:
+    if args.out is None:
+        raise InputError("transform needs --out for the output host")
     g = read_edge_list(getattr(args, "in"))
     if args.step == "peel":
         out, rep = transforms.peel_min_degree(g, keep_audit=bool(args.audit))
@@ -306,7 +317,8 @@ def _make_host(cfg: dict) -> Graph:
         return random_graph(_whole(cfg["n"], "host.n"),
                             _real(cfg["p"], "host.p"),
                             _whole(cfg.get("seed", 0), "host.seed", low=None),
-                            bipartite=bool(cfg.get("bipartite", False)))
+                            bipartite=_choice(cfg.get("bipartite", False),
+                                              "host.bipartite", (True, False)))
     if kind == "polarity":
         return polarity_graph(_whole(cfg["q"], "host.q"))
     if kind == "pattern":
@@ -343,8 +355,9 @@ def _apply_transforms(g: Graph, chain: list) -> tuple[Graph, list]:
 
 
 def _choose_strategy(cfg: dict, g: Graph, tuple_len: int, closed: bool) -> str:
-    strategy = cfg.get("strategy", "auto")
-    if strategy in ("exhaustive", "layered"):
+    strategy = _choice(cfg.get("strategy", "auto"), "builder.strategy",
+                       ("auto", "exhaustive", "layered"))
+    if strategy != "auto":
         return strategy
     est = _tuple_estimate(g, tuple_len, closed)
     return "exhaustive" if est <= _EXHAUSTIVE_ESTIMATE_CAP else "layered"

@@ -19,8 +19,8 @@ from .errors import InputError, IntegrityError
 from .generators import PatternSpec
 from .graphs import Graph, _from_ids, _ids, dense_blocks, two_coloring
 from .oracle import verify_certificate
-from .rich_collections import LabeledCollection
-from .transforms import bipartite_half, peel_min_degree
+from .rich_collections import LabeledCollection, good_suffix_restriction
+from .transforms import _short_edges, bipartite_half, peel_min_degree
 
 
 def _derive_rng(seed: int, tag: str, idx: int = 0) -> random.Random:
@@ -232,7 +232,7 @@ def embed_torus(host: Graph, coll: LabeledCollection, k: int, ell: int,
                     return None
                 if any(v in used for v in cand):
                     continue
-                if depth == k - 1 and not _aux_edge_ok(coll, slots[0], cand):
+                if depth == k - 1 and _interleave(slots[0], cand) not in coll:
                     continue
                 slots.append(cand)
                 used.update(cand)
@@ -263,24 +263,32 @@ def embed_torus(host: Graph, coll: LabeledCollection, k: int, ell: int,
     return _checked(host, cert)
 
 
-def _aux_edge_ok(coll: LabeledCollection, x: Sequence[int],
-                 y: Sequence[int]) -> bool:
-    return _interleave(x, y) in coll
-
-
 def _aux_neighbors(coll: LabeledCollection, host: Graph, tup: Sequence[int],
                    role: str, rng: random.Random, tries: int, counter: list):
-    """Opposite-side tuples adjacent to ``tup`` in the auxiliary graph.
+    """Sample opposite-side tuples adjacent to ``tup`` in the implicit
+    auxiliary graph: interleaving the two closes a member cycle.
 
-    role "A": ``tup`` holds the x-side of the interleaving; partners come out
-    of the signature index directly.  role "B": partners are x-side tuples
-    and need the rotation that re-aligns the interleaving convention.
+    Each of ``tries`` samples draws the first ell-1 partner coordinates from
+    host common neighbourhoods and takes the last from the collection's
+    open-path fills.  role "A": ``tup`` holds the x-side of the
+    interleaving; role "B": partners are x-side tuples and are rotated to
+    re-align the interleaving convention.
     """
-    for partner in coll.tuple_neighbors(host, tup, rng, tries, counter):
-        if role == "A":
-            yield partner
+    for _ in range(tries):
+        counter[0] += 1
+        partner: list[int] = []
+        for i in range(len(tup) - 1):
+            cands = [c for c in host.common_neighbors(tup[i], tup[i + 1])
+                     if c not in tup and c not in partner]
+            if not cands:
+                break
+            partner.append(rng.choice(cands))
         else:
-            yield (partner[-1],) + partner[:-1]
+            # the interleaved cycle so far: tup[0] partner[0] ... tup[-1] (gap)
+            seq = _interleave(tup, partner) + (tup[-1],)
+            for b in coll.fills_for_open_path(seq):
+                if b not in seq:
+                    yield (b, *partner) if role == "B" else (*partner, b)
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +322,6 @@ def embed_honeycomb(host: Graph, coll: LabeledCollection, k: int, ell: int,
     if len(coll) == 0:
         return None
     if coll.kind == "path" and coll.good and coll.length == 2 * k + 1:
-        from .rich_collections import good_suffix_restriction
-
         coll, _pivot = good_suffix_restriction(coll)
         if len(coll) == 0:
             return None
@@ -362,18 +368,6 @@ def embed_honeycomb(host: Graph, coll: LabeledCollection, k: int, ell: int,
 
 # ---------------------------------------------------------------------------
 # ladder in an asymmetric bipartite graph
-
-def _short_edges(b: np.ndarray, q: np.ndarray, tau2: float) -> np.ndarray:
-    """Edges (x, y) of the float32 biadjacency block ``b`` (rows X, columns
-    Y) where fewer than tau2 neighbors z != x of y have ``q[x, z]``.
-
-    ``q`` is an X-by-X boolean matrix; its diagonal is cleared in place.
-    The counts ``(q b)[x, y]`` are at most |X| < 2**24, so float32 is exact.
-    """
-    np.fill_diagonal(q, False)
-    counts = q.astype(np.float32) @ b
-    return (b > 0) & (counts < math.ceil(tau2))  # integer c < tau iff c < ceil(tau)
-
 
 def _prism_path_residue(h: Graph, xs: np.ndarray, ys: np.ndarray,
                         t: int) -> tuple[Graph, float, float]:
@@ -447,17 +441,8 @@ def find_prism_path(h: Graph, t: int,
         d_ok = int(h._deg[xs].min()) >= 20 * t * math.sqrt(len(ys))
         return e_ok, d_ok
 
-    chosen = None
-    for xs, ys in orientations:
-        e_ok, d_ok = hyps(xs, ys)
-        if e_ok and d_ok:
-            chosen = (xs, ys, e_ok, d_ok)
-            break
-    if chosen is None:
-        xs, ys = orientations[0]
-        e_ok, d_ok = hyps(xs, ys)
-        chosen = (xs, ys, e_ok, d_ok)
-    xs, ys, e_ok, d_ok = chosen
+    xs, ys = next((o for o in orientations if all(hyps(*o))), orientations[0])
+    e_ok, d_ok = hyps(xs, ys)
     if not len(xs) or not len(ys) or h.edge_count == 0:
         return None
 

@@ -38,29 +38,12 @@ _HARD_MEMBER_CAP = 5 * 10 ** 6  # finished rows a layered seed may have
 # ---------------------------------------------------------------------------
 # tuple helpers
 
-def _canon_cycle(seq: Sequence[int]) -> tuple[int, ...]:
-    """Canonical labeling of a cycle: minimal over rotations and reflections."""
-    seq = tuple(seq)
-    n = len(seq)
-    best = None
-    for s in (seq, tuple(reversed(seq))):
-        for r in range(n):
-            cand = s[r:] + s[:r]
-            if best is None or cand < best:
-                best = cand
-    return best
-
-
-def _canon_open_path(seq: Sequence[int]) -> tuple[int, ...]:
-    seq = tuple(seq)
-    rev = tuple(reversed(seq))
-    return seq if seq <= rev else rev
-
-
 def _cycle_sig(member: Sequence[int], pos: int) -> tuple[int, ...]:
-    """Canonical open path left by blanking one position of a cycle."""
+    """Canonical open path left by blanking one position of a cycle: read
+    from its smaller end, as ``_blanks`` reads it."""
     m = tuple(member)
-    return _canon_open_path(m[pos + 1:] + m[:pos])
+    path = m[pos + 1:] + m[:pos]
+    return path[::-1] if path[-1] < path[0] else path
 
 
 def _canon_cycles_np(rows: np.ndarray) -> np.ndarray:
@@ -366,8 +349,12 @@ class LabeledCollection:
 
     def __contains__(self, member: Sequence[int]) -> bool:
         row = tuple(int(x) for x in member)
+        if (len(row) != self.length or len(set(row)) != len(row)
+                or not all(0 <= v < self._base for v in row)):
+            return False
         if self.kind == "cycle":
-            row = _canon_cycle(row)
+            canon = _canon_cycles_np(np.array([row], dtype=np.uint32))
+            row = tuple(canon[0].tolist())
         # members are sorted rows: one binary search over them
         m = self.members
         i = bisect_left(m, row, key=lambda r: tuple(r.tolist()))
@@ -397,7 +384,10 @@ class LabeledCollection:
         """Vertices closing an open (2*ell-1)-path into a member cycle."""
         if self.kind != "cycle":
             raise InputError("open-path fills are defined for cycles")
-        return self._lookup(0, _canon_open_path(tuple(seq)), 1)
+        seq = tuple(seq)
+        if seq and seq[-1] < seq[0]:  # read from its smaller end, as _blanks does
+            seq = seq[::-1]
+        return self._lookup(0, seq, 1)
 
     def pair_fills(self, member: Sequence[int], pos: int) -> list[tuple[int, int]]:
         """Edges that can replace positions (pos, pos+1) of a good member."""
@@ -408,47 +398,6 @@ class LabeledCollection:
         member = tuple(member)
         return [divmod(f, self._base)
                 for f in self._lookup(pos, member[:pos] + member[pos + 2:], 2)]
-
-    # -- the implicit auxiliary tuple graph used by the torus embedder ----------
-
-    def tuple_neighbors(self, g: Graph, half_tuple: Sequence[int],
-                        rng: random.Random, tries: int,
-                        counter: Optional[list] = None) -> Iterator[tuple[int, ...]]:
-        """Sample opposite-side tuples adjacent to ``half_tuple`` in the
-        implicit auxiliary graph (interleaving both closes a member cycle).
-
-        Adjacency is resolved against the collection's signature index: the
-        first ell-1 partner coordinates are drawn from host common
-        neighborhoods, the last from the index, and every emitted partner
-        interleaves with ``half_tuple`` into a member.
-        """
-        if self.kind != "cycle":
-            raise InputError("tuple adjacency is defined for cycle collections")
-        xs = tuple(half_tuple)
-        half = self.length // 2
-        for _ in range(tries):
-            if counter is not None:
-                counter[0] += 1
-            partner: list[int] = []
-            ok = True
-            for i in range(half - 1):
-                cands = g.common_neighbors(xs[i], xs[i + 1])
-                cands = [c for c in cands if c not in xs and c not in partner]
-                if not cands:
-                    ok = False
-                    break
-                partner.append(rng.choice(cands))
-            if not ok:
-                continue
-            # interleaved cycle so far: xs[0] partner[0] xs[1] ... xs[-1] (gap)
-            seq: list[int] = []
-            for i in range(half):
-                seq.append(xs[i])
-                if i < half - 1:
-                    seq.append(partner[i])
-            for b in self.fills_for_open_path(seq):
-                if b not in seq:
-                    yield tuple(partner) + (int(b),)
 
     # -- serialization -----------------------------------------------------------
 
@@ -1320,17 +1269,14 @@ def good_suffix_restriction(coll: LabeledCollection) -> tuple[LabeledCollection,
     last vertex and drop that vertex; the result is good at the same alpha."""
     if not coll.good:
         raise InputError("suffix restriction applies to good collections")
-    counts: dict[int, int] = {}
-    for m in coll.iter_members():
-        counts[m[-1]] = counts.get(m[-1], 0) + 1
-    if not counts:
-        return (LabeledCollection.from_members("path", coll.length - 1, [],
-                                               good=True, alpha=coll.alpha),
-                None)
-    v = min(counts, key=lambda x: (-counts[x], x))
-    members = [m[:-1] for m in coll.iter_members() if m[-1] == v]
-    return (LabeledCollection.from_members("path", coll.length - 1, members,
-                                           good=True, alpha=coll.alpha), v)
+    if not len(coll):
+        return (LabeledCollection("path", coll.length - 1, coll.members[:, :-1],
+                                  good=True, alpha=coll.alpha), None)
+    last = coll.members[:, -1]
+    v = int(np.argmax(np.bincount(last)))  # the least of the most common
+    return (LabeledCollection("path", coll.length - 1,
+                              coll.members[last == v, :-1],
+                              good=True, alpha=coll.alpha), v)
 
 
 # ---------------------------------------------------------------------------

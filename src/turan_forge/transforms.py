@@ -156,26 +156,33 @@ def almost_regular_subgraph(g: Graph, epsilon: float, c: float,
     return h, rep
 
 
+def _short_edges(b: np.ndarray, q: np.ndarray, tau: float) -> np.ndarray:
+    """Edges (x, y) of the float32 block ``b`` (rows X, columns Y) where
+    fewer than tau neighbours z != x of y have ``q[x, z]``.
+
+    ``q`` is an X-by-X boolean matrix; its diagonal is cleared in place.
+    The counts ``(q b)[x, y]`` are at most |X| < 2**24, so float32 is exact.
+    """
+    np.fill_diagonal(q, False)
+    counts = q.astype(np.float32) @ b
+    return (b > 0) & (counts < math.ceil(tau))  # integer c < tau iff c < ceil(tau)
+
+
 def _unclean_edges(b: np.ndarray, d: float, n: int, square: bool) -> np.ndarray:
     """Mask of the edges of the float32 block ``b`` (rows X, columns Y, from
     ``dense_blocks``) where an end u lacks d/16 neighbours w != v with
     codeg(v, w) >= d^2/(128 n), v the other end.
 
-    With ``Q_Y = (b^T b >= d^2/(128 n))`` and ``Q_X = (b b^T >= ...)``, zero
-    diagonals, ``(b Q_Y)[x, y]`` counts those w for u = x and ``(Q_X b)[x, y]``
-    for u = y; both are at most n < 2**24, so float32 is exact.  A
-    ``square`` block is the whole symmetric adjacency matrix, where
-    ``Q_X = Q_Y`` and ``Q_X b = (b Q_Y)^T``.
+    ``_short_edges`` of ``b`` with ``Q_X = (b b^T >= d^2/(128 n))`` finds
+    the edges short at u in Y, and of ``b^T`` with ``Q_Y = (b^T b >= ...)``
+    those short at u in X.  A ``square`` block is the whole symmetric
+    adjacency matrix, where the second mask is the transpose of the first.
     """
     floor = math.ceil(d * d / (128.0 * n))  # integer c >= x iff c >= ceil(x)
-    need = math.ceil(d / 16.0)
-    q_x = (b @ b.T) >= floor
-    np.fill_diagonal(q_x, False)
-    q_y = q_x if square else (b.T @ b) >= floor
-    np.fill_diagonal(q_y, False)
-    short_xy = (b @ q_y.astype(np.float32)) < need
-    short_yx = short_xy.T if square else (q_x.astype(np.float32) @ b) < need
-    return (b > 0) & (short_xy | short_yx)
+    short = _short_edges(b, (b @ b.T) >= floor, d / 16.0)
+    if square:
+        return short | short.T
+    return short | _short_edges(b.T, (b.T @ b) >= floor, d / 16.0).T
 
 
 def clean_subgraph(g: Graph, mode: str = "fixed") -> tuple[Graph, TransformReport]:

@@ -1,4 +1,6 @@
+import argparse
 import hashlib
+import itertools
 import json
 import random
 
@@ -6,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from turan_forge.cli import _tuple_estimate, main, run_pipeline
+from turan_forge.cli import _tuple_estimate, build_parser, main, run_pipeline
 from turan_forge.graphs import build_graph
 from turan_forge.errors import InputError
 from turan_forge.generators import random_graph
@@ -231,6 +233,22 @@ def test_bad_pipeline_real_is_input_error(config, field):
         run_pipeline(config)
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("builder", "strategy", "layred"), ("builder", "strategy", None),
+    ("builder", "strategy", 5), ("host", "bipartite", "false"),
+    ("host", "bipartite", 1), ("host", "bipartite", None)])
+def test_bad_pipeline_choice_is_input_error(section, key, value):
+    config = {"host": {"kind": "gnp", "n": 12, "p": 0.5, "seed": 1},
+              "target": {"kind": "cylinder", "k": 2, "ell": 2}}
+    config.setdefault(section, {})[key] = value
+    allowed = {"strategy": '"auto", "exhaustive", "layered"',
+               "bipartite": "true, false"}[key]
+    with pytest.raises(InputError) as exc:
+        run_pipeline(config)
+    assert str(exc.value) == (f"{section}.{key} must be one of {allowed}, "
+                              f"not {value!r}")
+
+
 @pytest.mark.parametrize("argv", [
     ["count", "c4", "--in", "x", "--k", "abc"],
     ["count", "c4", "--in", "x", "--no-such-flag"],
@@ -369,3 +387,84 @@ def test_prism_report_bytes_are_pinned(tmp_path, monkeypatch, host, target,
         assert report["certificate"]["method"]["branch"] == "thick"
         assert report["diagnostics"]["thick"]["sampled_edges"] == 4000
     assert hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest() == sha
+
+
+# SHA-256 of `pipeline` reports of the collection legs that no digest above
+# covers: the layered torus and cylinder, whose embedders look members and
+# open-path fills up by their canonical forms, and the exhaustive honeycomb,
+# which restricts a good collection to its most common last vertex.
+_GNP_200 = {"kind": "gnp", "n": 200, "p": 0.9, "seed": 1, "bipartite": True}
+_LEG_DIGESTS = [
+    (_GNP_200, {"kind": "torus", "k": 4, "ell": 2},
+     {"alpha": 8, "strategy": "layered"},
+     "7c5899a31b13f687185298f7e4a43d0665265a5b2667e476474464283df067c4"),
+    (_GNP_200, {"kind": "cylinder", "k": 4, "ell": 2},
+     {"alpha": 8, "strategy": "layered"},
+     "259623e875855ca9136dd31156e4fcf92c1ba179a13ddddbe08f0e52ac39c135"),
+    ({"kind": "gnp", "n": 40, "p": 0.6, "seed": 1, "bipartite": True},
+     {"kind": "honeycomb", "k": 1, "ell": 4},
+     {"alpha": 4, "strategy": "exhaustive"},
+     "9f5104037278f8b6b4035ea3da841ac826c4150c12b1687ef7a89cacaa6febe3"),
+]
+
+
+@pytest.mark.parametrize("host, target, builder, sha", _LEG_DIGESTS)
+def test_collection_leg_report_bytes_are_pinned(tmp_path, monkeypatch, host,
+                                                target, builder, sha):
+    monkeypatch.chdir(tmp_path)
+    code, _ = run_pipeline({"host": host, "target": target, "builder": builder,
+                            "embedder": {"seed": 1},
+                            "out": {"report": "report.json"}})
+    assert code == 0
+    assert hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest() == sha
+
+
+def _leaf_parsers(parser, words=()):
+    """(command words, parser) of every subcommand that takes no further
+    subcommand."""
+    subs = [a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield words, parser
+    for sub in subs:
+        for name, child in sub.choices.items():
+            yield from _leaf_parsers(child, words + (name,))
+
+
+# a value for each required option without choices; {} is the sweep's
+# directory
+_REQUIRED_VALUES = {"in": "{}/h.el", "host": "{}/h.el", "coll": "{}/coll.txt",
+                    "cert": "{}/cert.json", "pattern": "c4", "alpha": "1",
+                    "q": "3", "n": "5", "p": "0.5"}
+
+
+def _minimal_argvs():
+    """Every subcommand with only its required arguments, once for each
+    value of each positional or required option with choices."""
+    for words, parser in _leaf_parsers(build_parser()):
+        slots = []
+        for a in parser._actions:
+            if not a.option_strings and a.choices is not None:
+                slots.append([[c] for c in a.choices])
+            elif a.option_strings and a.required:
+                values = a.choices or [_REQUIRED_VALUES[a.dest]]
+                slots.append([[a.option_strings[0], v] for v in values])
+        for chosen in itertools.product(*slots):
+            yield [*words, *itertools.chain(*chosen)]
+
+
+@pytest.mark.parametrize("argv", list(_minimal_argvs()), ids=" ".join)
+def test_every_subcommand_ends_in_a_contract_outcome(tmp_path, monkeypatch,
+                                                     capsys, argv):
+    # a 12-vertex host keeps every default-sized search small
+    monkeypatch.chdir(tmp_path)
+    write_edge_list(random_graph(12, 0.5, 1, bipartite=True), tmp_path / "h.el")
+    (tmp_path / "coll.txt").write_text("path 3 1\n0 1 2\n")
+    (tmp_path / "cert.json").write_text(json.dumps(
+        {"pattern": {"kind": "grid", "t": 1}, "mapping": [["1,1", 0]]}))
+    try:
+        code = main([arg.replace("{}", str(tmp_path)) for arg in argv])
+    except SystemExit as exc:  # usage errors
+        code = exc.code
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in capsys.readouterr().err

@@ -181,6 +181,16 @@ def test_good_suffix_restriction():
     assert all(m[-1] != v for m in restricted.iter_members())
     ok, ce = verify_collection(restricted, k88, 4)
     assert ok, ce
+    # a tie for the most common last vertex goes to the least of them
+    tied = LabeledCollection.from_members(
+        "path", 3, [(0, 1, 5), (2, 3, 5), (0, 1, 4), (2, 3, 4), (5, 1, 2)],
+        good=True, alpha=2)
+    restricted, v = good_suffix_restriction(tied)
+    assert v == 4 and list(restricted.iter_members()) == [(0, 1), (2, 3)]
+    assert restricted.alpha == 2
+    empty, v = good_suffix_restriction(
+        LabeledCollection.from_members("path", 3, [], good=True, alpha=2))
+    assert v is None and len(empty) == 0 and empty.length == 2
 
 
 def test_verify_collection_counterexamples():
@@ -872,6 +882,11 @@ def _check_index(coll, members, probes):
     kind, L = coll.kind, coll.length
     index = _index_oracle(kind, coll.good, members)
     stored = set(members)
+    # tuples no member can be: empty, too short or long, with an id below 0
+    # or at 2**32, or with a repeated vertex
+    first = members[0] if members else tuple(range(L))
+    probes = [*probes, (), first[:-1], first + (2 ** 32,), (-1,) + first[1:],
+              (2 ** 32,) + first[1:], first[1:2] + first[1:]]
     for m in probes:
         if kind == "cycle":
             assert (m in coll) == (_canon(m) in stored)
@@ -892,7 +907,8 @@ def _check_index(coll, members, probes):
 
 
 def _canon(m):
-    return min(s[r:] + s[:r] for s in (m, m[::-1]) for r in range(len(m)))
+    return min((s[r:] + s[:r] for s in (m, m[::-1]) for r in range(len(m))),
+               default=m)
 
 
 @settings(max_examples=60, deadline=None)

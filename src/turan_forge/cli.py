@@ -330,9 +330,15 @@ def _make_host(cfg: dict) -> Graph:
 
 
 def _apply_transforms(g: Graph, chain: list) -> tuple[Graph, list]:
+    if not isinstance(chain, list):
+        raise InputError(f"transforms must be a list of steps, not {chain!r}")
     stats = []
-    for step in chain:
-        op = step.get("op")
+    for i, step in enumerate(chain):
+        if not isinstance(step, dict):
+            raise InputError(f"transforms[{i}] must be an object with an "
+                             f"\"op\", not {step!r}")
+        op = _choice(step.get("op"), f"transforms[{i}].op",
+                     ("peel", "half", "regularize", "clean"))
         if op == "peel":
             g, rep = transforms.peel_min_degree(g)
         elif op == "half":
@@ -346,10 +352,10 @@ def _apply_transforms(g: Graph, chain: list) -> tuple[Graph, list]:
             if g2 is None:
                 raise InputError("regularize found no feasible degree band")
             g = g2
-        elif op == "clean":
-            g, rep = transforms.clean_subgraph(g, mode=step.get("mode", "fixed"))
         else:
-            raise InputError(f"unknown transform {op!r}")
+            g, rep = transforms.clean_subgraph(
+                g, mode=_choice(step.get("mode", "fixed"),
+                                f"transforms[{i}].mode", ("fixed", "self")))
         stats.append({"op": op, "n": g.num_vertices, "e": g.edge_count})
     return g, stats
 

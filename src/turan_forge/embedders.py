@@ -390,7 +390,7 @@ def _prism_path_residue(h: Graph, xs: np.ndarray, ys: np.ndarray,
         b[:, kill] = 0
         killed |= kill
         # codegrees within X: every common neighbor of two x lies in Y
-        bad = _short_edges(b, (b @ b.T) >= 2 * t, tau2)
+        bad = _short_edges(b, 2 * t, tau2)
         if not kill.any() and not bad.any():
             break
         b[bad] = 0
@@ -462,7 +462,7 @@ def find_prism_path(h: Graph, t: int,
     rb = residue.block(xs, ys)
     codeg = (h.codegree_matrix()[np.ix_(xs, xs)]
              if residue is h and parts is None else rb @ rb.T)
-    if _short_edges(rb, codeg >= 2 * t, tau2).any():
+    if _short_edges(rb, 2 * t, tau2, codeg).any():
         raise IntegrityError("residue lost its qualifying-neighbor property")
     at = np.full(h.n, -1)  # the row of each x in codeg
     at[xs] = np.arange(len(xs))

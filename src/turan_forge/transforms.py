@@ -156,16 +156,31 @@ def almost_regular_subgraph(g: Graph, epsilon: float, c: float,
     return h, rep
 
 
-def _short_edges(b: np.ndarray, q: np.ndarray, tau: float) -> np.ndarray:
+def _short_edges(b: np.ndarray, floor: int, tau: float,
+                 codeg: Optional[np.ndarray] = None) -> np.ndarray:
     """Edges (x, y) of the float32 block ``b`` (rows X, columns Y) where
-    fewer than tau neighbours z != x of y have ``q[x, z]``.
+    fewer than tau neighbours z != x of y have codeg(x, z) >= floor.
 
-    ``q`` is an X-by-X boolean matrix; its diagonal is cleared in place.
-    The counts ``(q b)[x, y]`` are at most |X| < 2**24, so float32 is exact.
+    Codegrees are ``b b^T`` unless ``codeg``, an X-by-X matrix, is given.
+    At floor <= 1 every other neighbour z of y shares y with x, so the
+    count is deg(y) - 1.  Above it, a codegree is at most the smaller
+    degree: a row of degree below floor marks no pair and counts 0, and
+    only the other rows H are multiplied, ``(Q[H, H] b[H])[x, y]``.  The
+    counts are at most |X| < 2**24, so float32 is exact.
     """
+    need = math.ceil(tau)  # integer c < tau iff c < ceil(tau)
+    if floor <= 1:
+        return (b > 0) & (b.sum(axis=0) - 1 < need)
+    hot = np.flatnonzero(b.sum(axis=1) >= floor)
+    bh = b if len(hot) == len(b) else b[hot]
+    q = (bh @ bh.T if codeg is None else codeg[np.ix_(hot, hot)]) >= floor
     np.fill_diagonal(q, False)
-    counts = q.astype(np.float32) @ b
-    return (b > 0) & (counts < math.ceil(tau))  # integer c < tau iff c < ceil(tau)
+    short_hot = (bh > 0) & (q.astype(np.float32) @ bh < need)
+    if bh is b:
+        return short_hot
+    short = (b > 0) & (0 < need)  # the other rows count 0
+    short[hot] = short_hot
+    return short
 
 
 def _unclean_edges(b: np.ndarray, d: float, n: int, square: bool) -> np.ndarray:
@@ -173,16 +188,16 @@ def _unclean_edges(b: np.ndarray, d: float, n: int, square: bool) -> np.ndarray:
     ``dense_blocks``) where an end u lacks d/16 neighbours w != v with
     codeg(v, w) >= d^2/(128 n), v the other end.
 
-    ``_short_edges`` of ``b`` with ``Q_X = (b b^T >= d^2/(128 n))`` finds
-    the edges short at u in Y, and of ``b^T`` with ``Q_Y = (b^T b >= ...)``
-    those short at u in X.  A ``square`` block is the whole symmetric
-    adjacency matrix, where the second mask is the transpose of the first.
+    ``_short_edges`` of ``b`` finds the edges short at u in Y, and of
+    ``b^T`` those short at u in X.  A ``square`` block is the whole
+    symmetric adjacency matrix, where the second mask is the transpose of
+    the first.
     """
     floor = math.ceil(d * d / (128.0 * n))  # integer c >= x iff c >= ceil(x)
-    short = _short_edges(b, (b @ b.T) >= floor, d / 16.0)
+    short = _short_edges(b, floor, d / 16.0)
     if square:
         return short | short.T
-    return short | _short_edges(b.T, (b.T @ b) >= floor, d / 16.0).T
+    return short | _short_edges(b.T, floor, d / 16.0).T
 
 
 def clean_subgraph(g: Graph, mode: str = "fixed") -> tuple[Graph, TransformReport]:

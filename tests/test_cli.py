@@ -249,6 +249,23 @@ def test_bad_pipeline_choice_is_input_error(section, key, value):
                               f"not {value!r}")
 
 
+@pytest.mark.parametrize("chain, field", [
+    ({"op": "peel"}, "transforms"), ("peel", "transforms"),
+    (None, "transforms"), (["peel"], r"transforms\[0\]"),
+    ([None], r"transforms\[0\]"), ([{"op": "peel"}, 3], r"transforms\[1\]"),
+    ([{"op": "clean", "mode": "fast"}], r"transforms\[0\]\.mode"),
+    ([{"op": "clean", "mode": None}], r"transforms\[0\]\.mode"),
+    ([{"op": "shrink"}], r"transforms\[0\]\.op")])
+def test_bad_transforms_are_input_errors(tmp_path, capsys, chain, field):
+    config = {"host": {"kind": "gnp", "n": 12, "p": 0.5, "seed": 1},
+              "transforms": chain, "target": {"kind": "grid", "t": 2}}
+    with pytest.raises(InputError, match=f"^{field} "):
+        run_pipeline(config)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert _input_error(["pipeline", "--config", str(cfg)], capsys)
+
+
 @pytest.mark.parametrize("argv", [
     ["count", "c4", "--in", "x", "--k", "abc"],
     ["count", "c4", "--in", "x", "--no-such-flag"],

@@ -6,6 +6,7 @@ is an intersection of two sorted neighbour rows, and once as shipped.  Both
 runs must give identical graphs, reports and certificates.
 """
 
+import math
 import random
 
 import numpy as np
@@ -95,6 +96,19 @@ def test_clean_subgraph_dense_equals_pairs(general, two_sided, bip, mode):
             assert is_clean(g, d) == (not pairs.unclean_pairs(g, d, g.num_vertices))
 
 
+@settings(max_examples=120, deadline=None)
+@given(hosts, bipartite_hosts, st.booleans(), st.sampled_from([1.5, 2.5]))
+def test_is_clean_above_floor_one_equals_pairs(general, two_sided, bip, over):
+    # d^2 = 128 n * over gives the codegree floor ceil(over), 2 or 3: the
+    # hot-row products, where the floor-1 hosts above take the degree rule
+    g = _bipartite(two_sided)[0] if bip else _general(general)
+    if g.edge_count:
+        n = g.num_vertices
+        d = (128 * n * over) ** 0.5
+        assert math.ceil(d * d / (128 * n)) == math.ceil(over)
+        assert is_clean(g, d) == (not pairs.unclean_pairs(g, d, n))
+
+
 @settings(max_examples=80, deadline=None)
 @given(bipartite_hosts, st.integers(1, 3), st.booleans())
 def test_find_prism_path_dense_equals_pairs(data, t, explicit_parts):
@@ -159,6 +173,36 @@ def test_find_prism_thick_branch_dense_equals_pairs():
     assert ref == dense
     assert dense[1]["branch_order"] == "thick,thin"
     assert dense[1]["thick"]["ladder_found"] and dense[0] is not None
+
+
+@pytest.mark.parametrize("a, b, p, t, hot", [
+    (6, 10, 1.0, 6, "none"),  # every x has degree 10 < 2t
+    (8, 12, 0.9, 2, "all"),
+    (10, 12, 0.8, 1, "all"),
+    (14, 9, 0.6, 3, "some")])
+def test_find_prism_path_hot_rows_equal_pairs(a, b, p, t, hot):
+    # only the x of degree >= 2t can hold a pair of codegree >= 2t
+    def make():
+        return build_graph(a + b, _random_edges(a + b, p, a * b + t,
+                                                bipartite_at=a))
+
+    g = make()
+    degs = [g.degree(x) for x in range(a)]
+    share = sum(deg >= 2 * t for deg in degs)
+    assert {"none": share == 0, "all": share == a,
+            "some": 0 < share < a}[hot]
+
+    def run(g):
+        residue = embedders._prism_path_residue(
+            g, np.arange(a), np.arange(a, a + b), t)
+        cert = find_prism_path(g, t, parts=(list(range(a)),
+                                            list(range(a, a + b))))
+        return _graph_key(residue[0]), residue[1:], _cert_json(cert)
+
+    ref, dense = _both(make, run)
+    assert ref == dense
+    if hot != "none":
+        assert dense[2] is not None
 
 
 def test_prism_path_residue_kills_degree_at_tau1():

@@ -225,17 +225,11 @@ def cmd_build(args) -> int:
 
 def _emit_certificate(cert: Optional[EmbeddingCertificate], args,
                       extra: Optional[dict] = None) -> int:
-    if cert is None:
-        out = {"found": False}
-        if extra:
-            out["diagnostics"] = extra
-        _dump(out, args)
-        return EXIT_NOT_FOUND
-    out = {"found": True, **cert.to_json()}
+    out = {"found": cert is not None, **(cert.to_json() if cert else {})}
     if extra:
         out["diagnostics"] = extra
     _dump(out, args)
-    return EXIT_FOUND
+    return EXIT_NOT_FOUND if cert is None else EXIT_FOUND
 
 
 def cmd_embed(args) -> int:
@@ -346,11 +340,11 @@ def _apply_transforms(g: Graph, chain: list) -> tuple[Graph, list]:
             rep = None
         elif op == "regularize":
             g2, rep = transforms.almost_regular_subgraph(
-                g, *(_real(step.get(key, default), f"regularize {key}")
+                g, *(_real(step.get(key, default), f"transforms[{i}].{key}")
                      for key, default in (("epsilon", 0.5), ("c", 1.0),
                                           ("K", 32.0))))
             if g2 is None:
-                raise InputError("regularize found no feasible degree band")
+                raise InputError(f"transforms[{i}] has no feasible degree band")
             g = g2
         else:
             g, rep = transforms.clean_subgraph(
@@ -390,12 +384,23 @@ def _tuple_estimate(g: Graph, tuple_len: int, closed: bool) -> float:
     return est / (2 * tuple_len)
 
 
+def _check_sections(config) -> None:
+    """``InputError`` unless the config is an object, and so is each of its
+    sections but ``transforms`` (a list, checked where it is read)."""
+    if not isinstance(config, dict):
+        raise InputError(f"config must be an object, not {config!r}")
+    for key in ("host", "target", "builder", "embedder", "out"):
+        if not isinstance(config.get(key, {}), dict):
+            raise InputError(f"{key} must be an object, not {config[key]!r}")
+
+
 def run_pipeline(config: dict) -> tuple[int, dict]:
     """generate -> transform -> build collection -> embed -> verify.
 
     Returns (exit status, report).  The report carries every intermediate
     statistic plus the exact seeds and is byte-stable across reruns.
     """
+    _check_sections(config)
     report: dict = {"config": config}
     try:
         host = _make_host(config.get("host", {}))
@@ -506,6 +511,7 @@ def cmd_pipeline(args) -> int:
         config = _parse_json(_read_text(args.config, "config"), "config")
     else:
         config = {}
+    _check_sections(config)
     # flag overrides for the fully-flag-driven form
     if args.host_file:
         config["host"] = {"kind": "file", "path": args.host_file}

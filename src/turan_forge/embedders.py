@@ -489,21 +489,14 @@ def find_prism_path(h: Graph, t: int,
         rungs.append((w, z))
         used.update((w, z))
 
-    # ladder rows: row 1 collects the x-coordinates as appended
-    mapping = []
-    p_prev, q_prev = rungs[0]
-    rows = [[p_prev], [q_prev]]
+    # ladder rows: each rung extends the row its end is adjacent to
+    rows = [[rungs[0][0]], [rungs[0][1]]]
     for (w, z) in rungs[1:]:
-        # w extends the row of the previous x-side vertex, z the other
-        if h.has_edge(rows[0][-1], w) and h.has_edge(rows[1][-1], z):
-            rows[0].append(w)
-            rows[1].append(z)
-        else:
-            rows[0].append(z)
-            rows[1].append(w)
-    for i in range(t):
-        mapping.append((f"1,{i + 1}", rows[0][i]))
-        mapping.append((f"2,{i + 1}", rows[1][i]))
+        keep = h.has_edge(rows[0][-1], w) and h.has_edge(rows[1][-1], z)
+        rows[0].append(w if keep else z)
+        rows[1].append(z if keep else w)
+    mapping = [(f"{r + 1},{i + 1}", rows[r][i]) for r in (0, 1)
+               for i in range(t)]
     cert = EmbeddingCertificate(
         PatternSpec("prism_path", {"t": t}), sorted(mapping),
         {"embedder": "find_prism_path", "t": t, "hypotheses": hypotheses,
@@ -514,42 +507,51 @@ def find_prism_path(h: Graph, t: int,
 # ---------------------------------------------------------------------------
 # full prism pipeline
 
-def _sample_thin_fraction(h: Graph, tau: float, side: list[int],
-                          rng: random.Random, samples: int = 1500,
-                          ) -> Optional[float]:
+def _sample_thin_fraction(h: Graph, tau: float, rng: np.random.Generator,
+                          samples: int = 1500) -> Optional[float]:
     """Weighted estimate of the fraction of 4-cycles that are thin: of
-    ``samples`` random vertex pairs u, v, those on one side with c >= 2
-    common neighbours count with weight C(c, 2), as thin when c <= tau and
-    two of the common neighbours, drawn at random, have codegree <= tau.
+    ``samples`` random vertex pairs u, v, those with c >= 2 common
+    neighbours count with weight C(c, 2), as thin when c <= tau and two of
+    the common neighbours, drawn at random, have codegree <= tau.  On a
+    bipartite host only pairs on one side count: a pair across the sides
+    has no common neighbour.
 
-    The loop only draws.  It takes the positions i, j of the two common
-    neighbours as ``rng.sample(range(c), 2)``, which consumes the same
-    stream as sampling the c-long list of them; the i-th and j-th common
-    neighbours of the pairs with c <= tau are found after it, in one pass
-    over their CSR rows (``_common_neighbors_at``)."""
-    codeg = h.codegree_matrix()
-    verts = np.flatnonzero(h.alive & (h._deg >= 2)).tolist()
+    Two calls draw everything: the positions i, j of all pairs among the
+    vertices of degree >= 2 (j from one fewer, shifted past i), then the
+    positions of both common neighbours of the pairs with c >= 2, likewise.
+    Codegrees are row dot products (``_codegrees``); the drawn common
+    neighbours come from one pass over CSR rows (``_common_neighbors_at``)."""
+    verts = np.flatnonzero(h.alive & (h._deg >= 2))
     if len(verts) < 2:
         return None
-    drawn = []
-    for _ in range(samples):
-        u, v = rng.sample(verts, 2)
-        if side[u] != side[v]:
-            continue
-        c = int(codeg[u, v])
-        if c < 2:
-            continue
-        drawn.append((u, v, c, *rng.sample(range(c), 2)))
-    if not drawn:
+    i, j = rng.integers(0, [len(verts), len(verts) - 1], size=(samples, 2)).T
+    u, v = verts[i], verts[j + (j >= i)]
+    c = _codegrees(h, u, v)
+    u, v, c = u[c >= 2], v[c >= 2], c[c >= 2]
+    if not len(c):
         return None
-    drawn = np.array(drawn)
-    u, v, c = drawn[:, :3].T
+    ks = rng.integers(0, np.column_stack([c, c - 1]))
+    ks[:, 1] += ks[:, 1] >= ks[:, 0]
     thin = c <= tau
-    if thin.any():
-        w1, w2 = _common_neighbors_at(h, u[thin], v[thin], drawn[thin, 3:]).T
-        thin[thin] = codeg[w1, w2] <= tau
+    w1, w2 = _common_neighbors_at(h, u[thin], v[thin], ks[thin]).T
+    thin[thin] = _codegrees(h, w1, w2) <= tau
     weight = c * (c - 1) / 2.0  # integers below 2**53: exact sums
     return float(weight[thin].sum() / weight.sum())
+
+
+def _codegrees(h: Graph, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """codeg(us[i], vs[i]) of distinct vertices: the dot product of their
+    rows in the ``dense_blocks`` block holding both, else 0 (two sides).
+    Each vertex's row is read once: drawn pairs repeat hubs."""
+    out = np.zeros(len(us), dtype=np.int64)
+    for rows, cols in dense_blocks(h):
+        mine = np.isin(us, rows) & np.isin(vs, rows)
+        ids, at = np.unique(np.concatenate([us[mine], vs[mine]]),
+                            return_inverse=True)
+        b, k = h.block(ids, cols), len(at) // 2
+        out[mine] = np.einsum("ij,ij->i", np.take(b, at[:k], axis=0),
+                              np.take(b, at[k:], axis=0))
+    return out
 
 
 def _common_neighbors_at(h: Graph, us: np.ndarray, vs: np.ndarray,
@@ -578,6 +580,7 @@ def _thin_branch(h: Graph, ell: int, tau: float, budget: int,
     edges = list(h.edges())
     if not edges:
         return None, 0
+    h.codegree_matrix()  # built once: each thin_step reads it
     slice_budget = max(4000, budget // 32)
     n_attempts = max(1, budget // slice_budget)
     target = 2 * ell
@@ -631,8 +634,8 @@ def _thin_branch(h: Graph, ell: int, tau: float, budget: int,
     return _portfolio(attempt, n_attempts)
 
 
-def _thick_extension_counts(h: Graph, codeg: np.ndarray, tau: float,
-                            us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+def _thick_extension_counts(h: Graph, tau: float, us: np.ndarray,
+                            vs: np.ndarray) -> np.ndarray:
     """For each oriented edge (us[i], vs[i]) = (u, v), the sum of
     codeg(u, w) - 1 over the w in N(v) - u with codeg(u, w) > tau:
     ``(W B)[u, v] - W[u, u]`` with ``W = (codeg - 1) [codeg > tau]`` on the
@@ -641,9 +644,9 @@ def _thick_extension_counts(h: Graph, codeg: np.ndarray, tau: float,
 
     W is zero off the hot rows H = {w in R : deg(w) > floor(tau)}, since
     codeg(u, w) <= min(deg u, deg w) and the diagonal holds the degree.  So
-    ``W[H, H] @ B[H, C]`` gives every count, at |H|^2 |C| multiply-adds, and
-    an edge whose u is not hot counts 0.  The products run in float64
-    because these sums can exceed 2**24.
+    only ``B[H]`` is read: ``W[H, H]`` comes from ``B[H] B[H]^T`` (exact in
+    float32), ``W[H, H] @ B[H]`` gives every count in float64, as its sums
+    can exceed 2**24, and an edge whose u is not hot counts 0.
     """
     out = np.zeros(len(us))
     floor = math.floor(tau)
@@ -655,9 +658,10 @@ def _thick_extension_counts(h: Graph, codeg: np.ndarray, tau: float,
         if not mine.any():
             continue
         pu, pv = at_hot[us[mine]], at_col[vs[mine]]
-        c = codeg[np.ix_(hot, hot)]
+        b = h.block(hot, cols)
+        c = b @ b.T
         w = np.where(c > floor, c - 1, 0).astype(np.float64)
-        wb = w @ h.block(hot, cols).astype(np.float64)
+        wb = w @ b.astype(np.float64)
         out[mine] = wb[pu, pv] - w[pu, pu]
     return out
 
@@ -680,17 +684,16 @@ def _thick_branch(h: Graph, ell: int, tau: float, seed: int,
         diag["sampled_edges"] = len(lo)
     # each edge (p, q) oriented as (p, q), then (q, p)
     us, vs = np.column_stack([lo, hi]).ravel(), np.column_stack([hi, lo]).ravel()
-    codeg = h.codegree_matrix()
-    counts = _thick_extension_counts(h, codeg, tau, us, vs)
+    counts = _thick_extension_counts(h, tau, us, vs)
     best = int(np.argmax(counts))  # the first maximum, in edge order
-    cnt = int(counts[best])
     u, v = int(us[best]), int(vs[best])
     diag["pivot_edge"] = [u, v]
-    diag["thick_extensions"] = cnt
+    diag["thick_extensions"] = cnt = int(counts[best])
     if cnt == 0:
         return None, diag
     nv, nu = h._row(v), h._row(u)
-    xs = nv[(nv != u) & (codeg[u, nv] > tau)]
+    # codeg(u, x) for x in N(v): the row sums of the block of N(v) by N(u)
+    xs = nv[(nv != u) & (h.block(nv, nu).sum(axis=1) > tau)]
     ys = nu[nu != v]
     if not len(xs) or not len(ys):
         return None, diag
@@ -704,19 +707,12 @@ def _thick_branch(h: Graph, ell: int, tau: float, seed: int,
     diag["ladder_found"] = cert_sub is not None
     if cert_sub is None:
         return None, diag
-    rows = {1: [0] * t, 2: [0] * t}
-    for lab, local in cert_sub.mapping:
-        r, i = (int(s) for s in lab.split(","))
-        rows[r][i - 1] = int(verts[local])
-    # the x-row starts in X (adjacent to v); orient rows so row 1 is X-side
-    if rows[1][0] not in xs:
-        rows[1], rows[2] = rows[2], rows[1]
-    mapping = []
-    for j in range(t):
-        mapping.append((f"1,{j + 1}", rows[1][j]))
-        mapping.append((f"2,{j + 1}", rows[2][j]))
-    mapping.append((f"1,{2 * ell}", v))
-    mapping.append((f"2,{2 * ell}", u))
+    at = {lab: int(verts[local]) for lab, local in cert_sub.mapping}
+    # row 1 of the prism is the ladder row that starts in X (adjacent to v)
+    top = 1 if at["1,1"] in xs else 2
+    mapping = [(f"{r},{j}", at[f"{top if r == 1 else 3 - top},{j}"])
+               for r in (1, 2) for j in range(1, t + 1)]
+    mapping += [(f"1,{2 * ell}", v), (f"2,{2 * ell}", u)]
     cert = EmbeddingCertificate(
         PatternSpec("prism", {"ell": ell}), sorted(mapping),
         {"embedder": "find_prism", "branch": "thick", "ell": ell,
@@ -729,8 +725,9 @@ def find_prism(g: Graph, ell: int, t_factor: float = 8.0,
                ) -> tuple[Optional[EmbeddingCertificate], dict]:
     """Full prism search: bipartite half + peel, thin/thick classification by
     sampling, then the thin-majority auxiliary-graph DFS with the thick
-    high-codegree branch as fallback (or vice versa).  ``ResourceError``
-    above ``graphs.DENSE_LIMIT`` ids."""
+    high-codegree branch as fallback (or vice versa).  Only the thin branch
+    builds the codegree matrix.  ``ResourceError`` up front for a host with
+    edges above ``graphs.DENSE_LIMIT`` ids."""
     if ell < 2:
         raise InputError("need ell >= 2")
     if t_factor <= 0:
@@ -738,17 +735,17 @@ def find_prism(g: Graph, ell: int, t_factor: float = 8.0,
     diagnostics: dict = {}
     if g.edge_count == 0:
         return None, {"reason": "empty host"}
-    h, side = bipartite_half(g)
+    g._dense_check()
+    h, _ = bipartite_half(g)
     if h.edge_count == 0:
         return None, {"reason": "empty after halving"}
     h, _ = peel_min_degree(h)
-    side = two_coloring(h)
     d = h.average_degree
     tau = t_factor * math.sqrt(d)
     diagnostics["prepared"] = {"n": h.num_vertices, "e": h.edge_count,
                                "avg_degree": d, "tau": tau}
-    rng = _derive_rng(seed, "classify")
-    thin_frac = _sample_thin_fraction(h, tau, side, rng)
+    thin_frac = _sample_thin_fraction(h, tau, np.random.default_rng(
+        _derive_rng(seed, "classify").getrandbits(64)))
     diagnostics["thin_fraction"] = thin_frac
 
     def run_thin():
@@ -756,14 +753,10 @@ def find_prism(g: Graph, ell: int, t_factor: float = 8.0,
         diagnostics["thin_nodes"] = nodes
         if chain is None:
             return None
-        cyc1 = [chain[j][0] if j % 2 == 0 else chain[j][1]
-                for j in range(2 * ell)]
-        cyc2 = [chain[j][1] if j % 2 == 0 else chain[j][0]
-                for j in range(2 * ell)]
-        mapping = []
-        for j in range(2 * ell):
-            mapping.append((f"1,{j + 1}", cyc1[j]))
-            mapping.append((f"2,{j + 1}", cyc2[j]))
+        # a chain step (a, b) -> (c, d) joins b to c and a to d: cycle 1
+        # takes each edge's first end at even steps, its second at odd
+        mapping = [(f"{r + 1},{j + 1}", chain[j][(r + j) % 2])
+                   for r in (0, 1) for j in range(2 * ell)]
         return EmbeddingCertificate(
             PatternSpec("prism", {"ell": ell}), sorted(mapping),
             {"embedder": "find_prism", "branch": "thin", "ell": ell,

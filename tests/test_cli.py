@@ -2,7 +2,10 @@ import argparse
 import hashlib
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -223,10 +226,7 @@ def test_bad_host_number_is_input_error(host, field):
     ({"target": {"kind": "prism", "ell": 2}, "builder": {"T": None}},
      "builder.T"),
     ({"target": {"kind": "prism", "ell": 2}, "builder": {"T": "x"}},
-     "builder.T"),
-    ({"target": {"kind": "grid", "t": 2},
-      "transforms": [{"op": "regularize", "epsilon": "x"}]},
-     "regularize epsilon")])
+     "builder.T")])
 def test_bad_pipeline_real_is_input_error(config, field):
     config["host"] = {"kind": "gnp", "n": 12, "p": 0.5, "seed": 1}
     with pytest.raises(InputError, match=f"^{field} must be a finite number"):
@@ -255,15 +255,39 @@ def test_bad_pipeline_choice_is_input_error(section, key, value):
     ([None], r"transforms\[0\]"), ([{"op": "peel"}, 3], r"transforms\[1\]"),
     ([{"op": "clean", "mode": "fast"}], r"transforms\[0\]\.mode"),
     ([{"op": "clean", "mode": None}], r"transforms\[0\]\.mode"),
-    ([{"op": "shrink"}], r"transforms\[0\]\.op")])
+    ([{"op": "shrink"}], r"transforms\[0\]\.op"),
+    ([{"op": "regularize", "epsilon": "x"}], r"transforms\[0\]\.epsilon"),
+    ([{"op": "peel"}, {"op": "regularize", "c": None}], r"transforms\[1\]\.c"),
+    ([{"op": "regularize", "K": "big"}], r"transforms\[0\]\.K"),
+    # on this host no band [2^j, 2^j] holds a regular subgraph dense enough
+    ([{"op": "regularize", "epsilon": 0.5, "c": 1.0, "K": 1.0}],
+     r"transforms\[0\]")])
 def test_bad_transforms_are_input_errors(tmp_path, capsys, chain, field):
-    config = {"host": {"kind": "gnp", "n": 12, "p": 0.5, "seed": 1},
+    config = {"host": {"kind": "gnp", "n": 12, "p": 0.7, "seed": 1},
               "transforms": chain, "target": {"kind": "grid", "t": 2}}
     with pytest.raises(InputError, match=f"^{field} "):
         run_pipeline(config)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     assert _input_error(["pipeline", "--config", str(cfg)], capsys)
+
+
+@pytest.mark.parametrize("change, section", [
+    ([], "config"), ({"host": "x"}, "host"), ({"builder": "x"}, "builder"),
+    ({"target": "grid"}, "target"), ({"embedder": []}, "embedder"),
+    ({"out": "r.json"}, "out")])
+def test_config_sections_of_the_wrong_type_are_input_errors(tmp_path, capsys,
+                                                            change, section):
+    config = {"host": {"kind": "gnp", "n": 12, "p": 0.5, "seed": 1},
+              "target": {"kind": "grid", "t": 2}}
+    config = {**config, **change} if isinstance(change, dict) else change
+    with pytest.raises(InputError, match=f"^{section} must be an object, "):
+        run_pipeline(config)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert _input_error(["pipeline", "--config", str(cfg)], capsys)
+    assert _input_error(["pipeline", "--config", str(cfg), "--alpha", "4",
+                         "--report", str(tmp_path / "r.json")], capsys)
 
 
 @pytest.mark.parametrize("argv", [
@@ -379,11 +403,11 @@ _PRISM_HOSTS = {
 }
 _PRISM_DIGESTS = [
     ("gnp", {"kind": "prism", "ell": 4},
-     "e94518e649423eddee88e785cea9b287f0b77f73d793441f46c211fec2d5245a"),
+     "a1ef3707fc2f88c342a9f74ad8a70d9f38b2f9ea6c93477728c1e8df77381806"),
     ("gnp", {"kind": "prism_path", "t": 5},
      "3b2a52555df95bcbac3f89f400680d888b14b9c5e701c0c24eb973b8479f9951"),
     ("skewed", {"kind": "prism", "ell": 4},
-     "d5ab69e67c7e1988ce5e6980d85e1daf4f97d55d22507b7e4dfbc1c4216c12dd"),
+     "7670be452bf881c6cc8a2907043494eff319e82daf7de1838e239f50ed4da486"),
     ("skewed", {"kind": "prism_path", "t": 5},
      "86687b9b0d84dfef15a95ead406ec52e7b3c4224ff82be4be964f25f3b568d56"),
 ]
@@ -485,3 +509,17 @@ def test_every_subcommand_ends_in_a_contract_outcome(tmp_path, monkeypatch,
         code = exc.code
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_numpy_random_or_networkx():
+    # the package's import is part of every run's start-up: numpy loads
+    # numpy.random lazily, and matching imports networkx only for the
+    # general-graph matchings that need it
+    script = ("import sys, turan_forge.cli\n"
+              "print(sorted(m for m in ('numpy.random', 'networkx')"
+              " if m in sys.modules))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"

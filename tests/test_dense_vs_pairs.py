@@ -259,18 +259,16 @@ def test_thick_extension_counts_match_the_definition(general, two_sided, bip,
     oriented = np.array([(u, v) for (p, q) in g.edges()
                          for (u, v) in ((p, q), (q, p))], dtype=np.int64)
     us, vs = oriented.reshape(-1, 2).T
-    assert _thick_extension_counts(g, g.codegree_matrix(), tau,
-                                   us, vs).tolist() == \
-        pairs.thick_extension_counts(g, None, tau, us, vs)
+    assert _thick_extension_counts(g, tau, us, vs).tolist() == \
+        pairs.thick_extension_counts(g, tau, us, vs)
     for top in (g.max_degree(), g.max_degree() + 0.5):  # no hot row: all 0
-        counts = _thick_extension_counts(g, g.codegree_matrix(), top, us, vs)
+        counts = _thick_extension_counts(g, top, us, vs)
         assert not counts.any()
-        assert counts.tolist() == pairs.thick_extension_counts(g, None, top,
-                                                               us, vs)
+        assert counts.tolist() == pairs.thick_extension_counts(g, top, us, vs)
 
 
-# (|X|, |Y|, ...) bipartite hosts as above whose X vertices can share more
-# than 21 neighbours, past which random.sample draws by its set branch
+# (|X|, |Y|, ...) bipartite hosts as above whose X vertices share 20 or
+# more neighbours: the drawn positions reach deep into long common rows
 wide_hosts = st.tuples(st.integers(2, 5), st.integers(23, 27),
                        st.sampled_from([0.95, 1.0]), st.integers(0, 2 ** 20),
                        st.sets(st.integers(0, 3), max_size=2))
@@ -283,15 +281,10 @@ wide_hosts = st.tuples(st.integers(2, 5), st.integers(23, 27),
 def test_sample_thin_fraction_equals_the_per_sample_loop(kind, general,
                                                          two_sided, wide,
                                                          seed, scale):
-    if kind == "general":  # any sides: the sampler needs no 2-colouring
-        g = _general(general)
-        labels = random.Random(seed + 1)
-        side = [labels.randrange(2) for _ in range(g.n)]
-    else:
-        g, a = _bipartite(two_sided if kind == "bipartite" else wide)
-        side = [int(v >= a) for v in range(g.n)]
+    g = (_general(general) if kind == "general" else
+         _bipartite(two_sided if kind == "bipartite" else wide)[0])
     tau = scale * g.max_degree()  # 0 up to above the largest degree
-    ours, ref = random.Random(seed), random.Random(seed)
-    assert embedders._sample_thin_fraction(g, tau, side, ours) == \
-        pairs.sample_thin_fraction(g, tau, side, ref)
-    assert ours.getstate() == ref.getstate()  # the same draws
+    ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert embedders._sample_thin_fraction(g, tau, ours) == \
+        pairs.sample_thin_fraction(g, tau, ref)
+    assert ours.bit_generator.state == ref.bit_generator.state  # same draws

@@ -7,7 +7,7 @@ from turan_forge.embedders import (embed_cylinder, embed_grid, embed_honeycomb,
                                    embed_torus, find_prism, find_prism_path)
 from turan_forge.errors import InputError
 from turan_forge.generators import PatternSpec, pattern, polarity_graph, random_graph
-from turan_forge.graphs import build_graph
+from turan_forge.graphs import Graph, build_graph
 from turan_forge.oracle import verify_certificate
 from turan_forge.rich_collections import (LabeledCollection, build_rich_cycles,
                                           build_rich_paths, layered_good_paths,
@@ -203,6 +203,27 @@ def test_find_prism_k2020():
     cert, diag = find_prism(k, 4, 8.0, budget=10 ** 6, seed=3)
     checked(k, cert)
     assert diag["thin_fraction"] == 1.0
+
+
+@pytest.mark.parametrize("make, ell, t_factor", [
+    (lambda: complete_bipartite(12, 12), 2, 0.5),
+    (lambda: random_graph(200, 0.9, 1, bipartite=True), 4, 8.0)],
+    ids=["K12,12", "gnp"])
+def test_thick_first_prism_builds_no_codegree_matrix(monkeypatch, make, ell,
+                                                     t_factor):
+    # the classifier and the thick branch read only the codegrees they use
+    cert, diag = find_prism(make(), ell, t_factor, budget=2000, seed=1)
+    assert diag["branch_order"] == "thick,thin"
+    assert cert.method["branch"] == "thick"
+
+    def refuse(self):
+        raise AssertionError("codegree matrix built")
+
+    monkeypatch.setattr(Graph, "codegree_matrix", refuse)
+    g = make()
+    again, diag_again = find_prism(g, ell, t_factor, budget=2000, seed=1)
+    assert checked(g, again).to_json() == cert.to_json()
+    assert diag_again == diag
 
 
 def test_find_prism_polarity_not_found():

@@ -100,36 +100,40 @@ def prism_path_residue(h, xs, ys, t):
             cur = cur.remove(edges=bad)
 
 
-def thick_extension_counts(h, codeg, tau, us, vs):
-    """``embedders._thick_extension_counts``, ignoring ``codeg``."""
+def thick_extension_counts(h, tau, us, vs):
+    """``embedders._thick_extension_counts``."""
     return [sum(_codeg(h, u, w) - 1 for w in h.neighbors(v)
                 if w != u and _codeg(h, u, w) > tau)
             for (u, v) in zip(us.tolist(), vs.tolist())]
 
 
-def sample_thin_fraction(h, tau, side, rng, samples=1500):
-    """``embedders._sample_thin_fraction``, one sample at a time: each
-    accepted pair's common neighbours are listed by an intersection and two
-    of them drawn from that list."""
+def sample_thin_fraction(h, tau, rng, samples=1500):
+    """``embedders._sample_thin_fraction``, one sample at a time: the same
+    two draws from the numpy generator ``rng``, then each accepted pair's
+    common neighbours are listed by an intersection and the two drawn
+    positions read from that list."""
     verts = [v for v in h.vertices() if h.degree(v) >= 2]
     if len(verts) < 2:
         return None
+    accepted = []
+    for i, j in rng.integers(0, [len(verts), len(verts) - 1],
+                             size=(samples, 2)).tolist():
+        u, v = verts[i], verts[j + (j >= i)]
+        common = h.common_neighbors(u, v)
+        if len(common) >= 2:
+            accepted.append(common)
+    if not accepted:
+        return None
     weight_sum = 0.0
     thin_sum = 0.0
-    for _ in range(samples):
-        u, v = rng.sample(verts, 2)
-        if side[u] != side[v]:
-            continue
-        c = _codeg(h, u, v)
-        if c < 2:
-            continue
-        w1, w2 = rng.sample(h.common_neighbors(u, v), 2)
+    highs = [[len(common), len(common) - 1] for common in accepted]
+    for common, (a, b) in zip(accepted, rng.integers(0, highs).tolist()):
+        c = len(common)
+        w1, w2 = common[a], common[b + (b >= a)]
         weight = c * (c - 1) / 2.0
         weight_sum += weight
         if c <= tau and _codeg(h, w1, w2) <= tau:
             thin_sum += weight
-    if weight_sum == 0.0:
-        return None
     return thin_sum / weight_sum
 
 

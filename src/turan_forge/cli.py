@@ -22,16 +22,21 @@ from .graphs import Graph, edge_list_text, read_edge_list, write_edge_list
 from .rich_collections import LabeledCollection
 
 
-def _emit(text: str, args) -> None:
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
+def _emit(text: str, path: Optional[str]) -> None:
+    """``text`` into the file at ``path``, or to stdout without a path."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _dump(obj: dict, args) -> None:
-    _emit(json.dumps(obj, sort_keys=True, indent=2) + "\n", args)
+def _json(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2)
+
+
+def _dump(obj, path: Optional[str]) -> None:
+    _emit(_json(obj) + "\n", path)
 
 
 def _read_text(path: str, what: str) -> str:
@@ -105,23 +110,22 @@ def _pattern_spec_from_args(args) -> PatternSpec:
 def cmd_gen_pattern(args) -> int:
     spec = _pattern_spec_from_args(args)
     g, labels = pattern(spec)
-    _emit(edge_list_text(g), args)
+    _emit(edge_list_text(g), args.out)
     if args.labels:
-        with open(args.labels, "w", encoding="utf-8") as fh:
-            json.dump({"labels": sorted([lab, vid]
-                                        for lab, vid in labels.items())},
-                      fh, sort_keys=True, indent=2)
+        _emit(_json({"labels": sorted([lab, vid]
+                                      for lab, vid in labels.items())}),
+              args.labels)
     return EXIT_FOUND
 
 
 def cmd_gen_polarity(args) -> int:
-    _emit(edge_list_text(polarity_graph(args.q)), args)
+    _emit(edge_list_text(polarity_graph(args.q)), args.out)
     return EXIT_FOUND
 
 
 def cmd_gen_gnp(args) -> int:
     g = random_graph(args.n, args.p, args.seed, bipartite=args.bipartite)
-    _emit(edge_list_text(g), args)
+    _emit(edge_list_text(g), args.out)
     return EXIT_FOUND
 
 
@@ -144,17 +148,15 @@ def cmd_transform(args) -> int:
             g, args.epsilon, args.c, args.K)
         if out is None:
             sys.stderr.write("no feasible degree band\n")
-            _dump(rep.to_json(), args if args.json else argparse.Namespace(out=None))
+            _dump(rep.to_json(), args.out if args.json else None)
             return EXIT_NOT_FOUND
     else:
         out, rep = transforms.clean_subgraph(g, mode=args.mode)
     write_edge_list(out, args.out)
     if args.audit:
-        with open(args.audit, "w", encoding="utf-8") as fh:
-            json.dump(rep.to_json(), fh, sort_keys=True, indent=2)
+        _emit(_json(rep.to_json()), args.audit)
     if args.json:
-        sys.stdout.write(json.dumps(rep.to_json(), sort_keys=True, indent=2)
-                         + "\n")
+        _dump(rep.to_json(), None)
     return EXIT_FOUND
 
 
@@ -174,89 +176,103 @@ def cmd_count(args) -> int:
         rep = counting.prism_path_weight_report(
             g, args.ell, args.C0, _whole(args.cap, "--cap"))
         out = rep.to_json()
-    _dump(out, args)
+    _dump(out, args.out)
     return EXIT_FOUND
 
 
-# -- build -------------------------------------------------------------------
+# -- one dispatch from target to search -------------------------------------
 
-def _save_collection(coll: LabeledCollection, audit, args) -> None:
-    text = coll.to_text()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    if args.audit and audit is not None:
-        with open(args.audit, "w", encoding="utf-8") as fh:
-            json.dump(audit.to_json(), fh, sort_keys=True, indent=2)
+def _collection_of(target: PatternSpec) -> tuple[Optional[str], int, int]:
+    """(family, its k or ell, default alpha) of the collection a target is
+    embedded from; the family is None for the targets found by a direct
+    search."""
+    kind, p = target.kind, target.params
+    if kind == "grid":
+        return "rich_paths", 2 * p["t"] - 1, p["t"] * p["t"]
+    if kind in ("cylinder", "torus"):
+        return "rich_cycles", p["ell"], p["k"] * p["ell"]
+    if kind == "honeycomb":
+        return "good_paths", p["k"], p["k"] * p["ell"]
+    if kind in ("prism", "prism_path"):
+        return None, 0, 0
+    raise InputError(f"pipeline cannot target pattern kind {kind!r}")
 
+
+def _build(family: str, strategy: str, g: Graph, size: int, alpha: int,
+           cap: int, seed: int, c_thresh: float, l_factor: float):
+    """(collection, audit, good-path case) from ``build_<family>`` or
+    ``layered_<family>``; the layered builders keep no audit, and only
+    ``build_good_paths`` has a case."""
+    if strategy == "layered":
+        build = getattr(rich_collections, f"layered_{family}")
+        return build(g, size, alpha, seed=seed), None, None
+    build = getattr(rich_collections, f"build_{family}")
+    if family == "good_paths":
+        return build(g, size, alpha, c_thresh, l_factor, cap)
+    return (*build(g, size, alpha, cap), None)
+
+
+def _embed(kind: str, p: dict, g: Graph, coll: LabeledCollection,
+           budget: int, seed: int) -> Optional[EmbeddingCertificate]:
+    """The shifting embedder of a collection target."""
+    if kind == "grid":
+        return embedders.embed_grid(g, coll, p["t"])
+    if kind == "torus":
+        return embedders.embed_torus(g, coll, p["k"], p["ell"],
+                                     budget=budget, seed=seed)
+    return getattr(embedders, f"embed_{kind}")(g, coll, p["k"], p["ell"])
+
+
+def _find(kind: str, p: dict, g: Graph, t_factor: float, budget: int,
+          seed: int) -> tuple[Optional[EmbeddingCertificate], dict]:
+    """The direct search of a prism or prism_path target, and its
+    diagnostics."""
+    if kind == "prism":
+        return embedders.find_prism(g, p["ell"], t_factor, budget=budget,
+                                    seed=seed)
+    return embedders.find_prism_path(g, p["t"]), {}
+
+
+# -- build / embed / find ------------------------------------------------------
 
 def cmd_build(args) -> int:
     g = read_edge_list(getattr(args, "in"))
-    cap = _whole(args.cap, "--cap")
-    if args.family == "rich-paths":
-        if args.strategy == "layered":
-            coll, audit = rich_collections.layered_rich_paths(
-                g, args.k, args.alpha, seed=args.seed), None
-        else:
-            coll, audit = rich_collections.build_rich_paths(
-                g, args.k, args.alpha, cap)
-    elif args.family == "rich-cycles":
-        if args.strategy == "layered":
-            coll, audit = rich_collections.layered_rich_cycles(
-                g, args.ell, args.alpha, seed=args.seed), None
-        else:
-            coll, audit = rich_collections.build_rich_cycles(
-                g, args.ell, args.alpha, cap)
-    else:
-        if args.strategy == "layered":
-            coll, audit = rich_collections.layered_good_paths(
-                g, args.k, args.alpha, seed=args.seed), None
-        else:
-            coll, audit, case = rich_collections.build_good_paths(
-                g, args.k, args.alpha, args.C, args.L, cap)
-            audit.diagnostics["case"] = case
-    _save_collection(coll, audit, args)
+    family = args.family.replace("-", "_")
+    size = args.ell if family == "rich_cycles" else args.k
+    coll, audit, case = _build(family, args.strategy, g, size, args.alpha,
+                               _whole(args.cap, "--cap"), args.seed, args.C,
+                               args.L)
+    if case is not None:
+        audit.diagnostics["case"] = case
+    _emit(coll.to_text(), args.out)
+    if args.audit and audit is not None:
+        _emit(_json(audit.to_json()), args.audit)
     return EXIT_FOUND
 
-
-# -- embed / find -------------------------------------------------------------
 
 def _emit_certificate(cert: Optional[EmbeddingCertificate], args,
                       extra: Optional[dict] = None) -> int:
     out = {"found": cert is not None, **(cert.to_json() if cert else {})}
     if extra:
         out["diagnostics"] = extra
-    _dump(out, args)
+    _dump(out, args.out)
     return EXIT_NOT_FOUND if cert is None else EXIT_FOUND
 
 
 def cmd_embed(args) -> int:
     host = read_edge_list(args.host)
     coll = LabeledCollection.from_text(_read_text(args.coll, "collection"))
-    if args.target == "grid":
-        cert = embedders.embed_grid(host, coll, args.t)
-    elif args.target == "cylinder":
-        cert = embedders.embed_cylinder(host, coll, args.k, args.ell)
-    elif args.target == "torus":
-        cert = embedders.embed_torus(host, coll, args.k, args.ell,
-                                     budget=_whole(args.budget, "--budget"),
-                                     seed=args.seed)
-    else:
-        cert = embedders.embed_honeycomb(host, coll, args.k, args.ell)
+    cert = _embed(args.target, {"t": args.t, "k": args.k, "ell": args.ell},
+                  host, coll, _whole(args.budget, "--budget"), args.seed)
     return _emit_certificate(cert, args)
 
 
 def cmd_find(args) -> int:
     host = read_edge_list(getattr(args, "in"))
-    if args.what == "prism":
-        cert, diag = embedders.find_prism(
-            host, args.ell, args.T, budget=_whole(args.budget, "--budget"),
-            seed=args.seed)
-        return _emit_certificate(cert, args, extra=diag)
-    cert = embedders.find_prism_path(host, args.t)
-    return _emit_certificate(cert, args)
+    cert, diag = _find("prism_path" if args.what == "prismpath" else "prism",
+                       {"ell": args.ell, "t": args.t}, host, args.T,
+                       _whole(args.budget, "--budget"), args.seed)
+    return _emit_certificate(cert, args, extra=diag)
 
 
 # -- oracle --------------------------------------------------------------------
@@ -278,7 +294,7 @@ def cmd_oracle_find(args) -> int:
     out = {"result": stats.result, "nodes": stats.nodes}
     if mapping is not None:
         out["mapping"] = sorted([int(k), int(v)] for k, v in mapping.items())
-    _dump(out, args)
+    _dump(out, args.out)
     return EXIT_FOUND if mapping is not None else EXIT_NOT_FOUND
 
 
@@ -287,7 +303,7 @@ def cmd_oracle_verify(args) -> int:
     obj = _parse_json(_read_text(args.cert, "certificate"), "certificate")
     cert = EmbeddingCertificate.from_json(obj)
     ok, why = oracle.verify_certificate(host, cert)
-    _dump({"valid": ok, "violation": why}, args)
+    _dump({"valid": ok, "violation": why}, args.out)
     return EXIT_FOUND if ok else EXIT_INTEGRITY
 
 
@@ -296,13 +312,21 @@ def cmd_oracle_exmax(args) -> int:
     best, witness = oracle.max_edges_exhaustive(args.n, pat)
     _dump({"n": args.n, "max_edges": best,
            "witness": sorted([int(u), int(v)] for (u, v) in witness.edges())},
-          args)
+          args.out)
     return EXIT_FOUND
 
 
 # -- pipeline -------------------------------------------------------------------
 
 _EXHAUSTIVE_ESTIMATE_CAP = 250_000
+
+
+def _typed(value, what: str, cls: type, name: str):
+    """``value`` if it is a ``cls``; an ``InputError`` naming ``what``
+    otherwise."""
+    if not isinstance(value, cls):
+        raise InputError(f"{what} must be {name}, not {value!r}")
+    return value
 
 
 def _make_host(cfg: dict) -> Graph:
@@ -316,10 +340,11 @@ def _make_host(cfg: dict) -> Graph:
     if kind == "polarity":
         return polarity_graph(_whole(cfg["q"], "host.q"))
     if kind == "pattern":
-        spec = PatternSpec.from_json(cfg["pattern"])
-        return pattern(spec)[0]
+        return pattern(PatternSpec.from_json(
+            _typed(cfg["pattern"], "host.pattern", dict, "an object")))[0]
     if kind == "file":
-        return read_edge_list(cfg["path"])
+        return read_edge_list(_typed(cfg["path"], "host.path", str,
+                                     "a path string"))
     raise InputError(f"unknown host kind {kind!r}")
 
 
@@ -339,10 +364,14 @@ def _apply_transforms(g: Graph, chain: list) -> tuple[Graph, list]:
             g, _side = transforms.bipartite_half(g)
             rep = None
         elif op == "regularize":
-            g2, rep = transforms.almost_regular_subgraph(
-                g, *(_real(step.get(key, default), f"transforms[{i}].{key}")
-                     for key, default in (("epsilon", 0.5), ("c", 1.0),
-                                          ("K", 32.0))))
+            fields = [_real(step.get(key, default), f"transforms[{i}].{key}")
+                      for key, default in (("epsilon", 0.5), ("c", 1.0),
+                                           ("K", 32.0))]
+            try:
+                g2, rep = transforms.almost_regular_subgraph(g, *fields)
+            except InputError as exc:
+                raise InputError(f"transforms[{i}] cannot regularize: {exc}"
+                                 ) from None
             if g2 is None:
                 raise InputError(f"transforms[{i}] has no feasible degree band")
             g = g2
@@ -354,31 +383,34 @@ def _apply_transforms(g: Graph, chain: list) -> tuple[Graph, list]:
     return g, stats
 
 
-def _choose_strategy(cfg: dict, g: Graph, tuple_len: int, closed: bool) -> str:
-    strategy = _choice(cfg.get("strategy", "auto"), "builder.strategy",
-                       ("auto", "exhaustive", "layered"))
-    if strategy != "auto":
-        return strategy
-    est = _tuple_estimate(g, tuple_len, closed)
+def _choose_strategy(g: Graph, family: str, size: int) -> str:
+    """``auto``'s builder: exhaustive when the estimated number of labeled
+    tuples of the family is at most ``_EXHAUSTIVE_ESTIMATE_CAP``."""
+    tuple_len = {"rich_paths": size, "rich_cycles": 2 * size,
+                 "good_paths": 2 * size + 1}[family]
+    est = _tuple_estimate(g, tuple_len, closed=family == "rich_cycles")
     return "exhaustive" if est <= _EXHAUSTIVE_ESTIMATE_CAP else "layered"
 
 
 def _tuple_estimate(g: Graph, tuple_len: int, closed: bool) -> float:
-    """Estimated number of labeled tuples: closed walks of length
-    ``tuple_len`` over 2 * tuple_len bound the labeled cycles, homomorphic
-    paths the labeled paths."""
+    """Estimated number of labeled tuples: homomorphic paths bound the
+    labeled paths; the labeled 4-cycles are counted exactly, and closed
+    walks of length ``tuple_len`` over 2 * tuple_len bound the longer
+    labeled cycles."""
     if not closed:
         return float(counting.hom_path_count(g, tuple_len))
     if g.n > 1500:
         est = g.num_vertices * max(g.average_degree, 1.0) ** (tuple_len - 1)
+    elif tuple_len == 4:
+        return counting.count_c4(g)
     else:
         import numpy as np
 
         # trace(A^(2l)) = trace(C^l) for the codegree matrix C = A^2,
-        # the entrywise sum of C^(l//2) * C^(l - l//2) as C is symmetric:
-        # int64 for l = 2, float64 products above (exact below 2**53)
+        # the entrywise sum of C^(l//2) * C^(l - l//2) as C is symmetric,
+        # in float64 (exact below 2**53)
         ell = tuple_len // 2
-        c = g.codegree_matrix().astype(np.int64 if ell == 2 else np.float64)
+        c = g.codegree_matrix().astype(np.float64)
         half = np.linalg.matrix_power(c, ell // 2)
         est = float((half * (half if ell % 2 == 0 else half @ c)).sum())
     return est / (2 * tuple_len)
@@ -387,20 +419,38 @@ def _tuple_estimate(g: Graph, tuple_len: int, closed: bool) -> float:
 def _check_sections(config) -> None:
     """``InputError`` unless the config is an object, and so is each of its
     sections but ``transforms`` (a list, checked where it is read)."""
-    if not isinstance(config, dict):
-        raise InputError(f"config must be an object, not {config!r}")
+    _typed(config, "config", dict, "an object")
     for key in ("host", "target", "builder", "embedder", "out"):
-        if not isinstance(config.get(key, {}), dict):
-            raise InputError(f"{key} must be an object, not {config[key]!r}")
+        _typed(config.get(key, {}), key, dict, "an object")
 
 
 def run_pipeline(config: dict) -> tuple[int, dict]:
     """generate -> transform -> build collection -> embed -> verify.
 
     Returns (exit status, report).  The report carries every intermediate
-    statistic plus the exact seeds and is byte-stable across reruns.
+    statistic plus the exact seeds and is byte-stable across reruns.  Every
+    target, builder, embedder and out field is read before the host.
     """
     _check_sections(config)
+    target = PatternSpec.from_json(config.get("target", {}))
+    family, size, alpha = _collection_of(target)
+    builder = config.get("builder", {})
+    strategy = _choice(builder.get("strategy", "auto"), "builder.strategy",
+                       ("auto", "exhaustive", "layered"))
+    alpha = _whole(builder.get("alpha", alpha), "builder.alpha")
+    cap = _whole(builder.get("cap", rich_collections.DEFAULT_CAP),
+                 "builder.cap")
+    c_thresh, l_factor, t_factor = (
+        _real(builder.get(key, default), f"builder.{key}")
+        for key, default in (("C", 32.0), ("L", 256.0), ("T", 8.0)))
+    embedcfg = config.get("embedder", {})
+    budget = _whole(embedcfg.get("budget", 10 ** 7), "embedder.budget")
+    seed = _whole(embedcfg.get("seed", 0), "embedder.seed", low=None)
+    out = {key: _typed(value, f"out.{key}", str, "a path string")
+           for key, value in config.get("out", {}).items()
+           if key in ("collection", "certificate", "report")
+           and value is not None}
+
     report: dict = {"config": config}
     try:
         host = _make_host(config.get("host", {}))
@@ -411,70 +461,21 @@ def run_pipeline(config: dict) -> tuple[int, dict]:
     g, tstats = _apply_transforms(host, config.get("transforms", []))
     report["transforms"] = tstats
 
-    target = PatternSpec.from_json(config.get("target", {}))
-    builder = config.get("builder", {})
-    embedcfg = config.get("embedder", {})
-    budget = _whole(embedcfg.get("budget", 10 ** 7), "embedder.budget")
-    seed = _whole(embedcfg.get("seed", 0), "embedder.seed", low=None)
-    cap = _whole(builder.get("cap", rich_collections.DEFAULT_CAP),
-                 "builder.cap")
-    cert = None
     coll = None
-    diagnostics: dict = {}
-
-    kind = target.kind
-    p = target.params
-    if kind == "grid":
-        t = p["t"]
-        alpha = _whole(builder.get("alpha", t * t), "builder.alpha")
-        k = 2 * t - 1
-        strategy = _choose_strategy(builder, g, k, closed=False)
-        if strategy == "layered":
-            coll = rich_collections.layered_rich_paths(g, k, alpha, seed=seed)
-        else:
-            coll, _ = rich_collections.build_rich_paths(g, k, alpha, cap)
-        cert = embedders.embed_grid(g, coll, t) if len(coll) else None
-    elif kind in ("cylinder", "torus"):
-        k, ell = p["k"], p["ell"]
-        alpha = _whole(builder.get("alpha", k * ell), "builder.alpha")
-        strategy = _choose_strategy(builder, g, 2 * ell, closed=True)
-        if strategy == "layered":
-            coll = rich_collections.layered_rich_cycles(g, ell, alpha,
-                                                        seed=seed)
-        else:
-            coll, _ = rich_collections.build_rich_cycles(g, ell, alpha, cap)
-        if len(coll) == 0:
-            cert = None
-        elif kind == "cylinder":
-            cert = embedders.embed_cylinder(g, coll, k, ell)
-        else:
-            cert = embedders.embed_torus(g, coll, k, ell, budget=budget,
-                                         seed=seed)
-    elif kind == "honeycomb":
-        k, ell = p["k"], p["ell"]
-        alpha = _whole(builder.get("alpha", k * ell), "builder.alpha")
-        strategy = _choose_strategy(builder, g, 2 * k + 1, closed=False)
-        if strategy == "layered":
-            coll = rich_collections.layered_good_paths(g, k, alpha, seed=seed)
-        else:
-            full, audit, case = rich_collections.build_good_paths(
-                g, k, alpha, _real(builder.get("C", 32.0), "builder.C"),
-                _real(builder.get("L", 256.0), "builder.L"), cap)
-            diagnostics["good_case"] = case
-            coll, pivot = rich_collections.good_suffix_restriction(full)
-            diagnostics["suffix_vertex"] = pivot
-        cert = embedders.embed_honeycomb(g, coll, k, ell) if len(coll) else None
-    elif kind == "prism":
-        cert, diag = embedders.find_prism(
-            g, p["ell"], _real(builder.get("T", 8.0), "builder.T"),
-            budget=budget, seed=seed)
-        diagnostics.update(diag)
-    elif kind == "prism_path":
-        cert = embedders.find_prism_path(g, p["t"])
+    if family is None:
+        cert, diagnostics = _find(target.kind, target.params, g, t_factor,
+                                  budget, seed)
     else:
-        raise InputError(f"pipeline cannot target pattern kind {kind!r}")
-
-    if coll is not None:
+        if strategy == "auto":
+            strategy = _choose_strategy(g, family, size)
+        coll, _audit, case = _build(family, strategy, g, size, alpha, cap,
+                                    seed, c_thresh, l_factor)
+        diagnostics = {}
+        if case is not None:
+            diagnostics["good_case"] = case
+            coll, diagnostics["suffix_vertex"] = (
+                rich_collections.good_suffix_restriction(coll))
+        cert = _embed(target.kind, target.params, g, coll, budget, seed)
         report["collection"] = {"members": len(coll), "alpha": coll.alpha,
                                 "kind": coll.kind, "length": coll.length,
                                 "good": coll.good}
@@ -483,27 +484,19 @@ def run_pipeline(config: dict) -> tuple[int, dict]:
         ok, why = oracle.verify_certificate(host, cert)
         if not ok:
             raise IntegrityError(f"pipeline certificate invalid: {why}")
-        report["certificate"] = cert.to_json()
-        report["outcome"] = "found"
-        code = EXIT_FOUND
+        report.update(certificate=cert.to_json(), outcome="found",
+                      exit_status=EXIT_FOUND)
     else:
-        report["certificate"] = None
-        report["outcome"] = "not-found"
-        code = EXIT_NOT_FOUND
-    report["exit_status"] = code
+        report.update(certificate=None, outcome="not-found",
+                      exit_status=EXIT_NOT_FOUND)
 
-    out = config.get("out", {})
     if out.get("collection") and coll is not None:
-        with open(out["collection"], "w", encoding="utf-8") as fh:
-            fh.write(coll.to_text())
+        _emit(coll.to_text(), out["collection"])
     if out.get("certificate") and cert is not None:
-        with open(out["certificate"], "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(cert.to_json(), sort_keys=True, indent=2)
-                     + "\n")
+        _dump(cert.to_json(), out["certificate"])
     if out.get("report"):
-        with open(out["report"], "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
-    return code, report
+        _dump(report, out["report"])
+    return report["exit_status"], report
 
 
 def cmd_pipeline(args) -> int:
@@ -532,25 +525,29 @@ def cmd_pipeline(args) -> int:
     if args.budget is not None:
         config.setdefault("embedder", {})["budget"] = _whole(args.budget,
                                                              "--budget")
-    if args.seed is not None:
-        config.setdefault("embedder", {}).setdefault("seed", args.seed)
+    config.setdefault("embedder", {}).setdefault("seed", args.seed)
     if args.report:
         config.setdefault("out", {})["report"] = args.report
     if args.cert:
         config.setdefault("out", {})["certificate"] = args.cert
     code, report = run_pipeline(config)
     if args.json or not config.get("out", {}).get("report"):
-        sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+        _dump(report, None)
     return code
 
 
 # -- parser ----------------------------------------------------------------------
 
-def _common(sub):
-    sub.add_argument("--out", help="output path (default: stdout)")
-    sub.add_argument("--json", action="store_true",
-                     help="print the JSON report to stdout")
-    sub.add_argument("--seed", type=int, default=0)
+def _options(sub, *names):
+    """Add the shared options ``names`` ("out", "json", "seed") that the
+    subcommand reads."""
+    if "out" in names:
+        sub.add_argument("--out", help="output path (default: stdout)")
+    if "json" in names:
+        sub.add_argument("--json", action="store_true",
+                         help="print the JSON report to stdout")
+    if "seed" in names:
+        sub.add_argument("--seed", type=int, default=0)
     return sub
 
 
@@ -572,7 +569,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = subs.add_parser("gen", help="generate patterns and hosts")
     gsub = gen.add_subparsers(dest="what", required=True)
-    gp = _common(gsub.add_parser("pattern"))
+    gp = _options(gsub.add_parser("pattern"), "out")
     gp.add_argument("--kind", required=True,
                     choices=["grid", "prism", "prism_path", "cylinder",
                              "torus", "honeycomb", "even_cycle"])
@@ -581,10 +578,10 @@ def build_parser() -> argparse.ArgumentParser:
     gp.add_argument("--ell", type=int)
     gp.add_argument("--labels", help="write the label map as a JSON sidecar")
     gp.set_defaults(func=cmd_gen_pattern)
-    gq = _common(gsub.add_parser("polarity"))
+    gq = _options(gsub.add_parser("polarity"), "out")
     gq.add_argument("--q", type=int, required=True)
     gq.set_defaults(func=cmd_gen_polarity)
-    gg = _common(gsub.add_parser("gnp"))
+    gg = _options(gsub.add_parser("gnp"), "out", "seed")
     gg.add_argument("--n", type=int, required=True)
     gg.add_argument("--p", type=float, required=True)
     gg.add_argument("--bipartite", action="store_true")
@@ -598,7 +595,7 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--K", type=float, default=32.0)
     tr.add_argument("--mode", choices=["fixed", "self"], default="fixed")
     tr.add_argument("--audit")
-    _common(tr)
+    _options(tr, "out", "json")
     tr.set_defaults(func=cmd_transform)
 
     ct = subs.add_parser("count", help="homomorphism/cycle counting and "
@@ -610,7 +607,7 @@ def build_parser() -> argparse.ArgumentParser:
     ct.add_argument("--C0", type=float, default=8.0)
     ct.add_argument("--cap", default=rich_collections.DEFAULT_CAP,
                     help="a whole number, e.g. 1e8")
-    _common(ct)
+    _options(ct, "out")
     ct.set_defaults(func=cmd_count)
 
     bd = subs.add_parser("build", help="rich/good collection builders")
@@ -629,7 +626,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="layered good-paths build the 2k-vertex suffix form "
                          "directly")
     bd.add_argument("--audit")
-    _common(bd)
+    _options(bd, "out", "seed")
     bd.set_defaults(func=cmd_build)
 
     em = subs.add_parser("embed", help="shifting embedders over collections")
@@ -641,7 +638,7 @@ def build_parser() -> argparse.ArgumentParser:
     em.add_argument("--k", type=int, default=2)
     em.add_argument("--ell", type=int, default=2)
     em.add_argument("--budget", default=10 ** 6)
-    _common(em)
+    _options(em, "out", "seed")
     em.set_defaults(func=cmd_embed)
 
     fd = subs.add_parser("find", help="direct searches on the host")
@@ -651,22 +648,22 @@ def build_parser() -> argparse.ArgumentParser:
     fd.add_argument("--T", type=float, default=8.0)
     fd.add_argument("--t", type=int, default=3)
     fd.add_argument("--budget", default=10 ** 7)
-    _common(fd)
+    _options(fd, "out", "seed")
     fd.set_defaults(func=cmd_find)
 
     orc = subs.add_parser("oracle", help="brute-force ground truth")
     osub = orc.add_subparsers(dest="what", required=True)
-    of = _common(osub.add_parser("find"))
+    of = _options(osub.add_parser("find"), "out")
     of.add_argument("--host", required=True)
     of.add_argument("--pattern", required=True,
                     help="edge-list file or shorthand like c4")
     of.add_argument("--budget", default=10 ** 8)
     of.set_defaults(func=cmd_oracle_find)
-    ov = _common(osub.add_parser("verify"))
+    ov = _options(osub.add_parser("verify"), "out")
     ov.add_argument("--host", required=True)
     ov.add_argument("--cert", required=True)
     ov.set_defaults(func=cmd_oracle_verify)
-    ox = _common(osub.add_parser("exmax"))
+    ox = _options(osub.add_parser("exmax"), "out")
     ox.add_argument("--n", type=int, required=True)
     ox.add_argument("--pattern", required=True)
     ox.set_defaults(func=cmd_oracle_exmax)
@@ -685,7 +682,7 @@ def build_parser() -> argparse.ArgumentParser:
     pl.add_argument("--budget")
     pl.add_argument("--report")
     pl.add_argument("--cert")
-    _common(pl)
+    _options(pl, "json", "seed")
     pl.set_defaults(func=cmd_pipeline)
     return ap
 

@@ -559,16 +559,13 @@ def _common_neighbors_at(h: Graph, us: np.ndarray, vs: np.ndarray,
     """``ks[r, s]``-th (from 0) of the ascending common neighbours of
     ``us[r]`` and ``vs[r]``, for each row r and column s of ``ks``.  The
     common neighbours are the entries w of the shorter CSR row, a, with
-    (b, w) an edge for the other vertex b: a ``searchsorted`` of the packed
-    codes b*n + w in those of the CSR entries.  They stay in row order, so
-    row r's k-th is the k-th entry after its first."""
+    (b, w) an edge for the other vertex b, found by ``Graph._find_entries``.
+    They stay in row order, so row r's k-th is the k-th entry after its
+    first."""
     a = np.where(h._deg[us] <= h._deg[vs], us, vs)
     ws = h._row_entries(a)
     pair = np.repeat(np.arange(len(a)), h._deg[a])
-    keys = h._sources() * h.n + h.indices
-    codes = (us + vs - a)[pair] * h.n + ws
-    at = np.minimum(np.searchsorted(keys, codes), len(keys) - 1)
-    common = keys[at] == codes
+    common = h._find_entries((us + vs - a)[pair], ws)[1]
     ws, pair = ws[common], pair[common]
     return ws[np.searchsorted(pair, np.arange(len(a)))[:, None] + ks]
 

@@ -77,13 +77,23 @@ class Graph:
 
     def _row_entries(self, vs: np.ndarray) -> np.ndarray:
         """The CSR rows of the vertices ``vs``, concatenated in that order."""
-        cnt = self._deg[vs]
-        return self.indices[np.repeat(self.indptr[vs] - np.cumsum(cnt) + cnt, cnt)
-                            + np.arange(int(cnt.sum()))]
+        return self.indices[_spans(self.indptr[vs], self._deg[vs])]
 
     def _sources(self) -> np.ndarray:
         """The vertex each entry of ``indices`` belongs to."""
         return np.repeat(np.arange(self.n, dtype=np.int64), self._deg)
+
+    def _find_entries(self, u: np.ndarray, v: np.ndarray):
+        """(at, hit): where each pair (u[i], v[i]) of ids in range would sit
+        among the CSR entries, and whether it is there, an edge.  One
+        ``searchsorted`` of the packed codes u*n + v in the sorted codes of
+        the entries, which end in n*n, above every pair's code, so that
+        each ``at`` can be read."""
+        keys = np.append(self._sources() * self.n + self.indices,
+                         self.n * self.n)
+        codes = u * self.n + v
+        at = np.searchsorted(keys, codes)
+        return at, keys[at] == codes
 
     def has_edge(self, u: int, v: int) -> bool:
         self._check(u)
@@ -194,11 +204,10 @@ class Graph:
         """Graph minus the given vertices (tombstoned) and edges.
 
         Both may be iterables or arrays; an edge may repeat or come in
-        either orientation, but it must be present.  The edges are found by
-        one ``searchsorted`` of both orientations' packed codes u*n + v in
-        the sorted codes of the CSR entries.  ``InputError`` names the first
-        out-of-range vertex, then the first edge, in input order, with an
-        endpoint out of range or not present."""
+        either orientation, but it must be present.  Both orientations of
+        the edges are found by one ``_find_entries``.  ``InputError`` names
+        the first out-of-range vertex, then the first edge, in input order,
+        with an endpoint out of range or not present."""
         n = self.n
         dead = _ids(vertices, (-1,))
         out = (dead < 0) | (dead >= n)
@@ -208,12 +217,8 @@ class Graph:
         u, v = pairs.T
         inside = (u >= 0) & (u < n) & (v >= 0) & (v < n)
         u, v = (np.where(inside, w, 0).astype(np.int64) for w in (u, v))
-        src = self._sources()
-        keys = src * n + self.indices
-        codes = np.concatenate([u * n + v, v * n + u])
-        at = np.searchsorted(keys, codes)
-        hit = at < len(keys)
-        hit[hit] = keys[at[hit]] == codes[hit]
+        at, hit = self._find_entries(np.concatenate([u, v]),
+                                     np.concatenate([v, u]))
         ok = inside & hit[:len(u)]
         if not ok.all():
             a, b = pairs[np.argmin(ok)].tolist()
@@ -222,6 +227,7 @@ class Graph:
             raise InputError(f"edge ({a},{b}) not present")
         mask = np.zeros(n, dtype=bool)
         mask[dead] = True
+        src = self._sources()
         keep = ~(mask[src] | mask[self.indices])
         keep[at] = False
         return Graph(n, src[keep], self.indices[keep], self.alive & ~mask)
@@ -291,6 +297,13 @@ def two_coloring(g: Graph) -> Optional[list[int]]:
                 side[front] = 1 - colour
         side[side < 0] = 0
     return None if g._side is False else g._side.tolist()
+
+
+def _spans(lo: np.ndarray, cnt: np.ndarray) -> np.ndarray:
+    """lo[i], lo[i] + 1, .., lo[i] + cnt[i] - 1 for each i, concatenated."""
+    out = np.repeat(lo - np.cumsum(cnt) + cnt, cnt)
+    out += np.arange(len(out))
+    return out
 
 
 def _run(ids: np.ndarray):

@@ -28,7 +28,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import InputError, IntegrityError, ResourceError
-from .graphs import Graph, dense_blocks, two_coloring
+from .graphs import Graph, _spans, dense_blocks, two_coloring
 from .matching import max_disjoint_edges
 
 DEFAULT_CAP = 10 ** 8
@@ -164,13 +164,6 @@ def _span(keys: np.ndarray, prefix: Sequence[int], base: int,
         code = code * base + v
     hits = keys[keys.searchsorted(code * step):keys.searchsorted((code + 1) * step)]
     return hits % step
-
-
-def _spans(lo: np.ndarray, cnt: np.ndarray) -> np.ndarray:
-    """lo[i], lo[i] + 1, .., lo[i] + cnt[i] - 1 for each i, concatenated."""
-    out = np.repeat(lo - np.cumsum(cnt) + cnt, cnt)
-    out += np.arange(len(out))
-    return out
 
 
 def _sorted_unique(rows: np.ndarray) -> np.ndarray:
@@ -645,16 +638,14 @@ def _enumerate_cycles(g: Graph, ell: int, cap: int,
     cap) nothing is raised: the result is the first ``take`` rows and the
     number of cycles, which is exact for ell = 2 and otherwise stops at the
     first chunk past cap.  4-cycles come from ``_four_cycles``; longer ones
-    from ``_join``, which finds each closing edge by a searchsorted into
-    the sorted edge codes.
+    from ``_join``, which finds each closing edge with
+    ``Graph._find_entries``.
     """
     _check_cap(cap)
     if ell == 2:
         rows, total = _four_cycles(g, cap, take)
         return rows if take is None else (rows, total)
     length = 2 * ell
-    # edge codes u * n + v, sorted because the adjacency lists are
-    codes = np.repeat(np.arange(g.n), np.diff(g.indptr)) * g.n + g.indices
 
     def keep(rows: np.ndarray, src: np.ndarray, v: np.ndarray) -> np.ndarray:
         first = np.take(rows[0], src)
@@ -662,9 +653,7 @@ def _enumerate_cycles(g: Graph, ell: int, cap: int,
         if len(rows) == length - 1:  # v closes the cycle
             ok &= v > np.take(rows[1], src)
             idx = np.flatnonzero(ok)
-            close = v[idx] * g.n + first[idx]
-            at = np.minimum(np.searchsorted(codes, close), len(codes) - 1)
-            ok[idx] = codes[at] == close
+            ok[idx] = g._find_entries(v[idx], first[idx])[1]
         return ok
 
     steps = [(g.indptr, g.indices)] * (length - 1)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from turan_forge import cli, counting, rich_collections
 from turan_forge.cli import _tuple_estimate, build_parser, main, run_pipeline
 from turan_forge.graphs import build_graph
 from turan_forge.errors import InputError
@@ -261,7 +262,13 @@ def test_bad_pipeline_choice_is_input_error(section, key, value):
     ([{"op": "regularize", "K": "big"}], r"transforms\[0\]\.K"),
     # on this host no band [2^j, 2^j] holds a regular subgraph dense enough
     ([{"op": "regularize", "epsilon": 0.5, "c": 1.0, "K": 1.0}],
-     r"transforms\[0\]")])
+     r"transforms\[0\]"),
+    # the range and density checks of the step itself: its 46 edges are
+    # fewer than c * n^(1 + epsilon) = 62.4
+    ([{"op": "regularize", "epsilon": 2}],
+     r"transforms\[0\] cannot regularize: need 0 < epsilon < 1,"),
+    ([{"op": "regularize", "c": 1.5}],
+     r"transforms\[0\] cannot regularize: input too sparse:")])
 def test_bad_transforms_are_input_errors(tmp_path, capsys, chain, field):
     config = {"host": {"kind": "gnp", "n": 12, "p": 0.7, "seed": 1},
               "transforms": chain, "target": {"kind": "grid", "t": 2}}
@@ -322,14 +329,117 @@ def test_config_file_overflow_is_input_error(tmp_path, capsys):
 @given(st.integers(2, 24), st.floats(0.1, 1.0), st.booleans(),
        st.sampled_from([4, 6, 8]), st.integers(0, 2 ** 20))
 def test_closed_estimate_equals_walk_trace(n, p, bipartite, tuple_len, seed):
-    # the estimate from the codegree matrix against the closed-walk count
-    # trace(A^tuple_len) of the adjacency matrix, on general and bipartite hosts
+    # the estimate against the closed-walk count trace(A^tuple_len) of the
+    # adjacency matrix, on general and bipartite hosts; for 4-cycles it is
+    # the exact count, half the sum of C(codeg(u, v), 2) over pairs u < v
     rng = random.Random(seed)
     g = build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
                         if (not bipartite or (u - v) % 2) and rng.random() < p])
     a = g.block(np.arange(n), np.arange(n)).astype(np.float64)
-    old = float(np.trace(np.linalg.matrix_power(a, tuple_len))) / (2 * tuple_len)
-    assert _tuple_estimate(g, tuple_len, closed=True) == old
+    if tuple_len == 4:
+        c = np.triu(a @ a, 1)
+        assert _tuple_estimate(g, 4, closed=True) == counting.count_c4(g) \
+            == int((c * (c - 1)).sum()) // 4
+    else:
+        walks = np.trace(np.linalg.matrix_power(a, tuple_len))
+        assert _tuple_estimate(g, tuple_len, closed=True) == \
+            float(walks) / (2 * tuple_len)
+
+
+def test_auto_takes_the_exhaustive_builder_on_the_exact_c4_count(monkeypatch):
+    # a cap between the 4-cycle count and trace(A^4) / 8, which also counts
+    # the closed walks that are no cycles: auto builds exhaustively
+    host = {"kind": "gnp", "n": 16, "p": 0.6, "seed": 1, "bipartite": True}
+    g = random_graph(16, 0.6, 1, bipartite=True)
+    a = g.block(np.arange(16), np.arange(16)).astype(np.float64)
+    c4 = counting.count_c4(g)
+    assert 0 < c4 < np.trace(np.linalg.matrix_power(a, 4)) / 8
+    monkeypatch.setattr(cli, "_EXHAUSTIVE_ESTIMATE_CAP", c4)
+    built = []
+
+    def exhaustive(*args, **kwargs):
+        built.append(args[1:3])
+        return build(*args, **kwargs)
+
+    def layered(*args, **kwargs):
+        raise AssertionError("auto took the layered builder")
+
+    build = rich_collections.build_rich_cycles
+    monkeypatch.setattr(rich_collections, "build_rich_cycles", exhaustive)
+    monkeypatch.setattr(rich_collections, "layered_rich_cycles", layered)
+    code, report = run_pipeline({"host": host,
+                                 "target": {"kind": "cylinder", "k": 2,
+                                            "ell": 2},
+                                 "builder": {"strategy": "auto"}})
+    assert built == [(2, 4)]
+    assert code in (0, 3) and report["collection"]["kind"] == "cycle"
+    monkeypatch.setattr(cli, "_EXHAUSTIVE_ESTIMATE_CAP", c4 - 1)
+    with pytest.raises(AssertionError, match="layered"):
+        run_pipeline({"host": host, "target": {"kind": "torus", "k": 4,
+                                               "ell": 2}})
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"out": {"report": 1}}, "out.report must be a path string, not 1"),
+    ({"out": {"certificate": True}},
+     "out.certificate must be a path string, not True"),
+    ({"out": {"collection": ["c.txt"]}},
+     "out.collection must be a path string, not ['c.txt']"),
+    ({"host": {"kind": "file", "path": 3}},
+     "host.path must be a path string, not 3"),
+    ({"host": {"kind": "pattern", "pattern": "grid"}},
+     "host.pattern must be an object, not 'grid'"),
+    ({"target": {"kind": "prism", "ell": 2}, "builder": {"strategy": "bogus"}},
+     'builder.strategy must be one of "auto", "exhaustive", "layered", '
+     "not 'bogus'"),
+    ({"target": {"kind": "prism_path", "t": 2}, "builder": {"alpha": "x"}},
+     "builder.alpha must be a whole number >= 0, not 'x'"),
+    ({"target": {"kind": "grid", "t": 2}, "builder": {"T": "x"}},
+     "builder.T must be a finite number, not 'x'")])
+def test_config_values_of_the_wrong_type_are_input_errors(monkeypatch, change,
+                                                          message):
+    # each is found before a host is made
+    def no_host(*args, **kwargs):
+        raise AssertionError("host made")
+
+    monkeypatch.setattr(cli, "random_graph", no_host)
+    config = {"host": {"kind": "gnp", "n": 12, "p": 0.5, "seed": 1},
+              "target": {"kind": "cylinder", "k": 2, "ell": 2}, **change}
+    with pytest.raises(InputError) as exc:
+        run_pipeline(config)
+    assert str(exc.value) == message
+
+
+# the options that a subcommand accepted and never read, with a command
+# line that the subcommand accepts without them
+_UNREAD_FLAGS = {
+    ("gen", "pattern", "--kind", "grid", "--t", "2"): ["--json", "--seed"],
+    ("gen", "polarity", "--q", "3"): ["--json", "--seed"],
+    ("gen", "gnp", "--n", "5", "--p", "0.5"): ["--json"],
+    ("transform", "peel", "--in", "h.el", "--out", "o.el"): ["--seed"],
+    ("count", "c4", "--in", "h.el"): ["--json", "--seed"],
+    ("build", "rich-paths", "--in", "h.el", "--alpha", "1"): ["--json"],
+    ("embed", "grid", "--coll", "c.txt", "--host", "h.el"): ["--json"],
+    ("find", "prismpath", "--in", "h.el"): ["--json"],
+    ("oracle", "find", "--host", "h.el", "--pattern", "c4"): ["--json",
+                                                             "--seed"],
+    ("oracle", "verify", "--host", "h.el", "--cert", "c.json"): ["--json",
+                                                                "--seed"],
+    ("oracle", "exmax", "--n", "4", "--pattern", "c4"): ["--json", "--seed"],
+    ("pipeline", "--host-file", "h.el"): ["--out"],
+}
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (argv, flag) for argv, flags in _UNREAD_FLAGS.items() for flag in flags],
+    ids=lambda v: " ".join(v[:2]) if isinstance(v, tuple) else v)
+def test_options_a_subcommand_does_not_read_are_usage_errors(capsys, argv,
+                                                            flag):
+    build_parser().parse_args(argv)
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, flag] + ([] if flag == "--json" else ["1"]))
+    assert exc.value.code == 1
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 # SHA-256 of the audit and collection files that `build` writes on fixed

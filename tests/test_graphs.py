@@ -299,6 +299,21 @@ def test_common_neighbors_match_merge(data, victims):
                 assert h.codegree(u, u) == h.degree(u)
 
 
+@settings(max_examples=60, deadline=None)
+@given(edge_lists, st.sets(st.integers(0, 3), max_size=2))
+def test_find_entries_matches_has_edge(data, victims):
+    # every ordered pair, on hosts with tombstones and without edges; a hit's
+    # position holds the pair's entry
+    n, edges = data
+    for g in (build_graph(n, edges), build_graph(n, edges).remove(victims),
+              build_graph(n, [])):
+        u, v = (a.ravel() for a in np.indices((n, n)))
+        at, hit = g._find_entries(u, v)
+        assert hit.tolist() == [g.has_edge(a, b) for a, b in zip(u, v)]
+        assert (g._sources()[at[hit]] == u[hit]).all()
+        assert (g.indices[at[hit]] == v[hit]).all()
+
+
 def _outcome(remove, g, vertices, edges):
     try:
         h = remove(g, vertices=vertices, edges=edges)

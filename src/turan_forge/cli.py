@@ -146,18 +146,17 @@ def cmd_transform(args) -> int:
     elif args.step == "regularize":
         out, rep = transforms.almost_regular_subgraph(
             g, args.epsilon, args.c, args.K)
-        if out is None:
-            sys.stderr.write("no feasible degree band\n")
-            _dump(rep.to_json(), args.out if args.json else None)
-            return EXIT_NOT_FOUND
     else:
         out, rep = transforms.clean_subgraph(g, mode=args.mode)
-    write_edge_list(out, args.out)
+    if out is None:  # regularize found no degree band: no output host
+        sys.stderr.write("no feasible degree band\n")
+    else:
+        write_edge_list(out, args.out)
     if args.audit:
         _emit(_json(rep.to_json()), args.audit)
     if args.json:
         _dump(rep.to_json(), None)
-    return EXIT_FOUND
+    return EXIT_NOT_FOUND if out is None else EXIT_FOUND
 
 
 # -- count -------------------------------------------------------------------
@@ -267,11 +266,21 @@ def cmd_embed(args) -> int:
     return _emit_certificate(cert, args)
 
 
+# the options of `find` that each search reads, and their defaults
+_FIND_OPTIONS = {"prism": ("ell", "T", "budget", "seed"), "prismpath": ("t",)}
+_FIND_DEFAULTS = {"ell": 4, "T": 8.0, "t": 3, "budget": 10 ** 7, "seed": 0}
+
+
 def cmd_find(args) -> int:
+    for name in _FIND_DEFAULTS:
+        if hasattr(args, name) and name not in _FIND_OPTIONS[args.what]:
+            raise InputError(f"find {args.what} does not read --{name}")
+    opt = {name: getattr(args, name, default)
+           for name, default in _FIND_DEFAULTS.items()}
     host = read_edge_list(getattr(args, "in"))
     cert, diag = _find("prism_path" if args.what == "prismpath" else "prism",
-                       {"ell": args.ell, "t": args.t}, host, args.T,
-                       _whole(args.budget, "--budget"), args.seed)
+                       opt, host, opt["T"], _whole(opt["budget"], "--budget"),
+                       opt["seed"])
     return _emit_certificate(cert, args, extra=diag)
 
 
@@ -644,11 +653,11 @@ def build_parser() -> argparse.ArgumentParser:
     fd = subs.add_parser("find", help="direct searches on the host")
     fd.add_argument("what", choices=["prism", "prismpath"])
     fd.add_argument("--in", required=True)
-    fd.add_argument("--ell", type=int, default=4)
-    fd.add_argument("--T", type=float, default=8.0)
-    fd.add_argument("--t", type=int, default=3)
-    fd.add_argument("--budget", default=10 ** 7)
-    _options(fd, "out", "seed")
+    for flag, kind in (("--ell", int), ("--T", float), ("--t", int),
+                       ("--budget", None), ("--seed", int)):
+        # absent unless given: cmd_find checks and completes them
+        fd.add_argument(flag, type=kind, default=argparse.SUPPRESS)
+    _options(fd, "out")
     fd.set_defaults(func=cmd_find)
 
     orc = subs.add_parser("oracle", help="brute-force ground truth")

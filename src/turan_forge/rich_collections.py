@@ -13,7 +13,8 @@ the good pair predicate and the good-path case rules.  Each rule reads
 one position's (signature, fill) index, sorted once (``_Index``), whose
 signature groups are runs of the sorted keys (``_Runs``), with a live row
 count per run and no per-row group ids.  The builders hand the sorted
-keys, less the dead members' rows, to the collection as its index.
+keys to the collection as its index as they are, the dead members' rows
+included, with their row order and the seed's alive mask.
 """
 
 from __future__ import annotations
@@ -87,12 +88,14 @@ def _order_dtype(rows: int) -> type:
     return np.int32 if rows < 2 ** 31 else np.int64
 
 
-def _codes(cols: Sequence[np.ndarray], base: int) -> np.ndarray:
-    """Rows given column by column, each packed into one int64 code, its
-    columns the digits in base ``base`` (exact while base**width <
-    _PACK_LIMIT)."""
-    code = np.zeros(len(cols[0]), dtype=np.int64)
-    for col in cols:
+def _codes(cols: Sequence[np.ndarray], base: int,
+           out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Rows given column by column, each packed into one int64 code (in
+    ``out`` if given), its columns the digits in base ``base`` (exact while
+    base**width < _PACK_LIMIT)."""
+    code = np.empty(len(cols[0]), dtype=np.int64) if out is None else out
+    code[:] = cols[0]
+    for col in cols[1:]:
         code *= base
         code += col
     return code
@@ -145,27 +148,6 @@ def _boundaries(keys: np.ndarray) -> np.ndarray:
     return new
 
 
-def _span(keys: np.ndarray, prefix: Sequence[int], base: int,
-          tail: int) -> np.ndarray:
-    """The last ``tail`` digits, packed (a fill, or a * base + b for a fill
-    pair), of the sorted keys (from ``_sorted_keys``) whose leading digits
-    are ``prefix``: two searchsorted on packed codes, two per prefix column
-    on rows."""
-    step = base ** tail
-    if keys.ndim == 2:
-        lo, hi = 0, keys.shape[1]
-        for col, v in zip(keys, prefix):
-            part, v = col[lo:hi], col.dtype.type(v)
-            lo, hi = (lo + part.searchsorted(v),
-                      lo + part.searchsorted(v, side="right"))
-        return keys[-tail:, lo:hi].T.astype(np.int64) @ base ** np.arange(tail)[::-1]
-    code = 0
-    for v in prefix:
-        code = code * base + v
-    hits = keys[keys.searchsorted(code * step):keys.searchsorted((code + 1) * step)]
-    return hits % step
-
-
 def _sorted_unique(rows: np.ndarray) -> np.ndarray:
     """Rows in lexicographic order without repeats (as they are, when their
     packed codes already increase)."""
@@ -195,14 +177,14 @@ def _blanks(cols: np.ndarray) -> Iterator[tuple]:
         yield p, ring, cols[ring[-1]] < cols[ring[0]]
 
 
-def _index_cols(members: np.ndarray, kind: str, pos: int,
+def _index_cols(cols: np.ndarray, kind: str, pos: int,
                 tail: int) -> list[np.ndarray]:
-    """The columns of the (signature, fill) index at position ``pos``: on
-    paths each member without columns pos .. pos + tail - 1, then those
-    columns; on cycles (one index, at 0), position-major, the canonical
-    open path left by each blank, then the blanked vertex."""
-    L = members.shape[1]
-    cols = np.ascontiguousarray(members.T)
+    """The columns of the (signature, fill) index at position ``pos`` of the
+    member columns ``cols`` (L x m): on paths each member without columns
+    pos .. pos + tail - 1, then those columns; on cycles (one index, at 0),
+    position-major, the canonical open path left by each blank, then the
+    blanked vertex."""
+    L = len(cols)
     if kind == "path":
         blank = list(range(pos, pos + tail))
         return [cols[c] for c in range(L) if c not in blank] + [cols[c] for c in blank]
@@ -214,39 +196,33 @@ def _index_cols(members: np.ndarray, kind: str, pos: int,
     return [np.concatenate(parts) for parts in out]
 
 
-def _index_codes(members: np.ndarray, kind: str, pos: int, tail: int,
+def _index_codes(cols: np.ndarray, kind: str, pos: int, tail: int,
                  base: int) -> np.ndarray:
     """The rows of ``_index_cols`` packed as ``_codes`` does, straight from
-    the member columns: on cycles each blank's open path is packed both
-    ways and the canonical way kept (3x faster than packing the columns)."""
+    the member columns: on cycles each blank's open path is packed the way
+    its rows read it, and both ways only when its rows disagree (3x faster
+    than packing the columns; canonical 4-cycles never disagree)."""
     if kind == "path":
-        return _codes(_index_cols(members, kind, pos, tail), base)
-    m, L = members.shape
-    cols = np.ascontiguousarray(members.T)
+        return _codes(_index_cols(cols, kind, pos, tail), base)
+    L, m = cols.shape
     out = np.empty(L * m, dtype=np.int64)
-    back = np.empty(m, dtype=np.int64)
     for p, ring, flip in _blanks(cols):
-        code = out[p * m:(p + 1) * m]
-        code[:], back[:] = cols[ring[0]], cols[ring[-1]]
-        for i in range(1, L - 1):
-            code *= base
-            code += cols[ring[i]]
-            back *= base
-            back += cols[ring[-1 - i]]
-        np.copyto(code, back, where=flip)
-        code *= base
-        code += cols[p]
+        code = _codes([cols[c] for c in (ring[::-1] if flip.all() else ring)]
+                      + [cols[p]], base, out[p * m:(p + 1) * m])
+        if flip.any() and not flip.all():
+            back = _codes([cols[c] for c in ring[::-1]] + [cols[p]], base)
+            np.copyto(code, back, where=flip)
     return out
 
 
-def _index_keys(members: np.ndarray, kind: str, pos: int, tail: int,
+def _index_keys(cols: np.ndarray, kind: str, pos: int, tail: int,
                 base: int) -> tuple[np.ndarray, np.ndarray]:
     """The (signature, fill) index at ``pos`` sorted, as ``_sorted_keys``
     gives it, its codes packed by ``_index_codes``."""
-    if base ** members.shape[1] >= _PACK_LIMIT:
-        return _sorted_keys(_index_cols(members, kind, pos, tail), base)
-    return _sort_codes(_index_codes(members, kind, pos, tail, base),
-                       base ** members.shape[1])
+    if base ** len(cols) >= _PACK_LIMIT:
+        return _sorted_keys(_index_cols(cols, kind, pos, tail), base)
+    return _sort_codes(_index_codes(cols, kind, pos, tail, base),
+                       base ** len(cols))
 
 
 # ---------------------------------------------------------------------------
@@ -265,12 +241,12 @@ class LabeledCollection:
     left by the blank.  A code packs the signature's vertices and then the
     fill (or fill pair) as digits in base n, any n above every member
     vertex, so a signature's codes are one run of the array.  A builder
-    hands over the array its prune sorted, less the dead members' rows;
+    hands over the arrays its prune sorted, dead rows and all (``_indexed``);
     any other collection sorts each array on its first query.  A lookup is
-    two ``searchsorted`` calls, and the fills of a signature are its codes
-    mod n (n**2 for pairs), ascending.  Packing needs n**length < 2**63;
-    above that the index keeps the sorted rows column by column, searched
-    with two ``searchsorted`` calls per column.
+    two ``searchsorted`` calls, and the fills of a signature are its live
+    codes mod n (n**2 for pairs), ascending.  Packing needs n**length <
+    2**63; above that the index keeps the sorted rows column by column,
+    searched with two ``searchsorted`` calls per column.
     """
 
     def __init__(self, kind: str, length: int, members: np.ndarray,
@@ -295,7 +271,8 @@ class LabeledCollection:
             raise InputError("members must consist of distinct vertices")
         self.members = members
         self._base = int(members.max(initial=0)) + 1
-        self._keys: dict[int, np.ndarray] = {}  # position -> sorted keys
+        self._keys: dict[int, tuple] = {}  # position -> sorted keys, order
+        self._alive: Optional[np.ndarray] = None  # a builder's live seed rows
 
     # -- construction helpers ------------------------------------------------
 
@@ -309,31 +286,54 @@ class LabeledCollection:
         return cls(kind, length, arr, good=good, alpha=alpha)
 
     @classmethod
-    def _indexed(cls, kind: str, length: int, members: np.ndarray, keys: dict,
-                 base: int, good: bool = False,
+    def _indexed(cls, kind: str, length: int, seed: np.ndarray,
+                 alive: np.ndarray, indexes: dict, base: int,
+                 good: bool = False,
                  alpha: Optional[int] = None) -> "LabeledCollection":
-        """A builder's collection with the index its prune sorted.  The
+        """A builder's collection: the ``alive`` rows of its ``seed``, with
+        the keys its prune sorted as they are, their row order only if some
+        member died; it spends ``indexes`` before it copies the rows.  The
         builder guarantees what the public constructor checks: uint32 rows
-        of ``length`` distinct vertices, canonical cycles, sorted and
-        without repeats; so none of it runs again."""
+        of ``length`` distinct vertices, canonical cycles, sorted, unique."""
         coll = cls.__new__(cls)
         coll.kind, coll.length, coll.good, coll.alpha = kind, length, good, alpha
-        coll.members, coll._keys, coll._base = members, keys, base
+        died = not alive.all()
+        coll._keys = {pos: (ix.keys, ix.order if died else None)
+                      for pos, ix in indexes.items()}
+        indexes.clear()
+        coll.members = np.compress(alive, seed, axis=0) if died else seed
+        coll._alive = alive if died else None
+        coll._base = base
         return coll
 
     def _lookup(self, pos: int, sig: Sequence[int], tail: int) -> list[int]:
-        """The fills of ``tail`` vertices, packed as in ``_span``, completing
-        ``sig`` at position ``pos`` (cycles have one index, at 0)."""
+        """The fills of ``tail`` vertices, packed (a fill, or a * n + b for a
+        fill pair), completing ``sig`` at position ``pos`` (cycles have one
+        index, at 0)."""
         sig = [int(v) for v in sig]
         if len(sig) + tail != self.length or not len(self) or not all(
                 0 <= v < self._base for v in sig):
             return []
-        keys = self._keys.get(pos)
-        if keys is None:
-            _, keys = _index_keys(self.members, self.kind, pos, tail,
-                                  self._base)
-            self._keys[pos] = keys
-        return _span(keys, sig, self._base, tail).tolist()
+        if pos not in self._keys:
+            self._keys[pos] = (_index_keys(np.ascontiguousarray(self.members.T),
+                                           self.kind, pos, tail, self._base)[1], None)
+        keys, order = self._keys[pos]
+        base, lo, hi = self._base, 0, keys.shape[-1]
+        if keys.ndim == 2:  # narrow one contiguous column at a time
+            for col, v in zip(keys, sig):
+                part, v = col[lo:hi], col.dtype.type(v)
+                lo, hi = (lo + part.searchsorted(v),
+                          lo + part.searchsorted(v, side="right"))
+        else:  # the codes whose leading digits are sig
+            low = sum(v * base ** (self.length - 1 - i) for i, v in enumerate(sig))
+            lo, hi = keys.searchsorted([low, low + base ** tail])
+        hits = keys[..., lo:hi]
+        if order is not None:  # index row r is of seed row r % m
+            live = self._alive[order[lo:hi] % len(self._alive)]
+            hits = np.compress(live, hits, axis=-1)
+        if hits.ndim == 2:
+            return _codes(hits[-tail:], base).tolist()
+        return (hits % base ** tail).tolist()
 
     # -- queries ---------------------------------------------------------------
 
@@ -623,7 +623,7 @@ def _four_cycles(g: Graph, cap: int,
         # the centres c after a in its group, at positions a + 1, a + 2, ..
         rows[:, 2] = x[_spans(wedge + 1, cnt)]
         out.append(rows)
-    rows = np.concatenate(out)
+    rows = out[0] if len(out) == 1 else np.concatenate(out)
     del out  # before the sort: the rows are not held twice
     return np.take(rows, _sorted_keys(rows.T, n)[0][:need], axis=0), total
 
@@ -738,20 +738,21 @@ class _Index:
     r % m.  No two rows are equal, so the rows of dead members are found
     by a search for their own keys; they are never compacted out of the
     keys while the prune runs, only subtracted from the live counts.  The
-    row order is int32 below 2**31 rows (``_order_dtype``).
+    row order is int32 below 2**31 rows (``_order_dtype``).  ``index`` is
+    the sorted index, (order, keys), as ``_index_keys`` gives it.
     """
 
     def __init__(self, members: np.ndarray, kind: str, pos: int, tail: int,
-                 base: int):
+                 base: int, index: tuple):
         self.members, self.kind, self.pos = members, kind, pos
         self.tail, self.base = tail, base
-        self.order, self.keys = _index_keys(members, kind, pos, tail, base)
+        self.order, self.keys = index
         self.groups = _Runs(self.keys, base, tail)
 
     def codes(self, rows: np.ndarray) -> np.ndarray:
         """The keys of the index rows of some members, packed straight from
         their columns."""
-        some = np.take(self.members, rows, axis=0)
+        some = np.take(self.members.T, rows, axis=1)
         if self.keys.ndim == 1:
             return _index_codes(some, self.kind, self.pos, self.tail, self.base)
         return np.stack(_index_cols(some, self.kind, self.pos, self.tail))
@@ -771,21 +772,17 @@ class _Index:
         """An index row of each group ``ids``."""
         return self.order[self.groups.start[ids]]
 
-    def without(self, alive: np.ndarray) -> np.ndarray:
-        """The sorted keys of the ``alive`` members' rows.  This spends the
-        index: it lets go of its order, runs and keys before the new keys
-        exist, so the three are never alive at once."""
-        keep, m = None, len(alive)
-        if not alive.all():  # key i is index row order[i], of its member
-            keep = np.empty(len(self.order), dtype=bool)
-            for lo in range(0, len(keep), _BLOCK):
-                keep[lo:lo + _BLOCK] = alive[self.order[lo:lo + _BLOCK] % m]
-        keys = self.keys
-        vars(self).clear()
-        if keep is None:
-            return keys
-        # a 1-d mask read makes no index array, as [..., keep] does
-        return keys[keep] if keys.ndim == 1 else keys[:, keep]
+
+def _indexes(members: np.ndarray, kind: str, positions: Iterable[int],
+             tail: int, base: int) -> dict:
+    """Position -> the members' index there (a ``_PairIndex`` for a fill
+    pair), all sorted from one transposition, let go before any runs."""
+    cols = np.ascontiguousarray(members.T)
+    keys = {pos: _index_keys(cols, kind, pos, tail, base) for pos in positions}
+    del cols
+    make = _PairIndex if tail == 2 else _Index
+    return {pos: make(members, kind, pos, tail, base, index)
+            for pos, index in keys.items()}
 
 
 def _count_rule(ix: _Index, threshold: float) -> tuple:
@@ -860,20 +857,18 @@ def _np_prune_rich(members: np.ndarray, kind: str, length: int,
     A position's groups are the signatures of its sorted index, and each
     position is a rule.  Returns the collection of the survivors and, per
     round, per position, a row of each group it deleted and their live
-    sizes.  The collection keeps each sorted key array, in base n, the
-    seed's largest vertex plus one, less the dead members' rows.
+    sizes.  The collection keeps each sorted key array as it is, in base n,
+    the seed's largest vertex plus one, the dead members' rows included.
     """
     base = int(members.max(initial=0)) + 1
     positions = [0] if kind == "cycle" else range(1, members.shape[1] - 1)
-    indexes = [_Index(members, kind, pos, 1, base) for pos in positions]
+    indexes = _indexes(members, kind, positions, 1, base)
     alive, rounds = _fixpoint(len(members), [_count_rule(ix, alpha - 1)
-                                             for ix in indexes])
-    failed = [[(pos, ix.first(ids), sizes) for pos, ix, (ids, sizes)
-               in zip(positions, indexes, r)] for r in rounds]
-    keys = {pos: ix.without(alive) for pos, ix in zip(positions, indexes)}
-    return LabeledCollection._indexed(
-        kind, length, np.compress(alive, members, axis=0), keys, base,
-        alpha=alpha), failed
+                                             for ix in indexes.values()])
+    failed = [[(pos, ix.first(ids), sizes) for (pos, ix), (ids, sizes)
+               in zip(indexes.items(), r)] for r in rounds]
+    return LabeledCollection._indexed(kind, length, members, alive, indexes,
+                                      base, alpha=alpha), failed
 
 
 def _rich_audit(seed: np.ndarray, kind: str, rounds: list,
@@ -998,9 +993,9 @@ class _PairIndex(_Index):
     sets has a bipartite fill graph (the only kind a bipartite host gives).
     """
 
-    def __init__(self, members: np.ndarray, j: int, base: int):
-        super().__init__(members, "path", j, 2, base)
-        seconds = _seconds(self.keys, base)
+    def __init__(self, *args):
+        super().__init__(*args)
+        seconds, base = _seconds(self.keys, self.base), self.base
         if seconds.ndim == 1:
             seconds.sort()
         else:
@@ -1058,8 +1053,7 @@ def _pair_indexes(members: np.ndarray, base: Optional[int] = None) -> dict:
     """Pair position -> the rows' ``_PairIndex`` there, in base ``base`` (by
     default the largest vertex plus one)."""
     base = base or int(members.max(initial=0)) + 1
-    return {j: _PairIndex(members, j, base)
-            for j in range(1, members.shape[1] - 2)}
+    return _indexes(members, "path", range(1, members.shape[1] - 2), 2, base)
 
 
 def _pair_rule(ix: _PairIndex, alpha: int) -> tuple:
@@ -1105,9 +1099,8 @@ def _case2_rules(members: np.ndarray, threshold: float,
     position between them."""
     L, base = members.shape[1], int(members.max(initial=0)) + 1
     indexes = indexes or _pair_indexes(members, base)
-    return ([("type1", j, _count_rule(_Index(members, "path", j, 1, base),
-                                      threshold))
-             for j in range(1, L - 1, 2)]
+    return ([("type1", j, _count_rule(ix, threshold)) for j, ix in _indexes(
+                members, "path", range(1, L - 1, 2), 1, base).items()]
             + [("type2", j, _distinct_rule(indexes[j], True, threshold))
                for j in range(1, L - 2, 2)]
             + [("type3", j, _distinct_rule(indexes[j], False, threshold))
@@ -1208,10 +1201,9 @@ def build_good_paths(g: Graph, k: int, alpha: int, c_thresh: float,
         raise IntegrityError(
             f"good-path fixpoint is not {alpha}-good: member {bad[0]} "
             f"pair position {bad[1]} only supports {bad[2]} disjoint fills")
-    keys = {j: ix.without(alive) for j, ix in indexes.items()}
-    rows = np.compress(alive, seed, axis=0)
-    return (LabeledCollection._indexed("path", length, rows, keys, base,
-                                       good=True, alpha=alpha), audit, case)
+    return (LabeledCollection._indexed("path", length, seed, alive, indexes,
+                                       base, good=True, alpha=alpha),
+            audit, case)
 
 
 # ---------------------------------------------------------------------------
@@ -1242,10 +1234,10 @@ def verify_collection(coll: LabeledCollection, g: Graph, alpha: int,
             return False, {"member": bad[0], "pair_position": bad[1],
                            "matching": bad[2]}
         return True, None
-    base = int(members.max()) + 1
-    bad = _first_failure(L, [
-        (pos, *_count_rule(_Index(members, coll.kind, pos, 1, base), alpha - 1))
-        for pos in ([0] if coll.kind == "cycle" else range(1, L - 1))], alive)
+    positions = [0] if coll.kind == "cycle" else range(1, L - 1)
+    indexes = _indexes(members, coll.kind, positions, 1, int(members.max()) + 1)
+    bad = _first_failure(L, [(pos, *_count_rule(ix, alpha - 1))
+                             for pos, ix in indexes.items()], alive)
     if bad is not None:
         i, j, ix, grp = bad
         return False, {"member": tuple(members[i].tolist()), "position": j,
@@ -1306,17 +1298,18 @@ def _layer_transversals(g: Graph, layers: list[np.ndarray],
     return _join(layers[0], steps, _HARD_MEMBER_CAP, "layered", keep)[0]
 
 
-def _np_prune_good(members: np.ndarray, alpha: int) -> tuple:
+def _np_prune_good(members: np.ndarray, alpha: int) -> LabeledCollection:
     """Fixpoint of the good deletion process: drop the members of every
     pair-signature group whose live fill edges admit no alpha pairwise
-    disjoint edges (``_PairIndex.unmatched``), until none is left.  Returns
-    the survivors and their pair index, as ``_np_prune_rich`` keeps it."""
+    disjoint edges (``_PairIndex.unmatched``), until none is left; the
+    collection keeps its pair index as ``_np_prune_rich`` does."""
     base = int(members.max(initial=0)) + 1
     indexes = _pair_indexes(members, base)
     alive, _ = _fixpoint(len(members), [_pair_rule(ix, alpha)
                                         for ix in indexes.values()])
-    keys = {j: ix.without(alive) for j, ix in indexes.items()}
-    return np.compress(alive, members, axis=0), keys, base
+    return LabeledCollection._indexed("path", members.shape[1], members,
+                                      alive, indexes, base, good=True,
+                                      alpha=alpha)
 
 
 def _sample_layers(g: Graph, count: int, size: int, rng: random.Random,
@@ -1408,7 +1401,5 @@ def layered_good_paths(g: Graph, k: int, alpha: int,
         members = [e] if e else []
         return LabeledCollection.from_members("path", 2, members, good=True,
                                               alpha=alpha)
-    rows = _layered_seed(g, length, alpha, seed, False, True, False)
-    rows, keys, base = _np_prune_good(rows, alpha)
-    return LabeledCollection._indexed("path", length, rows, keys, base,
-                                      good=True, alpha=alpha)
+    return _np_prune_good(
+        _layered_seed(g, length, alpha, seed, False, True, False), alpha)

@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from turan_forge import cli, counting, rich_collections
-from turan_forge.cli import _tuple_estimate, build_parser, main, run_pipeline
+from turan_forge import cli, counting, rich_collections, transforms
+from turan_forge.cli import (_json, _tuple_estimate, build_parser, main,
+                             run_pipeline)
 from turan_forge.graphs import build_graph
 from turan_forge.errors import InputError
 from turan_forge.generators import random_graph
@@ -96,6 +97,43 @@ def test_find_cli(tmp_path):
     main(["gen", "polarity", "--q", "5", "--out", str(pol)])
     assert main(["find", "prism", "--in", str(pol), "--ell", "4",
                  "--budget", "1e5", "--seed", "1", "--out", str(out)]) == 3
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"], ["--audit", "a.json"],
+                                   ["--json", "--audit", "a.json"]])
+def test_regularize_without_a_band_writes_no_host(tmp_path, monkeypatch,
+                                                  capsys, flags):
+    monkeypatch.chdir(tmp_path)
+    g = random_graph(12, 0.7, 1)
+    write_edge_list(g, tmp_path / "h.el")
+    assert main(["transform", "regularize", "--in", "h.el", "--out", "o.el",
+                 "--K", "1", *flags]) == 3
+    assert not (tmp_path / "o.el").exists()
+    # the report goes where a found band's goes: to stdout under --json,
+    # and to the --audit file
+    out, band = transforms.almost_regular_subgraph(g, 0.5, 1.0, 1.0)
+    want = band.to_json()
+    assert out is None
+    assert capsys.readouterr() == (
+        _json(want) + "\n" if "--json" in flags else "",
+        "no feasible degree band\n")
+    if "--audit" in flags:
+        assert json.loads((tmp_path / "a.json").read_text()) == want
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["prismpath"], "--ell 4"), (["prismpath"], "--T 8"),
+    (["prismpath"], "--seed 0"), (["prismpath"], "--budget 1e7"),
+    (["prism"], "--t 3")])
+def test_find_options_the_search_does_not_read_are_input_errors(
+        tmp_path, capsys, argv, flag):
+    host = tmp_path / "k.el"
+    write_edge_list(build_graph(24, [(a, 12 + b) for a in range(12)
+                                     for b in range(12)]), host)
+    assert main(["find", *argv, "--in", str(host), *flag.split()]) == 1
+    name = flag.split()[0]
+    assert capsys.readouterr().err == (
+        f"input error: find {argv[0]} does not read {name}\n")
 
 
 def test_pipeline_examples(tmp_path):

@@ -497,7 +497,7 @@ def _pair_group_rows(groups):
 def _pair_index(rows, alive):
     """The pair index of the rows at pair position 1, with the dead rows
     left, as the deletion engine leaves them."""
-    grp = rich_collections._PairIndex(rows, 1, int(rows.max()) + 1)
+    grp = rich_collections._pair_indexes(rows)[1]
     grp.leave(np.flatnonzero(~alive))
     return grp
 
@@ -623,7 +623,7 @@ def test_good_prune_matches_naive_fixpoint_and_verify(g, alpha):
         rows = _enumerate_paths(g, k, 10 ** 6)
         seed = set(map(tuple, rows.tolist()))
         final = naive_good_fixpoint(seed, k, alpha)
-        pruned = rich_collections._np_prune_good(rows, alpha)[0]
+        pruned = rich_collections._np_prune_good(rows, alpha).members
         assert np.array_equal(pruned, _rows(final, k))
         coll = LabeledCollection("path", k, rows, good=True, alpha=alpha)
         ok, ce = verify_collection(coll, g, alpha)
@@ -729,11 +729,12 @@ def _round_specs(rows, kind, param):
         return lambda grp: count(grp) <= param
 
     if kind == "path":
-        return [(rc._count_rule(rc._Index(rows, "path", j, 1, base), param),
-                 (blank(j), [0], at_most(len))) for j in range(1, L - 1)]
+        return [(rc._count_rule(ix, param), (blank(j), [0], at_most(len)))
+                for j, ix in rc._indexes(
+                    rows, "path", range(1, L - 1), 1, base).items()]
     if kind == "cycle":
-        return [(rc._count_rule(rc._Index(rows, "cycle", 0, 1, base), param),
-                 (_cycle_key, range(L), at_most(len)))]
+        return [(rc._count_rule(rc._indexes(rows, "cycle", [0], 1, base)[0],
+                                param), (_cycle_key, range(L), at_most(len)))]
     if kind == "pair":
         return [(rc._pair_rule(ix, param), (pair(j), [0], lambda grp, j=j: len(
             _matching([m[j:j + 2] for m in grp])) < param))
@@ -944,7 +945,8 @@ def test_index_matches_naive_dict(g, lexsorted, rnd):
             probes += [tuple(rnd.randrange(g.n + 2) for _ in range(width))
                        for _ in range(10)]
             _check_index(coll, members, probes)
-            for key in coll._keys.values():  # lexsorted: one row per column
+            for key, order in coll._keys.values():  # lexsorted: a row a column
+                assert order is None and coll._alive is None
                 assert key.ndim == (2 if lexsorted else 1)
                 assert not lexsorted or key.shape[0] == width
 
@@ -1016,7 +1018,7 @@ def test_packing_limit_is_exclusive():
         kept = [m for m in members if top not in m or not drop]
         coll = LabeledCollection.from_members("path", 3, kept, alpha=1)
         _check_index(coll, kept, members + [(top - 2, 7, top - 1), (1, 2, 3)])
-        assert coll._keys[1].ndim == 2 - drop
+        assert coll._keys[1][0].ndim == 2 - drop
 
 
 def test_replay_of_a_large_good_path_audit():
@@ -1059,10 +1061,22 @@ def _index_positions(coll):
     return list(range(1, coll.length - 1)), 1
 
 
+def _live_keys(coll, pos):
+    """A collection's sorted index keys at ``pos`` without the rows of dead
+    seed members, which a builder's keys keep, with their row order."""
+    keys, order = coll._keys[pos]
+    if order is None:
+        return keys
+    m = len(coll._alive)
+    assert keys.shape[-1] == len(order) == m * (coll.length if coll.kind ==
+                                                "cycle" else 1)
+    return np.compress(coll._alive[order % m], keys, axis=-1)
+
+
 def _index_digits(coll, pos):
-    """The sorted (signature, fill) rows of a collection's index, whatever
-    base its codes were packed in."""
-    keys = coll._keys[pos]
+    """The sorted (signature, fill) rows of a collection's live index,
+    whatever base its codes were packed in."""
+    keys = _live_keys(coll, pos)
     if keys.ndim == 2:
         return keys.T.astype(np.int64)
     powers = coll._base ** np.arange(coll.length, dtype=np.int64)[::-1]
@@ -1104,8 +1118,14 @@ def test_builders_hand_over_the_fresh_index(builder, lexsorted, g, alpha):
             return
         assert sorted(coll._keys) == positions
         assert coll._base > int(coll.members.max())
+        # a row order and an alive mask only where some seed member died
+        died = coll._alive is not None
+        assert not died or (len(coll) < len(coll._alive)
+                            and coll._alive.sum() == len(coll))
         for pos in positions:
-            assert coll._keys[pos].ndim == (2 if lexsorted else 1)
+            keys, order = coll._keys[pos]
+            assert keys.ndim == (2 if lexsorted else 1)
+            assert (order is not None) == died
             assert np.array_equal(_index_digits(coll, pos),
                                   _index_digits(fresh, pos))
             assert fresh._base == int(coll.members.max()) + 1
@@ -1123,6 +1143,16 @@ def test_handover_keeps_the_seed_base():
                                               (3, 0, 8), (8, 5, 0)]
         probes = [p[:coll.length] for p in probes]
         assert _answers(coll, probes) == _answers(fresh, probes)
+
+
+def test_handover_without_deaths_keeps_the_seed(monkeypatch):
+    seeds = []
+    enumerate_cycles = rich_collections._enumerate_cycles
+    monkeypatch.setattr(rich_collections, "_enumerate_cycles",
+                        lambda *a: seeds.append(enumerate_cycles(*a)) or seeds[-1])
+    coll = build_rich_cycles(K44, 2, 1)[0]  # every 4-cycle of K4,4 stays
+    assert len(coll) == 36 and coll.members is seeds[0]
+    assert coll._alive is None and coll._keys[0][1] is None
 
 
 def test_public_constructor_skips_the_sort_of_sorted_rows(monkeypatch):
@@ -1166,8 +1196,7 @@ def test_builders_rows_pass_the_public_checks_as_they_are(builder, g, alpha):
 
 def _lean_and_reference(kind, rows, pos, tail):
     base = int(rows.max(initial=0)) + 1
-    lean = (rich_collections._PairIndex(rows, pos, base) if tail == 2
-            else rich_collections._Index(rows, kind, pos, tail, base))
+    lean = rich_collections._indexes(rows, kind, [pos], tail, base)[pos]
     ref = reference.Index(rows, kind, pos, tail, base)
     runs = [(lean.groups, ref.groups)]
     if tail == 2:
@@ -1210,10 +1239,38 @@ def test_lean_index_matches_the_reference(lexsorted, block, g, rnd):
                         assert np.array_equal(got.heads, want.heads)
                         assert np.array_equal(got.start, want.start)
                         assert np.array_equal(got.live, want.live)
+                    # the keys a collection takes, masked by their order
                     alive = np.ones(len(rows), dtype=bool)
                     alive[dead] = False
-                    assert np.array_equal(lean.without(alive),
+                    live = alive[lean.order % max(len(rows), 1)]
+                    assert np.array_equal(np.compress(live, lean.keys, axis=-1),
                                           ref.without(dead))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([4, 6, 8]), st.integers(0, 30),
+       st.sampled_from(["ascending", "canonical", "any"]),
+       st.randoms(use_true_random=False))
+@example(4, 30, "ascending", random.Random(0))  # blanks with no or all flips
+@example(4, 30, "canonical", random.Random(0))  # blanks 1 and 2 all flip
+@example(8, 30, "any", random.Random(0))  # blanks of mixed flips
+def test_index_codes_match_the_both_ways_packing(L, m, shape, rnd):
+    base = 3 * L
+    rows = np.array([rnd.sample(range(base), L) for _ in range(m)],
+                    dtype=np.uint32).reshape(m, L)
+    if shape == "ascending":
+        rows.sort(axis=1)
+    elif shape == "canonical":
+        rows = rich_collections._canon_cycles_np(rows)
+    cols = np.ascontiguousarray(rows.T)
+    assert np.array_equal(
+        rich_collections._index_codes(cols, "cycle", 0, 1, base),
+        reference.index_codes(rows, "cycle", 0, 1, base))
+    for tail in (1, 2):
+        for pos in range(1, L - tail):
+            assert np.array_equal(
+                rich_collections._index_codes(cols, "path", pos, tail, base),
+                reference.index_codes(rows, "path", pos, tail, base))
 
 
 def test_order_dtype_turns_int64_at_2_31_rows():

@@ -13,6 +13,10 @@ enumerator: a recursive depth-first search that builds each cycle vertex by
 vertex from the adjacency lists and closes it with ``has_edge``, sharing no
 code with the wedge pairs or the array joins.
 
+``index_codes`` packs the signature index's rows digit by digit, each
+cycle blank both ways, for the package's packer, which packs a blank
+only the ways its rows read it.
+
 Last, ``sort_codes``, ``Runs`` and ``Index`` are the signature index in
 its plain form: full-size ``arange``, ``&`` and ``>>`` temporaries, an
 int64 row order and a whole prefix array per run search.  They pin the
@@ -221,11 +225,32 @@ def sort_codes(code, top):
     return order, code[order]
 
 
+def index_codes(members, kind, pos, tail, base):
+    """``rich_collections._index_codes`` of member rows, digit by digit:
+    on paths each row without columns pos .. pos + tail - 1, then those
+    columns; on cycles, position-major, each blank's open path packed both
+    ways and the way from its smaller end kept, then the blanked vertex."""
+    rows = members.astype(np.int64)
+    m, L = rows.shape
+    powers = base ** np.arange(L - 1, -1, -1, dtype=np.int64)
+    if kind == "path":
+        blank = list(range(pos, pos + tail))
+        return rows[:, [c for c in range(L) if c not in blank] + blank] @ powers
+    out = [np.empty(0, dtype=np.int64)]
+    for p in range(L):
+        ring = [(p + 1 + i) % L for i in range(L - 1)]
+        fore = rows[:, ring + [p]] @ powers
+        back = rows[:, ring[::-1] + [p]] @ powers
+        out.append(np.where(rows[:, ring[-1]] < rows[:, ring[0]], back, fore))
+    return np.concatenate(out)
+
+
 def index_keys(members, kind, pos, tail, base):
-    """``rich_collections._index_keys``, sorted by ``sort_codes``."""
+    """``rich_collections._index_keys`` of the member rows, sorted by
+    ``sort_codes``."""
     if base ** members.shape[1] >= rc._PACK_LIMIT:
-        return _sorted_keys(_index_cols(members, kind, pos, tail), base)
-    return sort_codes(_index_codes(members, kind, pos, tail, base),
+        return _sorted_keys(_index_cols(members.T, kind, pos, tail), base)
+    return sort_codes(_index_codes(members.T, kind, pos, tail, base),
                       base ** members.shape[1])
 
 
@@ -284,7 +309,7 @@ class Index:
     def codes(self, rows):
         """The keys of the index rows of some members, packed straight from
         their columns."""
-        some = np.take(self.members, rows, axis=0)
+        some = np.take(self.members, rows, axis=0).T
         if self.keys.ndim == 1:
             return _index_codes(some, self.kind, self.pos, self.tail, self.base)
         return np.stack(_index_cols(some, self.kind, self.pos, self.tail))

@@ -19,7 +19,7 @@ from .errors import (EXIT_FOUND, EXIT_INPUT, EXIT_INTEGRITY, EXIT_NOT_FOUND,
                      InputError, IntegrityError, ResourceError)
 from .generators import PatternSpec, pattern, polarity_graph, random_graph
 from .graphs import Graph, edge_list_text, read_edge_list, write_edge_list
-from .rich_collections import LabeledCollection
+from .rich_collections import LabeledCollection, PruneAudit
 
 
 def _emit(text: str, path: Optional[str]) -> None:
@@ -181,34 +181,33 @@ def cmd_count(args) -> int:
 
 # -- one dispatch from target to search -------------------------------------
 
-def _collection_of(target: PatternSpec) -> tuple[Optional[str], int, int]:
-    """(family, its k or ell, default alpha) of the collection a target is
-    embedded from; the family is None for the targets found by a direct
-    search."""
+def _collection_of(target: PatternSpec) -> tuple[Optional[str], int]:
+    """(family, its k or ell) of the collection a target is embedded from;
+    the family is None for the targets found by a direct search."""
     kind, p = target.kind, target.params
     if kind == "grid":
-        return "rich_paths", 2 * p["t"] - 1, p["t"] * p["t"]
+        return "rich_paths", 2 * p["t"] - 1
     if kind in ("cylinder", "torus"):
-        return "rich_cycles", p["ell"], p["k"] * p["ell"]
+        return "rich_cycles", p["ell"]
     if kind == "honeycomb":
-        return "good_paths", p["k"], p["k"] * p["ell"]
+        return "good_paths", p["k"]
     if kind in ("prism", "prism_path"):
-        return None, 0, 0
+        return None, 0
     raise InputError(f"pipeline cannot target pattern kind {kind!r}")
 
 
 def _build(family: str, strategy: str, g: Graph, size: int, alpha: int,
-           cap: int, seed: int, c_thresh: float, l_factor: float):
-    """(collection, audit, good-path case) from ``build_<family>`` or
-    ``layered_<family>``; the layered builders keep no audit, and only
-    ``build_good_paths`` has a case."""
+           cap: int, seed: int, c_thresh: float,
+           l_factor: float) -> tuple[LabeledCollection, PruneAudit]:
+    """(collection, audit) from ``build_<family>`` or ``layered_<family>``,
+    looked up when called."""
     if strategy == "layered":
         build = getattr(rich_collections, f"layered_{family}")
-        return build(g, size, alpha, seed=seed), None, None
+        return build(g, size, alpha, seed=seed)
     build = getattr(rich_collections, f"build_{family}")
     if family == "good_paths":
         return build(g, size, alpha, c_thresh, l_factor, cap)
-    return (*build(g, size, alpha, cap), None)
+    return build(g, size, alpha, cap)
 
 
 def _embed(kind: str, p: dict, g: Graph, coll: LabeledCollection,
@@ -234,17 +233,49 @@ def _find(kind: str, p: dict, g: Graph, t_factor: float, budget: int,
 
 # -- build / embed / find ------------------------------------------------------
 
+# the options of `build`, `embed` and `find` that only some of their searches
+# read: each subcommand's defaults, whose types parse them (budget and cap
+# are text for _whole), and for each search (the subcommand's choices) the
+# ones it reads
+_OPTIONS = {
+    "build": ({"k": 5, "ell": 2, "C": 32.0, "L": 256.0, "seed": 0,
+               "cap": str(rich_collections.DEFAULT_CAP)}, {
+        "rich-paths --strategy exhaustive": ("k", "cap"),
+        "rich-cycles --strategy exhaustive": ("ell", "cap"),
+        "good-paths --strategy exhaustive": ("k", "C", "L", "cap"),
+        "rich-paths --strategy layered": ("k", "seed"),
+        "rich-cycles --strategy layered": ("ell", "seed"),
+        "good-paths --strategy layered": ("k", "seed")}),
+    "embed": ({"t": 2, "k": 2, "ell": 2, "budget": "1e6", "seed": 0}, {
+        "grid": ("t",), "cylinder": ("k", "ell"), "honeycomb": ("k", "ell"),
+        "torus": ("k", "ell", "budget", "seed")}),
+    "find": ({"ell": 4, "T": 8.0, "t": 3, "budget": "1e7", "seed": 0}, {
+        "prism": ("ell", "T", "budget", "seed"), "prismpath": ("t",)}),
+}
+
+
+def _read_options(command: str, search: str, args) -> dict:
+    """The options of ``command`` in ``_OPTIONS``, given or default; one
+    given that ``search`` does not read is an ``InputError`` naming it."""
+    defaults, reads = _OPTIONS[command]
+    for name in defaults:
+        if hasattr(args, name) and name not in reads[search]:
+            raise InputError(f"{command} {search} does not read --{name}")
+    return {name: getattr(args, name, default)
+            for name, default in defaults.items()}
+
+
 def cmd_build(args) -> int:
+    opt = _read_options("build", f"{args.family} --strategy {args.strategy}",
+                        args)
     g = read_edge_list(getattr(args, "in"))
     family = args.family.replace("-", "_")
-    size = args.ell if family == "rich_cycles" else args.k
-    coll, audit, case = _build(family, args.strategy, g, size, args.alpha,
-                               _whole(args.cap, "--cap"), args.seed, args.C,
-                               args.L)
-    if case is not None:
-        audit.diagnostics["case"] = case
+    coll, audit = _build(family, args.strategy, g,
+                         opt["ell" if family == "rich_cycles" else "k"],
+                         args.alpha, _whole(opt["cap"], "--cap"), opt["seed"],
+                         opt["C"], opt["L"])
     _emit(coll.to_text(), args.out)
-    if args.audit and audit is not None:
+    if args.audit:
         _emit(_json(audit.to_json()), args.audit)
     return EXIT_FOUND
 
@@ -259,24 +290,16 @@ def _emit_certificate(cert: Optional[EmbeddingCertificate], args,
 
 
 def cmd_embed(args) -> int:
+    opt = _read_options("embed", args.target, args)
     host = read_edge_list(args.host)
     coll = LabeledCollection.from_text(_read_text(args.coll, "collection"))
-    cert = _embed(args.target, {"t": args.t, "k": args.k, "ell": args.ell},
-                  host, coll, _whole(args.budget, "--budget"), args.seed)
+    cert = _embed(args.target, opt, host, coll,
+                  _whole(opt["budget"], "--budget"), opt["seed"])
     return _emit_certificate(cert, args)
 
 
-# the options of `find` that each search reads, and their defaults
-_FIND_OPTIONS = {"prism": ("ell", "T", "budget", "seed"), "prismpath": ("t",)}
-_FIND_DEFAULTS = {"ell": 4, "T": 8.0, "t": 3, "budget": 10 ** 7, "seed": 0}
-
-
 def cmd_find(args) -> int:
-    for name in _FIND_DEFAULTS:
-        if hasattr(args, name) and name not in _FIND_OPTIONS[args.what]:
-            raise InputError(f"find {args.what} does not read --{name}")
-    opt = {name: getattr(args, name, default)
-           for name, default in _FIND_DEFAULTS.items()}
+    opt = _read_options("find", args.what, args)
     host = read_edge_list(getattr(args, "in"))
     cert, diag = _find("prism_path" if args.what == "prismpath" else "prism",
                        opt, host, opt["T"], _whole(opt["budget"], "--budget"),
@@ -442,11 +465,15 @@ def run_pipeline(config: dict) -> tuple[int, dict]:
     """
     _check_sections(config)
     target = PatternSpec.from_json(config.get("target", {}))
-    family, size, alpha = _collection_of(target)
+    family, size = _collection_of(target)
     builder = config.get("builder", {})
     strategy = _choice(builder.get("strategy", "auto"), "builder.strategy",
                        ("auto", "exhaustive", "layered"))
-    alpha = _whole(builder.get("alpha", alpha), "builder.alpha")
+    alpha = _whole(builder.get("alpha", 1 if family is None else
+                               embedders.alpha_floor(target)),
+                   "builder.alpha", low=1)
+    if family is not None:
+        embedders.require_alpha(target, alpha, "builder.alpha")
     cap = _whole(builder.get("cap", rich_collections.DEFAULT_CAP),
                  "builder.cap")
     c_thresh, l_factor, t_factor = (
@@ -477,11 +504,11 @@ def run_pipeline(config: dict) -> tuple[int, dict]:
     else:
         if strategy == "auto":
             strategy = _choose_strategy(g, family, size)
-        coll, _audit, case = _build(family, strategy, g, size, alpha, cap,
-                                    seed, c_thresh, l_factor)
+        coll, audit = _build(family, strategy, g, size, alpha, cap, seed,
+                             c_thresh, l_factor)
         diagnostics = {}
-        if case is not None:
-            diagnostics["good_case"] = case
+        if "case" in audit.diagnostics:
+            diagnostics["good_case"] = audit.diagnostics["case"]
             coll, diagnostics["suffix_vertex"] = (
                 rich_collections.good_suffix_restriction(coll))
         cert = _embed(target.kind, target.params, g, coll, budget, seed)
@@ -549,7 +576,12 @@ def cmd_pipeline(args) -> int:
 
 def _options(sub, *names):
     """Add the shared options ``names`` ("out", "json", "seed") that the
-    subcommand reads."""
+    subcommand reads, and with "build", "embed" or "find" that command's
+    ``_OPTIONS``, absent unless given: ``_read_options`` completes them."""
+    for command in set(names) & set(_OPTIONS):
+        for name, default in _OPTIONS[command][0].items():
+            sub.add_argument(f"--{name}", type=type(default),
+                             default=argparse.SUPPRESS)
     if "out" in names:
         sub.add_argument("--out", help="output path (default: stdout)")
     if "json" in names:
@@ -623,19 +655,13 @@ def build_parser() -> argparse.ArgumentParser:
     bd.add_argument("family", choices=["rich-paths", "rich-cycles",
                                        "good-paths"])
     bd.add_argument("--in", required=True)
-    bd.add_argument("--k", type=int, default=5)
-    bd.add_argument("--ell", type=int, default=2)
     bd.add_argument("--alpha", type=int, required=True)
-    bd.add_argument("--C", type=float, default=32.0)
-    bd.add_argument("--L", type=float, default=256.0)
-    bd.add_argument("--cap", default=rich_collections.DEFAULT_CAP,
-                    help="a whole number, e.g. 1e8")
     bd.add_argument("--strategy", choices=["exhaustive", "layered"],
                     default="exhaustive",
                     help="layered good-paths build the 2k-vertex suffix form "
                          "directly")
     bd.add_argument("--audit")
-    _options(bd, "out", "seed")
+    _options(bd, "build", "out")
     bd.set_defaults(func=cmd_build)
 
     em = subs.add_parser("embed", help="shifting embedders over collections")
@@ -643,21 +669,13 @@ def build_parser() -> argparse.ArgumentParser:
                                        "honeycomb"])
     em.add_argument("--coll", required=True)
     em.add_argument("--host", required=True)
-    em.add_argument("--t", type=int, default=2)
-    em.add_argument("--k", type=int, default=2)
-    em.add_argument("--ell", type=int, default=2)
-    em.add_argument("--budget", default=10 ** 6)
-    _options(em, "out", "seed")
+    _options(em, "embed", "out")
     em.set_defaults(func=cmd_embed)
 
     fd = subs.add_parser("find", help="direct searches on the host")
     fd.add_argument("what", choices=["prism", "prismpath"])
     fd.add_argument("--in", required=True)
-    for flag, kind in (("--ell", int), ("--T", float), ("--t", int),
-                       ("--budget", None), ("--seed", int)):
-        # absent unless given: cmd_find checks and completes them
-        fd.add_argument(flag, type=kind, default=argparse.SUPPRESS)
-    _options(fd, "out")
+    _options(fd, "find", "out")
     fd.set_defaults(func=cmd_find)
 
     orc = subs.add_parser("oracle", help="brute-force ground truth")

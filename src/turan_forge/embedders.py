@@ -37,13 +37,23 @@ def _checked(host: Graph, cert: EmbeddingCertificate) -> EmbeddingCertificate:
     return cert
 
 
-def _require_alpha(coll: LabeledCollection, needed: int, what: str) -> int:
-    if coll.alpha is None:
-        raise InputError(f"collection carries no richness guarantee ({what})")
-    if coll.alpha < needed:
-        raise InputError(f"{what} needs alpha >= {needed}, collection has "
-                         f"{coll.alpha}")
-    return coll.alpha
+def alpha_floor(spec: PatternSpec) -> int:
+    """The alpha a grid (t*t), cylinder, torus or honeycomb (k*ell) target's
+    embedder asks of its collection; all but the torus's refuse less."""
+    p = spec.params
+    return p["t"] * p["t"] if spec.kind == "grid" else p["k"] * p["ell"]
+
+
+def require_alpha(spec: PatternSpec, alpha: Optional[int], what: str) -> None:
+    """An ``InputError`` unless ``alpha``, that of ``what``, reaches
+    ``alpha_floor(spec)``; a torus takes any."""
+    if alpha is None:
+        raise InputError(f"{what} carries no richness guarantee "
+                         f"(embed_{spec.kind})")
+    floor = 0 if spec.kind == "torus" else alpha_floor(spec)
+    if alpha < floor:
+        raise InputError(f"embed_{spec.kind} needs alpha >= {floor}, "
+                         f"{what} has {alpha}")
 
 
 def _fresh_fill(fills: Sequence[int], used: set[int]) -> Optional[int]:
@@ -74,7 +84,7 @@ def embed_grid(host: Graph, coll: LabeledCollection, t: int,
     if coll.kind != "path" or coll.good or coll.length != 2 * t - 1:
         raise InputError(f"grid t={t} needs a plain path collection of "
                          f"length {2 * t - 1}")
-    _require_alpha(coll, t * t, "embed_grid")
+    require_alpha(spec, coll.alpha, "collection")
 
     path = list(coll.first_member())
     mapping: dict[tuple[int, int], int] = {}
@@ -115,7 +125,7 @@ def embed_cylinder(host: Graph, coll: LabeledCollection, k: int, ell: int,
     if coll.kind != "cycle" or coll.length != 2 * ell:
         raise InputError(f"cylinder ell={ell} needs a cycle collection of "
                          f"length {2 * ell}")
-    _require_alpha(coll, k * ell, "embed_cylinder")
+    require_alpha(spec, coll.alpha, "collection")
 
     cycle = list(coll.first_member())
     m = 2 * ell
@@ -328,7 +338,7 @@ def embed_honeycomb(host: Graph, coll: LabeledCollection, k: int, ell: int,
     if coll.kind != "path" or not coll.good or coll.length != 2 * k:
         raise InputError(f"honeycomb k={k} needs a good path collection of "
                          f"length {2 * k} (or {2 * k + 1})")
-    _require_alpha(coll, k * ell, "embed_honeycomb")
+    require_alpha(spec, coll.alpha, "collection")
 
     path = list(coll.first_member())
     mapping: dict[tuple[int, int], int] = {(1, 2): path[0], (k, 1): path[-1]}

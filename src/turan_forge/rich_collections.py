@@ -8,13 +8,17 @@ from exhaustive seeds and prune to the fixpoint of the corresponding
 deletion process; the layered constructors build richness-by-design seeds
 on dense hosts where exhaustive enumeration cannot fit any cap.
 
-One deletion engine (``_fixpoint``) runs every prune: the rich count rule,
-the good pair predicate and the good-path case rules.  Each rule reads
-one position's (signature, fill) index, sorted once (``_Index``), whose
-signature groups are runs of the sorted keys (``_Runs``), with a live row
-count per run and no per-row group ids.  The builders hand the sorted
-keys to the collection as its index as they are, the dead members' rows
-included, with their row order and the seed's alive mask.
+The six public builders share one core.  Each checks its arguments with
+``_check_args``, makes its seed rows, and hands them with its (tag,
+position, rule) list to ``_prune``, which runs the one deletion engine
+(``_fixpoint``) and writes the ``PruneAudit``; every builder returns
+(collection, audit).  The rules are the rich count rule, the good pair
+predicate and the good-path case rules.  Each reads one position's
+(signature, fill) index, sorted once (``_Index``), whose signature groups
+are runs of the sorted keys (``_Runs``), with a live row count per run
+and no per-row group ids.  The builders hand the sorted keys to the
+collection as its index as they are, the dead members' rows included,
+with their row order and the seed's alive mask.
 """
 
 from __future__ import annotations
@@ -832,12 +836,12 @@ def _fixpoint(m: int, rules: list[tuple]) -> tuple[np.ndarray, list]:
 def _first_failure(width: int, rules: list[tuple],
                    alive: np.ndarray) -> Optional[tuple]:
     """The first failing (member, position), in member then position order,
-    of (position, index, fails) rules over the members of row width
+    of (tag, position, (index, fails)) rules over the members of row width
     ``width``: the least live row of a failing group, ranked by its member
     and its position (an index row r of a cycle index is at r // m).
     Returns (member, position, index, group), or None."""
     m, best = len(alive), None
-    for pos, ix, fails in rules:
+    for _, pos, (ix, fails) in rules:
         rows, grp = ix.rows(np.flatnonzero((ix.groups.live > 0) & fails(alive)))
         live = alive[rows % m]
         rows = rows[live].astype(np.int64)  # ranks pass 2**31 before rows do
@@ -849,42 +853,75 @@ def _first_failure(width: int, rules: list[tuple],
     return (*divmod(best[0], width), *best[1:])
 
 
-def _np_prune_rich(members: np.ndarray, kind: str, length: int,
-                   alpha: int) -> tuple[LabeledCollection, list]:
-    """Fixpoint of the rich deletion process: drop the members of every
-    signature group with fewer than alpha live members until none is left.
-
-    A position's groups are the signatures of its sorted index, and each
-    position is a rule.  Returns the collection of the survivors and, per
-    round, per position, a row of each group it deleted and their live
-    sizes.  The collection keeps each sorted key array as it is, in base n,
-    the seed's largest vertex plus one, the dead members' rows included.
-    """
-    base = int(members.max(initial=0)) + 1
-    positions = [0] if kind == "cycle" else range(1, members.shape[1] - 1)
-    indexes = _indexes(members, kind, positions, 1, base)
-    alive, rounds = _fixpoint(len(members), [_count_rule(ix, alpha - 1)
-                                             for ix in indexes.values()])
-    failed = [[(pos, ix.first(ids), sizes) for (pos, ix), (ids, sizes)
-               in zip(indexes.items(), r)] for r in rounds]
-    return LabeledCollection._indexed(kind, length, members, alive, indexes,
-                                      base, alpha=alpha), failed
+def _check_args(name: str, size: int, least: int, alpha: int) -> None:
+    """The builders' one argument check: an ``InputError`` unless ``name``
+    (k or ell) is at least ``least`` and alpha at least 1."""
+    if size < least:
+        raise InputError(f"need {name} >= {least}")
+    if alpha < 1:
+        raise InputError(f"need alpha >= 1, not {alpha}")
 
 
-def _rich_audit(seed: np.ndarray, kind: str, rounds: list,
-                final: int) -> PruneAudit:
-    """The deletion rounds as replayable ("rich", signature, count) entries,
-    each round's in sorted signature order (a path's blank first)."""
-    audit = PruneAudit(diagnostics={"seed": len(seed), "final": final})
+def _prune(seed: np.ndarray, rules: list[tuple],
+           **diagnostics) -> tuple[np.ndarray, PruneAudit]:
+    """Fixpoint of (tag, position, rule) rules over the seed rows: the alive
+    mask and the audit (diagnostics: the seed and final member counts and
+    ``diagnostics``).  Each round lists its failing groups as replayable
+    (tag, signature, live size) entries rule by rule, in group order, but
+    the "rich" rules of a path (one a position) merge by signature, ``None``
+    first.  The signature is the group's: at path position j the member with
+    ``None`` at j, or j and the member without j and j + 1 for a fill pair;
+    on a cycle the canonical open path."""
     m = len(seed)
+    alive, rounds = _fixpoint(m, [rule for _, _, rule in rules])
+    audit = PruneAudit(diagnostics={"seed": m, "final": int(alive.sum()),
+                                    **diagnostics})
     for failed in rounds:
-        entries = [("rich", _cycle_sig(mem, r // m) if kind == "cycle" else
-                    tuple(mem[:pos]) + (None,) + tuple(mem[pos + 1:]), cnt)
-                   for pos, rows, sizes in failed for r, mem, cnt in zip(
-                       rows.tolist(), seed[rows % m].tolist(), sizes.tolist())]
-        audit.entries += sorted(entries, key=lambda e: [
-            -1 if v is None else v for v in e[1]])
-    return audit
+        entries = []
+        for (tag, j, (ix, _)), (ids, sizes) in zip(rules, failed):
+            rows = ix.first(ids)
+            mems = seed[rows % m].tolist()
+            if ix.kind == "cycle":
+                sigs = [_cycle_sig(mem, r // m)
+                        for r, mem in zip(rows.tolist(), mems)]
+            elif ix.tail == 1:
+                sigs = [(*mem[:j], None, *mem[j + 1:]) for mem in mems]
+            else:
+                sigs = [(j, *mem[:j], *mem[j + 2:]) for mem in mems]
+            entries += zip(itertools.repeat(tag), sigs, sizes.tolist())
+        if len(rules) > 1 and rules[0][0] == "rich":
+            entries.sort(key=lambda e: [-1 if v is None else v for v in e[1]])
+        audit.entries += entries
+    return alive, audit
+
+
+def _rules(rows: np.ndarray, kind: str, alpha: int, good: bool,
+           base: int) -> tuple[dict, list]:
+    """The indexes of the rows in base ``base`` and the (tag, position,
+    rule) list of the rich prune: a group with fewer than alpha live rows
+    fails, at each internal position of a path, at the one index of a cycle;
+    or with ``good`` of the good one: a pair group fails without an
+    alpha-matching of its live fill edges."""
+    if good:
+        indexes = _pair_indexes(rows, base)
+        return indexes, _good_rules(indexes, alpha)
+    indexes = _indexes(rows, kind, [0] if kind == "cycle" else range(
+        1, rows.shape[1] - 1), 1, base)
+    return indexes, [("rich", pos, _count_rule(ix, alpha - 1))
+                     for pos, ix in indexes.items()]
+
+
+def _pruned(seed: np.ndarray, kind: str, alpha: int, good: bool = False,
+            **diagnostics) -> tuple[LabeledCollection, PruneAudit]:
+    """The rich (or ``good``) prune of seed rows and its survivors'
+    collection, indexed in base n, the seed's largest vertex plus one."""
+    base = int(seed.max(initial=0)) + 1
+    indexes, rules = _rules(seed, kind, alpha, good, base)
+    alive, audit = _prune(seed, rules, **diagnostics)
+    del rules  # they hold the indexes, which _indexed lets go of
+    return (LabeledCollection._indexed(kind, seed.shape[1], seed, alive,
+                                       indexes, base, good=good, alpha=alpha),
+            audit)
 
 
 def replay_audit(seed_members: Iterable[tuple], audit: PruneAudit,
@@ -914,25 +951,15 @@ def build_rich_paths(g: Graph, k: int, alpha: int,
                      cap: int = DEFAULT_CAP) -> tuple[LabeledCollection, PruneAudit]:
     """Fixpoint of the path deletion process started from all labeled
     k-vertex paths; non-empty output is alpha-rich."""
-    if k < 3:
-        raise InputError("need k >= 3")
-    if alpha < 1:
-        raise InputError("need alpha >= 1")
-    seed = _enumerate_paths(g, k, cap)
-    coll, rounds = _np_prune_rich(seed, "path", k, alpha)
-    return coll, _rich_audit(seed, "path", rounds, len(coll))
+    _check_args("k", k, 3, alpha)
+    return _pruned(_enumerate_paths(g, k, cap), "path", alpha)
 
 
 def build_rich_cycles(g: Graph, ell: int, alpha: int,
                       cap: int = DEFAULT_CAP) -> tuple[LabeledCollection, PruneAudit]:
     """Fixpoint of the cycle deletion process over all 2*ell positions."""
-    if ell < 2:
-        raise InputError("need ell >= 2")
-    if alpha < 1:
-        raise InputError("need alpha >= 1")
-    seed = _enumerate_cycles(g, ell, cap)
-    coll, rounds = _np_prune_rich(seed, "cycle", 2 * ell, alpha)
-    return coll, _rich_audit(seed, "cycle", rounds, len(coll))
+    _check_args("ell", ell, 2, alpha)
+    return _pruned(_enumerate_cycles(g, ell, cap), "cycle", alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -1056,23 +1083,10 @@ def _pair_indexes(members: np.ndarray, base: Optional[int] = None) -> dict:
     return _indexes(members, "path", range(1, members.shape[1] - 2), 2, base)
 
 
-def _pair_rule(ix: _PairIndex, alpha: int) -> tuple:
-    """The rule that a pair group fails without an alpha-matching."""
-    return ix, lambda alive: ix.unmatched(alive, alpha)
-
-
-def _first_bad_pair(members: np.ndarray, alpha: int, indexes: dict,
-                    alive: np.ndarray):
-    """None if every pair signature of the live sorted rows (``indexes``:
-    their ``_pair_indexes``, with the live counts) supports an
-    alpha-matching, else the first counterexample in row, then position,
-    order: (member, pair position, matching size)."""
-    bad = _first_failure(members.shape[1], [
-        (j, *_pair_rule(ix, alpha)) for j, ix in indexes.items()], alive)
-    if bad is None:
-        return None
-    i, j, ix, g = bad
-    return tuple(members[i].tolist()), j, ix.matching(g, alive)
+def _good_rules(indexes: dict, alpha: int) -> list[tuple]:
+    """The good prune's (tag, position, rule) list over pair indexes."""
+    return [("good", j, (ix, lambda alive, ix=ix: ix.unmatched(alive, alpha)))
+            for j, ix in indexes.items()]
 
 
 def _distinct_rule(ix: _PairIndex, second: bool, threshold: float) -> tuple:
@@ -1081,46 +1095,25 @@ def _distinct_rule(ix: _PairIndex, second: bool, threshold: float) -> tuple:
     return ix, lambda alive: ix.distinct(second) <= threshold
 
 
-def _case1_rules(members: np.ndarray, threshold: float,
-                 indexes: Optional[dict] = None) -> list[tuple]:
-    """Case 1 as (tag, position, rule): a pair class with at most
-    ``threshold`` fill edges.  ``indexes``: the ``_pair_indexes`` of the
-    rows."""
-    indexes = indexes or _pair_indexes(members)
-    return [("pair", j, _count_rule(ix, threshold)) for j, ix in indexes.items()]
-
-
-def _case2_rules(members: np.ndarray, threshold: float,
-                 indexes: Optional[dict] = None) -> list[tuple]:
-    """Case 2 as (tag, position, rule).  type 1: odd position 2i-1 with at
-    most ``threshold`` fills; type 2: pair (2i+1, 2i+2) with at most
-    ``threshold`` distinct second fills; type 3: pair (2i, 2i+1) with at most
+def _case_rules(case: int, members: np.ndarray, threshold: float,
+                indexes: dict) -> list[tuple]:
+    """A good-path case as (tag, position, rule) over the member rows and
+    their ``_pair_indexes``.  Case 1: a pair class with at most
+    ``threshold`` fill edges.  Case 2: type 1, odd position 2i-1 with at
+    most ``threshold`` fills; type 2, pair (2i+1, 2i+2) with at most
+    ``threshold`` distinct second fills; type 3, pair (2i, 2i+1) with at most
     ``threshold`` distinct first fills.  Types 2 and 3 read every pair
     position between them."""
+    if case == 1:
+        return [("pair", j, _count_rule(ix, threshold))
+                for j, ix in indexes.items()]
     L, base = members.shape[1], int(members.max(initial=0)) + 1
-    indexes = indexes or _pair_indexes(members, base)
     return ([("type1", j, _count_rule(ix, threshold)) for j, ix in _indexes(
                 members, "path", range(1, L - 1, 2), 1, base).items()]
             + [("type2", j, _distinct_rule(indexes[j], True, threshold))
                for j in range(1, L - 2, 2)]
             + [("type3", j, _distinct_rule(indexes[j], False, threshold))
                for j in range(2, L - 2, 2)])
-
-
-def _prune_case(seed: np.ndarray, rules: list[tuple]) -> tuple[np.ndarray, list]:
-    """Fixpoint of one case's (tag, position, rule) list over the seed rows:
-    the alive mask, and the audit entries one round at a time, each rule's
-    failing classes in sorted signature order with their live sizes."""
-    alive, rounds = _fixpoint(len(seed), [rule for _, _, rule in rules])
-    entries = []
-    for failed in rounds:
-        for (tag, j, (ix, _)), (ids, sizes) in zip(rules, failed):
-            for r, cnt in zip(ix.first(ids).tolist(), sizes.tolist()):
-                m = tuple(seed[r].tolist())
-                key = (m[:j] + (None,) + m[j + 1:] if tag == "type1"
-                       else (j,) + m[:j] + m[j + 2:])
-                entries.append((tag, key, cnt))
-    return alive, entries
 
 
 def _enumerate_pivot_paths(g: Graph, pivot: int, k: int, c_thresh: float,
@@ -1146,7 +1139,7 @@ def _enumerate_pivot_paths(g: Graph, pivot: int, k: int, c_thresh: float,
 
 def build_good_paths(g: Graph, k: int, alpha: int, c_thresh: float,
                      l_factor: float, cap: int = DEFAULT_CAP,
-                     ) -> tuple[LabeledCollection, PruneAudit, int]:
+                     ) -> tuple[LabeledCollection, PruneAudit]:
     """Two-case builder for alpha-good collections of paths with 2k+1 vertices.
 
     Case 1 (few cherries with codegree above c_thresh): seed with all paths
@@ -1156,34 +1149,31 @@ def build_good_paths(g: Graph, k: int, alpha: int, c_thresh: float,
     threshold 2*alpha on the alternating collection through its neighborhood.
     Both prune to the fixpoint of their rules, one round at a time, and the
     audit lists each round's failing classes rule by rule, in sorted
-    (position, signature) order.  Non-empty output is verified alpha-good;
-    verification failure is an integrity error.
+    (position, signature) order; its diagnostics carry the case.  Non-empty
+    output is verified alpha-good; verification failure is an integrity
+    error.
     """
-    if k < 1:
-        raise InputError("need k >= 1")
-    if alpha < 1 or c_thresh < 0 or l_factor <= 0:
-        raise InputError("need alpha >= 1, c_thresh >= 0, l_factor > 0")
-    length = 2 * k + 1
-    n = g.num_vertices
+    _check_args("k", k, 1, alpha)
+    if c_thresh < 0 or l_factor <= 0:
+        raise InputError("need c_thresh >= 0, l_factor > 0")
     d = g.average_degree
     cherries, per_center = _count_high_codegree_cherries(g, c_thresh)
-    audit = PruneAudit(diagnostics={"cherries": cherries,
-                                    "case_threshold": n * d * d / l_factor})
-
-    if cherries <= n * d * d / l_factor:
-        case = 1
-        seed = _enumerate_paths(g, length, cap, second_codegree_max=c_thresh)
+    threshold = g.num_vertices * d * d / l_factor
+    case = 1 if cherries <= threshold else 2
+    diagnostics = {"cherries": cherries, "case_threshold": threshold,
+                   "case": case}
+    if case == 1:
+        seed = _enumerate_paths(g, 2 * k + 1, cap,
+                                second_codegree_max=c_thresh)
     else:
-        case = 2
-        pivot = min(per_center, key=lambda v: (-per_center[v], v))
-        audit.diagnostics["pivot"] = pivot
+        pivot = diagnostics["pivot"] = min(
+            per_center, key=lambda v: (-per_center[v], v))
         seed = _enumerate_pivot_paths(g, pivot, k, c_thresh, cap)
-    audit.diagnostics["seed"] = len(seed)
     base = int(seed.max(initial=0)) + 1
     indexes = _pair_indexes(seed, base)
-    alive, audit.entries = _prune_case(seed, _case1_rules(
-        seed, c_thresh ** 2, indexes) if case == 1 else _case2_rules(
-        seed, 2 * alpha, indexes))
+    alive, audit = _prune(seed, _case_rules(
+        case, seed, c_thresh ** 2 if case == 1 else 2 * alpha, indexes),
+        **diagnostics)
     if case == 2:
         # each member weighs prod_i 1 / d(x_{2i-2}, x_{2i}); fsum rounds the
         # exact sum, so it does not depend on the member order
@@ -1193,17 +1183,18 @@ def build_good_paths(g: Graph, k: int, alpha: int, c_thresh: float,
             weight /= codeg[seed[:, 2 * i - 2], seed[:, 2 * i]]
         audit.diagnostics["seed_weight"] = math.fsum(weight.tolist())
         audit.diagnostics["final_weight"] = math.fsum(weight[alive].tolist())
-    audit.diagnostics["final"] = int(alive.sum())
     # a rule of either case reads every pair index, so its live counts are
     # the survivors'
-    bad = _first_bad_pair(seed, alpha, indexes, alive)
+    bad = _first_failure(2 * k + 1, _good_rules(indexes, alpha), alive)
     if bad is not None:
+        i, j, ix, grp = bad
         raise IntegrityError(
-            f"good-path fixpoint is not {alpha}-good: member {bad[0]} "
-            f"pair position {bad[1]} only supports {bad[2]} disjoint fills")
-    return (LabeledCollection._indexed("path", length, seed, alive, indexes,
-                                       base, good=True, alpha=alpha),
-            audit, case)
+            f"good-path fixpoint is not {alpha}-good: member "
+            f"{tuple(seed[i].tolist())} pair position {j} only supports "
+            f"{ix.matching(grp, alive)} disjoint fills")
+    return (LabeledCollection._indexed("path", 2 * k + 1, seed, alive,
+                                       indexes, base, good=True, alpha=alpha),
+            audit)
 
 
 # ---------------------------------------------------------------------------
@@ -1225,24 +1216,19 @@ def verify_collection(coll: LabeledCollection, g: Graph, alpha: int,
         for a, b in zip(seq, seq[1:]):
             if not g.has_edge(a, b):
                 return False, {"member": m, "reason": f"missing edge ({a},{b})"}
-    members, alive = coll.members, np.ones(len(coll), dtype=bool)
     if not len(coll):
         return True, None
-    if coll.good:
-        bad = _first_bad_pair(members, alpha, _pair_indexes(members), alive)
-        if bad is not None:
-            return False, {"member": bad[0], "pair_position": bad[1],
-                           "matching": bad[2]}
+    members, alive = coll.members, np.ones(len(coll), dtype=bool)
+    bad = _first_failure(L, _rules(members, coll.kind, alpha, coll.good,
+                                   int(members.max()) + 1)[1], alive)
+    if bad is None:
         return True, None
-    positions = [0] if coll.kind == "cycle" else range(1, L - 1)
-    indexes = _indexes(members, coll.kind, positions, 1, int(members.max()) + 1)
-    bad = _first_failure(L, [(pos, *_count_rule(ix, alpha - 1))
-                             for pos, ix in indexes.items()], alive)
-    if bad is not None:
-        i, j, ix, grp = bad
-        return False, {"member": tuple(members[i].tolist()), "position": j,
-                       "fills": int(ix.groups.live[grp])}
-    return True, None
+    i, j, ix, grp = bad
+    if coll.good:
+        return False, {"member": tuple(members[i].tolist()),
+                       "pair_position": j, "matching": ix.matching(grp, alive)}
+    return False, {"member": tuple(members[i].tolist()), "position": j,
+                   "fills": int(ix.groups.live[grp])}
 
 
 def good_suffix_restriction(coll: LabeledCollection) -> tuple[LabeledCollection, Optional[int]]:
@@ -1250,11 +1236,9 @@ def good_suffix_restriction(coll: LabeledCollection) -> tuple[LabeledCollection,
     last vertex and drop that vertex; the result is good at the same alpha."""
     if not coll.good:
         raise InputError("suffix restriction applies to good collections")
-    if not len(coll):
-        return (LabeledCollection("path", coll.length - 1, coll.members[:, :-1],
-                                  good=True, alpha=coll.alpha), None)
     last = coll.members[:, -1]
-    v = int(np.argmax(np.bincount(last)))  # the least of the most common
+    # the least of the most common; none in an empty collection
+    v = int(np.argmax(np.bincount(last))) if len(coll) else None
     return (LabeledCollection("path", coll.length - 1,
                               coll.members[last == v, :-1],
                               good=True, alpha=coll.alpha), v)
@@ -1296,20 +1280,6 @@ def _layer_transversals(g: Graph, layers: list[np.ndarray],
             return np.take(wrap, cell)
 
     return _join(layers[0], steps, _HARD_MEMBER_CAP, "layered", keep)[0]
-
-
-def _np_prune_good(members: np.ndarray, alpha: int) -> LabeledCollection:
-    """Fixpoint of the good deletion process: drop the members of every
-    pair-signature group whose live fill edges admit no alpha pairwise
-    disjoint edges (``_PairIndex.unmatched``), until none is left; the
-    collection keeps its pair index as ``_np_prune_rich`` does."""
-    base = int(members.max(initial=0)) + 1
-    indexes = _pair_indexes(members, base)
-    alive, _ = _fixpoint(len(members), [_pair_rule(ix, alpha)
-                                        for ix in indexes.values()])
-    return LabeledCollection._indexed("path", members.shape[1], members,
-                                      alive, indexes, base, good=True,
-                                      alpha=alpha)
 
 
 def _sample_layers(g: Graph, count: int, size: int, rng: random.Random,
@@ -1355,51 +1325,52 @@ def _estimate_pair_density(g: Graph) -> float:
     return max(g.edge_count / pairs, 1e-3) if pairs else 1e-3
 
 
-def _layered_seed(g: Graph, count: int, alpha: int, seed: int, squared: bool,
-                  endpoints: bool, closed: bool) -> np.ndarray:
-    """The transversals of ``count`` sampled layers, each of
-    max(ceil((alpha + 3 + floor(1.5 sqrt(alpha))) / q**s), alpha + 2)
+def _layered_seed(g: Graph, family: str, count: int, alpha: int,
+                  seed: int) -> tuple[np.ndarray, dict]:
+    """The seed rows of a layered build of ``family`` ("rich_paths",
+    "rich_cycles" or "good_paths") and their diagnostics, ``part`` and q:
+    the transversals of ``count`` sampled layers, each of
+    part = max(ceil((alpha + 3 + floor(1.5 sqrt(alpha))) / q**s), alpha + 2)
     vertices of its pool (all of it if smaller), where q is the exact edge
-    density and s is 2 if ``squared``, else 1."""
+    density and s is 1 for good paths, else 2.  A path's end layers are
+    single vertices of highest degree; a cycle's transversal closes."""
+    closed = family == "rich_cycles"
     q = _estimate_pair_density(g)
     target = alpha + 3 + int(1.5 * alpha ** 0.5)
-    size = max(int(np.ceil(target / (q * q if squared else q))), alpha + 2)
-    layers = _sample_layers(g, count, size, random.Random(seed), endpoints)
-    return _layer_transversals(g, layers, closed)
+    part = max(int(np.ceil(target / (q if family == "good_paths" else q * q))),
+               alpha + 2)
+    layers = _sample_layers(g, count, part, random.Random(seed), not closed)
+    return _layer_transversals(g, layers, closed), {"part": part, "q": q}
 
 
 def layered_rich_paths(g: Graph, k: int, alpha: int,
-                       seed: int) -> LabeledCollection:
+                       seed: int) -> tuple[LabeledCollection, PruneAudit]:
     """Alpha-rich path collection from a layered seed: fixed high-degree
     endpoints, sampled internal layers, exhaustive transversals, then the
-    usual fixpoint prune (vectorised)."""
-    if k < 3:
-        raise InputError("need k >= 3")
-    rows = _layered_seed(g, k, alpha, seed, True, True, False)
-    return _np_prune_rich(rows, "path", k, alpha)[0]
+    rich prune."""
+    _check_args("k", k, 3, alpha)
+    rows, diagnostics = _layered_seed(g, "rich_paths", k, alpha, seed)
+    return _pruned(rows, "path", alpha, **diagnostics)
 
 
 def layered_rich_cycles(g: Graph, ell: int, alpha: int,
-                        seed: int) -> LabeledCollection:
+                        seed: int) -> tuple[LabeledCollection, PruneAudit]:
     """Alpha-rich cycle collection from 2*ell sampled layers."""
-    if ell < 2:
-        raise InputError("need ell >= 2")
-    rows = _sorted_unique(_canon_cycles_np(
-        _layered_seed(g, 2 * ell, alpha, seed, True, False, True)))
-    return _np_prune_rich(rows, "cycle", 2 * ell, alpha)[0]
+    _check_args("ell", ell, 2, alpha)
+    rows, diagnostics = _layered_seed(g, "rich_cycles", 2 * ell, alpha, seed)
+    rows = _sorted_unique(_canon_cycles_np(rows))  # the raw rows go now
+    return _pruned(rows, "cycle", alpha, **diagnostics)
 
 
 def layered_good_paths(g: Graph, k: int, alpha: int,
-                       seed: int) -> LabeledCollection:
+                       seed: int) -> tuple[LabeledCollection, PruneAudit]:
     """Alpha-good collection of paths with 2k vertices (ready for the
-    honeycomb embedder) from a layered seed pruned by pair matchings."""
-    if k < 1:
-        raise InputError("need k >= 1")
-    length = 2 * k
-    if length == 2:
-        e = next(iter(g.edges()), None)
-        members = [e] if e else []
-        return LabeledCollection.from_members("path", 2, members, good=True,
-                                              alpha=alpha)
-    return _np_prune_good(
-        _layered_seed(g, length, alpha, seed, False, True, False), alpha)
+    honeycomb embedder) from a layered seed pruned by pair matchings.  For
+    k = 1 the seed is the host's first edge, if any, with no layers."""
+    _check_args("k", k, 1, alpha)
+    if k == 1:
+        rows, diagnostics = np.array(list(itertools.islice(g.edges(), 1)),
+                                     dtype=np.uint32).reshape(-1, 2), {}
+    else:
+        rows, diagnostics = _layered_seed(g, "good_paths", 2 * k, alpha, seed)
+    return _pruned(rows, "path", alpha, good=True, **diagnostics)

@@ -161,12 +161,12 @@ def test_acceptance_5_collection_builders():
     assert len(build_rich_cycles(c6, 3, 2)[0]) == 0
 
     k88 = build_graph(16, [(a, 8 + b) for a in range(8) for b in range(8)])
-    good, _, case = build_good_paths(k88, 1, 4, 16.0, 64.0)
-    assert case == 1 and len(good) == 896
+    good, good_audit = build_good_paths(k88, 1, 4, 16.0, 64.0)
+    assert good_audit.diagnostics["case"] == 1 and len(good) == 896
     ok, ce = verify_collection(good, k88, 4)
     assert ok, ce
-    good2, _, case2 = build_good_paths(c6, 1, 2, 0.5, 4.0)
-    assert case2 == 2 and len(good2) == 0
+    good2, good2_audit = build_good_paths(c6, 1, 2, 0.5, 4.0)
+    assert good2_audit.diagnostics["case"] == 2 and len(good2) == 0
     dt = time.perf_counter() - t0
     _report(5, dt < 10.0,
             f"builders match module examples, verify, and replay; "

@@ -136,6 +136,97 @@ def test_find_options_the_search_does_not_read_are_input_errors(
         f"input error: find {argv[0]} does not read {name}\n")
 
 
+# the options that a search of `build` or `embed` does not read, each with
+# the search that refuses it
+_UNREAD_OPTIONS = [
+    ("build", "rich-paths --strategy layered", "--cap 1e8"),
+    ("build", "rich-cycles --strategy layered", "--C 32"),
+    ("build", "good-paths --strategy layered", "--L 256"),
+    ("build", "good-paths --strategy layered", "--cap 5"),
+    ("build", "rich-paths --strategy exhaustive", "--seed 0"),
+    ("build", "rich-cycles --strategy exhaustive", "--seed 1"),
+    ("build", "good-paths --strategy exhaustive", "--seed 1"),
+    ("build", "rich-paths --strategy exhaustive", "--ell 2"),
+    ("build", "rich-cycles --strategy layered", "--k 3"),
+    ("build", "rich-paths --strategy exhaustive", "--C 4"),
+    ("embed", "grid", "--k 2"), ("embed", "grid", "--ell 2"),
+    ("embed", "grid", "--budget 10"), ("embed", "grid", "--seed 0"),
+    ("embed", "cylinder", "--t 2"), ("embed", "cylinder", "--budget 10"),
+    ("embed", "cylinder", "--seed 1"), ("embed", "honeycomb", "--t 2"),
+    ("embed", "honeycomb", "--budget 10"), ("embed", "honeycomb", "--seed 1"),
+    ("embed", "torus", "--t 2")]
+
+
+@pytest.mark.parametrize("command, search, flag", _UNREAD_OPTIONS)
+def test_build_and_embed_options_the_search_does_not_read_are_input_errors(
+        tmp_path, capsys, command, search, flag):
+    host, coll = tmp_path / "k.el", tmp_path / "c.txt"
+    write_edge_list(build_graph(8, [(a, 4 + b) for a in range(4)
+                                    for b in range(4)]), host)
+    coll.write_text("path 3 1\n0 4 1\n")
+    required = {"build": ["--in", str(host), "--alpha", "2"],
+                "embed": ["--coll", str(coll), "--host", str(host)]}[command]
+    assert main([command, *search.split(), *required, *flag.split()]) == 1
+    assert capsys.readouterr().err == (
+        f"input error: {command} {search} does not read {flag.split()[0]}\n")
+
+
+@pytest.mark.parametrize("alpha", ["0", "-2"])
+@pytest.mark.parametrize("family", ["rich-paths", "rich-cycles", "good-paths"])
+def test_layered_build_below_alpha_1_is_input_error(tmp_path, capsys, family,
+                                                    alpha):
+    host = tmp_path / "h.el"
+    write_edge_list(random_graph(40, 0.6, 1), host)
+    assert main(["build", family, "--strategy", "layered", "--in", str(host),
+                 "--alpha", alpha]) == 1
+    assert capsys.readouterr().err == (
+        f"input error: need alpha >= 1, not {alpha}\n")
+
+
+@pytest.mark.parametrize("target, alpha, floor", [
+    ({"kind": "grid", "t": 3}, 8, 9),
+    ({"kind": "cylinder", "k": 3, "ell": 3}, 4, 9),
+    ({"kind": "honeycomb", "k": 3, "ell": 4}, 11, 12)])
+def test_alpha_below_the_embedder_floor_is_refused_before_the_host(
+        tmp_path, capsys, target, alpha, floor):
+    # the host file is missing: an error that names the alpha read no host
+    config = {"host": {"kind": "file", "path": str(tmp_path / "missing.el")},
+              "target": target, "builder": {"alpha": alpha}}
+    message = (f"embed_{target['kind']} needs alpha >= {floor}, builder.alpha "
+               f"has {alpha}")
+    with pytest.raises(InputError) as exc:
+        run_pipeline(config)
+    assert str(exc.value) == message
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["pipeline", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"input error: {message}\n"
+    # at the floor, and on a torus, whose embedder has none, the host is read
+    for target, alpha in ((target, floor), ({"kind": "torus", "k": 4,
+                                             "ell": 2}, 1)):
+        with pytest.raises(InputError, match="^cannot read "):
+            run_pipeline({**config, "target": target,
+                          "builder": {"alpha": alpha}})
+
+
+def test_pipeline_calls_the_builders_by_their_public_names(monkeypatch):
+    # a tracer that wraps the public builders by name sees every build
+    calls = []
+    for name in ("layered_rich_cycles", "build_rich_cycles"):
+        def traced(*args, name=name, build=getattr(rich_collections, name),
+                   **kwargs):
+            calls.append(name)
+            return build(*args, **kwargs)
+        monkeypatch.setattr(rich_collections, name, traced)
+    host = {"kind": "gnp", "n": 16, "p": 0.9, "seed": 3, "bipartite": True}
+    for strategy in ("layered", "exhaustive"):
+        code, report = run_pipeline({
+            "host": host, "target": {"kind": "cylinder", "k": 2, "ell": 2},
+            "builder": {"alpha": 4, "strategy": strategy}})
+        assert code == 0 and report["collection"]["members"] == 343
+    assert calls == ["layered_rich_cycles", "build_rich_cycles"]
+
+
 def test_pipeline_examples(tmp_path):
     report = tmp_path / "rep.json"
     cert = tmp_path / "cert.json"
@@ -431,7 +522,7 @@ def test_auto_takes_the_exhaustive_builder_on_the_exact_c4_count(monkeypatch):
      'builder.strategy must be one of "auto", "exhaustive", "layered", '
      "not 'bogus'"),
     ({"target": {"kind": "prism_path", "t": 2}, "builder": {"alpha": "x"}},
-     "builder.alpha must be a whole number >= 0, not 'x'"),
+     "builder.alpha must be a whole number >= 1, not 'x'"),
     ({"target": {"kind": "grid", "t": 2}, "builder": {"T": "x"}},
      "builder.T must be a finite number, not 'x'")])
 def test_config_values_of_the_wrong_type_are_input_errors(monkeypatch, change,
@@ -504,6 +595,11 @@ _BUILD_DIGESTS = [
                            "--C", "2", "--L", "1000"],  # case 2
      "0361c3b89102681a8df11b170f1f222445631254ef39cd15868d49e71e413581",
      "f2bd7bf5ed250365aaee93fcfc7296287a43f61b6a51eb6070f93bdc74591bd1"),
+    # a layered build: its audit adds the layer size and the density
+    ((16, 0.7, 3, True), ["rich-cycles", "--ell", "2", "--alpha", "2",
+                          "--strategy", "layered", "--seed", "1"],
+     "8a43b8c52744277f6c7c9f529fcca785f4d5aa5a8c16be9827853291fdf120fa",
+     "0e2540cedb33fbdc59b337f1e1359e602b899766f4a7e72aea16068460372d71"),
 ]
 
 

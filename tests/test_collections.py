@@ -19,7 +19,7 @@ from turan_forge.embedders import embed_cylinder, embed_torus
 from turan_forge.graphs import build_graph, two_coloring
 from turan_forge.matching import max_disjoint_edges
 from turan_forge.oracle import verify_certificate
-from turan_forge.rich_collections import (LabeledCollection, PruneAudit,
+from turan_forge.rich_collections import (LabeledCollection,
                                           _enumerate_cycles,
                                           _enumerate_paths, build_good_paths,
                                           build_rich_cycles, build_rich_paths,
@@ -147,35 +147,35 @@ def test_serialization_roundtrip(tmp_path):
 
 def test_good_paths_case1_k88():
     k88 = complete_bipartite(8, 8)
-    coll, audit, case = build_good_paths(k88, 1, 4, 16.0, 64.0)
-    assert case == 1 and len(coll) == 2 * 8 * 8 * 7
+    coll, audit = build_good_paths(k88, 1, 4, 16.0, 64.0)
+    assert audit.diagnostics["case"] == 1 and len(coll) == 2 * 8 * 8 * 7
     ok, ce = verify_collection(coll, k88, 4)
     assert ok, ce
 
 
 def test_good_paths_case2_c6_empty():
-    coll, audit, case = build_good_paths(C6, 1, 2, 0.5, 4.0)
-    assert case == 2 and len(coll) == 0
+    coll, audit = build_good_paths(C6, 1, 2, 0.5, 4.0)
+    assert audit.diagnostics["case"] == 2 and len(coll) == 0
     assert audit.diagnostics["cherries"] == 12
 
 
 def test_good_paths_case2_runs_deletions():
     # K_{6,6} with C below the codegree forces Case 2 through the pivot
     k66 = complete_bipartite(6, 6)
-    coll, audit, case = build_good_paths(k66, 1, 2, 3.0, 4.0)
-    assert case == 2
+    coll, audit = build_good_paths(k66, 1, 2, 3.0, 4.0)
+    assert audit.diagnostics["case"] == 2
     ok, ce = verify_collection(coll, k66, 2)
     assert ok, ce
 
 
 def test_good_paths_edgeless():
-    coll, _, _ = build_good_paths(build_graph(4, []), 1, 2, 1.0, 4.0)
+    coll, _ = build_good_paths(build_graph(4, []), 1, 2, 1.0, 4.0)
     assert len(coll) == 0
 
 
 def test_good_suffix_restriction():
     k88 = complete_bipartite(8, 8)
-    coll, _, _ = build_good_paths(k88, 1, 4, 16.0, 64.0)
+    coll, _ = build_good_paths(k88, 1, 4, 16.0, 64.0)
     restricted, v = good_suffix_restriction(coll)
     assert restricted.length == 2 and restricted.good
     assert all(m[-1] != v for m in restricted.iter_members())
@@ -217,15 +217,15 @@ def test_rich_path_fixpoint_property(seed, alpha):
 
 def test_layered_constructors_verified():
     g = random_graph(240, 0.85, 11, bipartite=True)
-    paths = layered_rich_paths(g, 5, 9, seed=2)
+    paths, _ = layered_rich_paths(g, 5, 9, seed=2)
     assert len(paths) > 0
     ok, ce = verify_collection(paths, g, 9)
     assert ok, ce
-    cycles = layered_rich_cycles(g, 2, 8, seed=2)
+    cycles, _ = layered_rich_cycles(g, 2, 8, seed=2)
     assert len(cycles) > 0
     ok, ce = verify_collection(cycles, g, 8)
     assert ok, ce
-    good = layered_good_paths(g, 3, 12, seed=2)
+    good, _ = layered_good_paths(g, 3, 12, seed=2)
     assert len(good) > 0
     ok, ce = verify_collection(good, g, 12)
     assert ok, ce
@@ -233,8 +233,8 @@ def test_layered_constructors_verified():
 
 def test_layered_deterministic():
     g = random_graph(150, 0.9, 4, bipartite=True)
-    a = layered_rich_cycles(g, 2, 6, seed=5)
-    b = layered_rich_cycles(g, 2, 6, seed=5)
+    a, _ = layered_rich_cycles(g, 2, 6, seed=5)
+    b, _ = layered_rich_cycles(g, 2, 6, seed=5)
     assert a.members.tolist() == b.members.tolist()
 
 
@@ -244,10 +244,10 @@ def test_layered_builders_on_degenerate_hosts():
     one = build_graph(1, [])
     star = build_graph(6, [(0, i) for i in range(1, 6)])
     for g in (one, star, build_graph(0, [])):
-        paths = layered_rich_paths(g, 5, 2, seed=0)
+        paths, _ = layered_rich_paths(g, 5, 2, seed=0)
         assert len(paths) == 0 and paths.members.shape == (0, 5)
-        assert len(layered_rich_cycles(g, 2, 2, seed=0)) == 0
-        assert len(layered_good_paths(g, 2, 2, seed=0)) == 0
+        assert len(layered_rich_cycles(g, 2, 2, seed=0)[0]) == 0
+        assert len(layered_good_paths(g, 2, 2, seed=0)[0]) == 0
 
 
 def test_pair_density_is_exact():
@@ -287,7 +287,7 @@ def test_layered_probe_finds_at_n1500():
     # density 7 % too high (0.495 against 0.464) leave seed 3 no member
     g = random_graph(1500, 18 / 1500 ** 0.5, 1, bipartite=True)
     for seed in range(4):
-        coll = layered_rich_cycles(g, 2, 8, seed=seed)
+        coll, _ = layered_rich_cycles(g, 2, 8, seed=seed)
         assert len(coll) > 0, seed
         for cert in (embed_cylinder(g, coll, 4, 2),
                      embed_torus(g, coll, 4, 2, budget=10 ** 7, seed=seed)):
@@ -623,7 +623,8 @@ def test_good_prune_matches_naive_fixpoint_and_verify(g, alpha):
         rows = _enumerate_paths(g, k, 10 ** 6)
         seed = set(map(tuple, rows.tolist()))
         final = naive_good_fixpoint(seed, k, alpha)
-        pruned = rich_collections._np_prune_good(rows, alpha).members
+        pruned = rich_collections._pruned(rows, "path", alpha, good=True)[
+            0].members
         assert np.array_equal(pruned, _rows(final, k))
         coll = LabeledCollection("path", k, rows, good=True, alpha=alpha)
         ok, ce = verify_collection(coll, g, alpha)
@@ -639,7 +640,7 @@ def test_good_prune_matches_naive_fixpoint_and_verify(g, alpha):
 def test_good_paths_integrity_error_names_first_bad_pair(monkeypatch):
     # without the case-1 deletions the seed of K_{4,4} is not 3-good
     k44 = complete_bipartite(4, 4)
-    monkeypatch.setattr(rich_collections, "_case1_rules", lambda *args: [])
+    monkeypatch.setattr(rich_collections, "_case_rules", lambda *args: [])
     seed = all_labeled_paths(k44, 5)
     m, j, size = first_bad_pair(seed, 5, 3)
     with pytest.raises(IntegrityError) as err:
@@ -697,16 +698,16 @@ def test_good_case_fixpoints_match_naive_and_replay(g, threshold, bound):
         length = 2 * k + 1
         rows = _enumerate_paths(g, length, 10 ** 6, second_codegree_max=bound)
         seed = set(map(tuple, rows.tolist()))
-        for case, rules in ((1, rich_collections._case1_rules),
-                            (2, rich_collections._case2_rules)):
-            alive, entries = rich_collections._prune_case(
-                rows, rules(rows, threshold))
+        for case in (1, 2):
+            rules = rich_collections._case_rules(
+                case, rows, threshold, rich_collections._pair_indexes(rows))
+            alive, audit = rich_collections._prune(rows, rules)
             final = naive_case_fixpoint(seed, length, case, threshold)
             assert np.array_equal(rows[alive], _rows(final, length))
-            assert replay_audit(seed, PruneAudit(entries), "path",
-                                length) == final
+            assert replay_audit(seed, audit, "path", length) == final
             tags = {"pair"} if case == 1 else {"type1", "type2", "type3"}
-            assert all(tag in tags and cnt > 0 for tag, _, cnt in entries)
+            assert all(tag in tags and cnt > 0
+                       for tag, _, cnt in audit.entries)
 
 
 # -- the deletion engine, round by round, against a naive recount
@@ -736,11 +737,12 @@ def _round_specs(rows, kind, param):
         return [(rc._count_rule(rc._indexes(rows, "cycle", [0], 1, base)[0],
                                 param), (_cycle_key, range(L), at_most(len)))]
     if kind == "pair":
-        return [(rc._pair_rule(ix, param), (pair(j), [0], lambda grp, j=j: len(
+        return [(rule, (pair(j), [0], lambda grp, j=j: len(
             _matching([m[j:j + 2] for m in grp])) < param))
-                for j, ix in rc._pair_indexes(rows, base).items()]
-    rules = (rc._case1_rules if kind == "case1" else rc._case2_rules)(
-        rows, param)
+                for _, j, rule in rc._good_rules(rc._pair_indexes(rows, base),
+                                                 param)]
+    rules = rc._case_rules(1 if kind == "case1" else 2, rows, param,
+                           rc._pair_indexes(rows, base))
     specs = {"pair": lambda j: (pair(j), [0], at_most(len)),
              "type1": lambda j: (blank(j), [0], at_most(len)),
              "type2": lambda j: (pair(j), [0], at_most(
@@ -820,7 +822,7 @@ def test_fixpoint_with_stale_counts_raises():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rich_collections._Index, "leave", lambda self, rows: None)
         with pytest.raises(IntegrityError, match="no live member"):
-            rich_collections._np_prune_rich(rows, "path", 4, 2)
+            rich_collections._pruned(rows, "path", 2)
 
 
 @settings(max_examples=60, deadline=None)
@@ -843,8 +845,9 @@ def test_pivot_paths_match_permutations(g, c_thresh):
 
 def test_good_paths_case2_weights_and_audit():
     g = random_graph(14, 0.8, 3, bipartite=True)
-    coll, audit, case = build_good_paths(g, 2, 1, 4.0, 10 ** 6)
-    assert case == 2 and 0 < len(coll) < audit.diagnostics["seed"]
+    coll, audit = build_good_paths(g, 2, 1, 4.0, 10 ** 6)
+    assert audit.diagnostics["case"] == 2
+    assert 0 < len(coll) < audit.diagnostics["seed"]
     pivot = audit.diagnostics["pivot"]
     seed = set(map(tuple, rich_collections._enumerate_pivot_paths(
         g, pivot, 2, 4.0, 10 ** 6).tolist()))
@@ -1023,10 +1026,11 @@ def test_packing_limit_is_exclusive():
 
 def test_replay_of_a_large_good_path_audit():
     g = random_graph(40, 0.5, 1, bipartite=True)
-    coll, audit, case = build_good_paths(g, 2, 3, 2.0, 256.0)
+    coll, audit = build_good_paths(g, 2, 3, 2.0, 256.0)
     seed = rich_collections._enumerate_pivot_paths(
         g, audit.diagnostics["pivot"], 2, 2.0, 10 ** 6)
-    assert case == 2 and len(seed) == 55560 and len(audit.entries) == 24248
+    assert audit.diagnostics["case"] == 2
+    assert len(seed) == 55560 and len(audit.entries) == 24248
     final = replay_audit(map(tuple, seed.tolist()), audit, "path", 5)
     assert final == set(coll.iter_members())
 
@@ -1042,9 +1046,12 @@ _PRUNED_TOP = build_graph(9, [(a, b) for a in range(3) for b in range(3, 6)]
 _HANDOVER_BUILDERS = {
     "rich paths": lambda g, alpha: build_rich_paths(g, 4, alpha)[0],
     "rich cycles": lambda g, alpha: build_rich_cycles(g, 2, alpha)[0],
-    "layered rich paths": lambda g, alpha: layered_rich_paths(g, 4, alpha, 1),
-    "layered rich cycles": lambda g, alpha: layered_rich_cycles(g, 2, alpha, 1),
-    "layered good paths": lambda g, alpha: layered_good_paths(g, 2, alpha, 1),
+    "layered rich paths": lambda g, alpha: layered_rich_paths(g, 4, alpha,
+                                                              1)[0],
+    "layered rich cycles": lambda g, alpha: layered_rich_cycles(g, 2, alpha,
+                                                                1)[0],
+    "layered good paths": lambda g, alpha: layered_good_paths(g, 2, alpha,
+                                                              1)[0],
     "good paths, case 1": lambda g, alpha: build_good_paths(
         g, 2, alpha, 4.0, 1.0)[0],
     "good paths, case 2": lambda g, alpha: build_good_paths(
@@ -1135,7 +1142,7 @@ def test_handover_keeps_the_seed_base():
     for coll, base in ((build_rich_cycles(_PRUNED_TOP, 2, 2)[0], 8),
                        (build_rich_paths(_PRUNED_TOP, 3, 3)[0], 9),
                        (build_rich_paths(_PRUNED_TOP, 4, 2)[0], 9),
-                       (layered_rich_cycles(_PRUNED_TOP, 2, 2, 1), 8)):
+                       (layered_rich_cycles(_PRUNED_TOP, 2, 2, 1)[0], 8)):
         assert len(coll) and int(coll.members.max()) == 5 and coll._base == base
         fresh = LabeledCollection(coll.kind, coll.length, coll.members)
         assert fresh._base == 6
@@ -1297,18 +1304,18 @@ def test_first_failure_ranks_in_int64():
         rows=lambda ids: (np.array([m - 1, 5], dtype=np.int32),
                           np.array([0, 0])))
     got = rich_collections._first_failure(
-        8, [(1, ix, lambda alive: np.array([True]))], Alive())
+        8, [("rich", 1, (ix, lambda alive: np.array([True])))], Alive())
     assert got == (5, 1, ix, 0)
 
 
 def test_layered_hard_cap_counts_finished_rows(monkeypatch):
     g = random_graph(40, 0.9, 1, bipartite=True)
-    full = layered_rich_cycles(g, 2, 2, seed=0)
-    rows = len(rich_collections._layered_seed(g, 4, 2, 0, True, False, True))
+    full, _ = layered_rich_cycles(g, 2, 2, seed=0)
+    rows = len(rich_collections._layered_seed(g, "rich_cycles", 4, 2, 0)[0])
     assert rows > len(full) > 0
     # a cap at the seed's row count lets the build finish as it does uncapped
     monkeypatch.setattr(rich_collections, "_HARD_MEMBER_CAP", rows)
-    assert np.array_equal(layered_rich_cycles(g, 2, 2, seed=0).members,
+    assert np.array_equal(layered_rich_cycles(g, 2, 2, seed=0)[0].members,
                           full.members)
     monkeypatch.setattr(rich_collections, "_HARD_MEMBER_CAP", rows - 1)
     with pytest.raises(ResourceError,
@@ -1323,7 +1330,7 @@ def test_layered_seed_on_a_c4_free_host_stays_small():
     g = polarity_graph(23)
     tracemalloc.start()
     try:
-        coll = layered_rich_cycles(g, 2, 8, seed=0)
+        coll, _ = layered_rich_cycles(g, 2, 8, seed=0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1336,7 +1343,7 @@ def test_layered_seed_on_a_c4_free_host_stays_small():
     (110, 0.55, lambda g: build_rich_cycles(g, 2, 8)[0], 100),
     # 89 bytes a member measured; a join through dense blocks of every
     # partial row by a whole layer takes 139
-    (200, 0.9, lambda g: layered_good_paths(g, 3, 12, 1), 110),
+    (200, 0.9, lambda g: layered_good_paths(g, 3, 12, 1)[0], 110),
 ], ids=["rich cycles", "layered good paths"])
 def test_builds_peak_in_bounded_bytes_per_member(n, p, build, bound):
     g = random_graph(n, p, 1, bipartite=True)
@@ -1347,3 +1354,153 @@ def test_builds_peak_in_bounded_bytes_per_member(n, p, build, bound):
     finally:
         tracemalloc.stop()
     assert len(coll) > 150_000 and peak < bound * len(coll)
+
+
+# -- one builder core: one argument check, one prune, one audit
+
+@pytest.mark.parametrize("alpha", [0, -2])
+@pytest.mark.parametrize("builder", sorted(_HANDOVER_BUILDERS))
+def test_every_builder_refuses_alpha_below_1(builder, alpha):
+    g = random_graph(40, 0.6, 1)
+    with pytest.raises(InputError, match=f"^need alpha >= 1, not {alpha}$"):
+        _HANDOVER_BUILDERS[builder](g, alpha)
+
+
+def _layered(family, count, alpha):
+    """The seed rows of a layered build of ``family`` drawn with seed 1, as
+    the builder draws them."""
+    def seed(g, _audit):
+        rows = rich_collections._layered_seed(g, family, count, alpha, 1)[0]
+        if family == "rich_cycles":
+            rows = rich_collections._sorted_unique(
+                rich_collections._canon_cycles_np(rows))
+        return rows
+    return seed
+
+
+# each builder on a host where its prune deletes some of its seed and keeps
+# some, and the seed it starts from: enumerated again, or a layered seed
+# redrawn from the same seed
+_CORE_CASES = {
+    "build_rich_paths": (
+        random_graph(16, 0.7, 3, bipartite=True),
+        lambda g: build_rich_paths(g, 4, 2),
+        lambda g, _: _enumerate_paths(g, 4, 10 ** 6)),
+    "build_rich_cycles": (
+        random_graph(16, 0.7, 3, bipartite=True),
+        lambda g: build_rich_cycles(g, 2, 2),
+        lambda g, _: _enumerate_cycles(g, 2, 10 ** 6)),
+    "build_good_paths, case 1": (
+        polarity_graph(3),
+        lambda g: build_good_paths(g, 2, 2, 1.0, 1e-9),
+        lambda g, _: _enumerate_paths(g, 5, 10 ** 6, second_codegree_max=1.0)),
+    "build_good_paths, case 2": (
+        random_graph(10, 0.8, 1),
+        lambda g: build_good_paths(g, 2, 1, 2.0, 1000.0),
+        lambda g, audit: rich_collections._enumerate_pivot_paths(
+            g, audit.diagnostics["pivot"], 2, 2.0, 10 ** 6)),
+    "layered_rich_paths": (
+        random_graph(20, 0.6, 1, bipartite=True),
+        lambda g: layered_rich_paths(g, 4, 4, 1),
+        _layered("rich_paths", 4, 4)),
+    "layered_rich_cycles": (
+        random_graph(16, 0.7, 3, bipartite=True),
+        lambda g: layered_rich_cycles(g, 2, 2, 1),
+        _layered("rich_cycles", 4, 2)),
+    "layered_good_paths": (
+        random_graph(10, 0.6, 1),
+        lambda g: layered_good_paths(g, 3, 2, 1),
+        _layered("good_paths", 6, 2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CORE_CASES))
+def test_every_builder_audits_its_prune_and_the_audit_replays(name):
+    g, build, seed_of = _CORE_CASES[name]
+    coll, audit = build(g)
+    seed = seed_of(g, audit)
+    diag = audit.diagnostics
+    assert diag["final"] == len(coll) and diag["seed"] == len(seed)
+    assert 0 < len(coll) < len(seed) and audit.entries
+    members = set(coll.iter_members())
+    assert replay_audit(map(tuple, seed.tolist()), audit, coll.kind,
+                        coll.length) == members
+    if name.startswith("build_good_paths"):
+        assert diag["case"] == int(name[-1])
+    if name.startswith("layered"):
+        q = rich_collections._estimate_pair_density(g)
+        alpha = coll.alpha
+        target = alpha + 3 + int(1.5 * alpha ** 0.5)
+        power = 1 if name == "layered_good_paths" else 2
+        assert diag["q"] == q
+        assert diag["part"] == max(math.ceil(target / q ** power), alpha + 2)
+        assert "case" not in diag
+
+
+def _ranked_entries(rows, rules):
+    """A prune's audit entries, ordered round by round by the key (rule
+    rank, signature with None as -1), each rule's rank its place in the list
+    and every rich rule's 0; the signature of a failing group, from its
+    first row: the member with None at j, j and the member without j and
+    j + 1, or the open path a cycle's blank leaves, from its smaller end."""
+    m = len(rows)
+    alive, rounds = rich_collections._fixpoint(m, [r for _, _, r in rules])
+    entries = []
+    for failed in rounds:
+        ranked = []
+        for rank, ((tag, j, (ix, _)), (ids, sizes)) in enumerate(
+                zip(rules, failed)):
+            for r, cnt in zip(ix.first(ids).tolist(), sizes.tolist()):
+                mem = tuple(rows[r % m].tolist())
+                sig = (_cycle_key(mem, r // m) if ix.kind == "cycle" else
+                       mem[:j] + (None,) + mem[j + 1:] if ix.tail == 1 else
+                       (j,) + mem[:j] + mem[j + 2:])
+                ranked.append((0 if tag == "rich" else rank,
+                               [-1 if v is None else v for v in sig],
+                               (tag, sig, cnt)))
+        entries += [e for *_, e in sorted(ranked, key=lambda e: e[:2])]
+    return alive, entries
+
+
+@pytest.mark.parametrize("lexsorted", [False, True])
+@settings(max_examples=30, deadline=None)
+@given(good_hosts, st.integers(1, 3))
+@example(_SEVEN_ROUNDS, 2)
+@example(_CASE1_CASCADE, 2)
+@example(_CASE2_CASCADE, 1)
+def test_prune_audit_orders_by_rule_rank_then_signature(lexsorted, g, param):
+    rc = rich_collections
+    seeds = [("path", _enumerate_paths(g, 4, 10 ** 6)),
+             ("cycle", _enumerate_cycles(g, 2, 10 ** 6)),
+             ("cycle", _enumerate_cycles(g, 3, 10 ** 6)),
+             ("good", _enumerate_paths(g, 5, 10 ** 6)),
+             (1, _enumerate_paths(g, 5, 10 ** 6)),
+             (2, _enumerate_paths(g, 5, 10 ** 6))]
+    with pytest.MonkeyPatch.context() as mp:
+        if lexsorted:  # every base**width passes the limit: the lexsort keys
+            mp.setattr(rich_collections, "_PACK_LIMIT", 1)
+        for kind, rows in seeds:
+            if not len(rows):
+                continue
+            base = int(rows.max()) + 1
+
+            def rules():
+                if kind in (1, 2):
+                    return rc._case_rules(kind, rows, param,
+                                          rc._pair_indexes(rows, base))
+                return rc._rules(rows, "path" if kind == "good" else kind,
+                                 param + 1, kind == "good", base)[1]
+
+            alive, audit = rc._prune(rows, rules())
+            want_alive, want = _ranked_entries(rows, rules())
+            assert np.array_equal(alive, want_alive)
+            assert audit.entries == want
+
+
+def test_layered_good_paths_of_one_edge_audit_the_edge():
+    coll, audit = layered_good_paths(C6, 1, 3, seed=0)
+    assert list(coll.iter_members()) == [(0, 1)] and coll.alpha == 3
+    assert audit.to_json() == {"entries": [],
+                               "diagnostics": {"seed": 1, "final": 1}}
+    coll, audit = layered_good_paths(build_graph(3, []), 1, 3, seed=0)
+    assert len(coll) == 0 and audit.diagnostics == {"seed": 0, "final": 0}

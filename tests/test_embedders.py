@@ -94,7 +94,7 @@ def test_embed_torus_small_and_deterministic():
 
 def test_embed_torus_dense_random():
     g = random_graph(300, 0.9, 21, bipartite=True)
-    coll = layered_rich_cycles(g, 2, 8, seed=3)
+    coll, _ = layered_rich_cycles(g, 2, 8, seed=3)
     cert = checked(g, embed_torus(g, coll, 4, 2, budget=10 ** 7, seed=2))
     assert len(set(cert.host_vertices())) == 8
 
@@ -168,7 +168,7 @@ def test_embed_honeycomb_accepts_longer_good_collection():
     k88 = complete_bipartite(8, 8)
     from turan_forge.rich_collections import build_good_paths
 
-    coll, _, _ = build_good_paths(k88, 1, 2, 16.0, 64.0)
+    coll, _ = build_good_paths(k88, 1, 2, 16.0, 64.0)
     assert coll.length == 3
     cert = checked(k88, embed_honeycomb(k88, coll, 1, 2))
     assert len(cert.mapping) == 2
@@ -176,7 +176,7 @@ def test_embed_honeycomb_accepts_longer_good_collection():
 
 def test_embed_honeycomb_layered_random():
     g = random_graph(300, 0.9, 31, bipartite=True)
-    coll = layered_good_paths(g, 3, 12, seed=8)
+    coll, _ = layered_good_paths(g, 3, 12, seed=8)
     cert = checked(g, embed_honeycomb(g, coll, 3, 4))
     assert len(set(cert.host_vertices())) == 10
 
@@ -266,7 +266,7 @@ def test_embed_torus_spec_density():
     # d ~ 6*sqrt(n) bipartite host
     n = 400
     g = random_graph(n, 12.0 / n ** 0.5, 41, bipartite=True)
-    coll = layered_rich_cycles(g, 2, 8, seed=6)
+    coll, _ = layered_rich_cycles(g, 2, 8, seed=6)
     assert len(coll) > 0
     cert = checked(g, embed_torus(g, coll, 4, 2, budget=10 ** 7, seed=1))
     assert len(set(cert.host_vertices())) == 8
